@@ -23,13 +23,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import contfrac
-from .evaluator import (
-    EvalError,
-    ResourceCapError,
-    eliminate_quantifiers,
-    eval_bounded,
-    eval_point,
-)
+from .evaluator import EvalError, ResourceCapError, eliminate_quantifiers
 from .formula import (
     FormulaError,
     PartitionedFormula,
@@ -184,27 +178,6 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
     return inputs, outputs, checks
 
 
-def _truth_grid(pf: PartitionedFormula, meta, mode: str) -> dict:
-    """Truth of the formula at every (object, parameter) grid point."""
-    hints = meta.hint_map()
-    if mode == "qe":
-        body = eliminate_quantifiers(pf.formula)
-
-        def holds(env):
-            return eval_point(body, env)
-    else:
-        body = pf.formula
-
-        def holds(env):
-            return eval_bounded(body, env, hints)
-
-    grid = {}
-    for y in range(meta.param_window[0], meta.param_window[1] + 1):
-        for x in range(meta.ground_window[0], meta.ground_window[1] + 1):
-            grid[(x, y)] = holds({meta.object_var: x, meta.param_var: y})
-    return grid
-
-
 def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=False)
     with open(args.meta, "r", encoding="utf-8") as fh:
@@ -230,13 +203,15 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
     if not windows_ok:
         return inputs, {"d": d, "mode": args.mode}, [win_check]
 
-    grid = _truth_grid(pf, meta, args.mode)
+    fam = family_from_formula(pf, meta.ground_window,
+                              {meta.param_var: meta.param_window},
+                              mode=args.mode, hints=meta.hint_map())
 
     mismatch = None
     for t in range(meta.t_window[0], meta.t_window[1] + 1):
         x = (t - 1) % d + 1
         y = (t - x) // d
-        if grid[(x, y)] != code_set_contains(d, t):
+        if bool(fam.members[y][1] >> (x - 1) & 1) != code_set_contains(d, t):
             mismatch = t
             break
     checks = [win_check, _check(
@@ -244,16 +219,6 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
         mismatch is None,
         "all t agree" if mismatch is None else f"first mismatch at t={mismatch}",
     )]
-
-    ground = tuple(range(meta.ground_window[0], meta.ground_window[1] + 1))
-    members = []
-    for y in range(meta.param_window[0], meta.param_window[1] + 1):
-        mask = 0
-        for i, x in enumerate(ground):
-            if grid[(x, y)]:
-                mask |= 1 << i
-        members.append((str(y), mask))
-    fam = SetFamily(ground, tuple(members))
 
     bad_label = None
     for label, mask in fam.members:
@@ -267,7 +232,7 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
         else f"block y={bad_label} selects the wrong subset",
     ))
 
-    shattered, _ = is_shattered(ground, fam, cap=max(20, d))
+    shattered, _ = is_shattered(fam.ground, fam, cap=max(20, d))
     checks.append(_check("ground_window_shattered", shattered))
 
     rep = vc_dimension(fam, cap=max(20, d))

@@ -1,22 +1,40 @@
 """Evaluation and quantifier elimination for linear integer formulas.
 
-Three evaluation routes:
+Evaluation has one route.  compile_plan turns a formula, once, into a
+test of points over a fixed variable order: atoms become coefficient
+tuples over variable slots, and the free-variable, hint and point-cap
+checks run at compile time, not per point.  eval_point, eval_ground,
+eval_bounded and vclab.family_from_formula all go through it.  Under
+bounded semantics (each quantified variable ranges over its hint
+interval) two rules keep the work per point small:
 
-* eval_point / eval_ground: direct evaluation of quantifier-free formulas.
-* eval_bounded: quantifiers enumerated over per-variable hint intervals,
-  with an upfront refusal when the worst-case nesting product of interval
-  sizes exceeds a cap.
-* eliminate_quantifiers / decide: exact semantics over all of Z, by
-  innermost-first elimination.  Universals go through the dual
-  (forall x F == not exists x not F).  Each existential is removed either
-  by the equality-substitution shortcut (when a conjunct pins c*x to a
-  term) or by the classic divisibility-aware case split: scale the
-  variable's coefficients to a common delta, add (div delta x), then
-  cover the solution space with boundary terms plus a periodic tail,
-  instantiating offsets 1..D where D is the lcm of all div moduli.  The
-  boundary set is taken from whichever side (lower or upper bounds) is
-  smaller.  div atoms appear in the output; the result keeps the input's
-  free variables and is quantifier-free.
+* Equality substitution, at compile time, innermost first (Cooper
+  1972): exists v (c*v = t and R) over [lo, hi] becomes
+  (div c t) and c*lo <= t <= c*hi and R[c*v := t], also through
+  quantifiers over other variables, and skipped when a quantifier in
+  the body rebinds v or a variable of t.
+* CRT decision, at each point: the conjuncts of an existential that
+  are bounds on v narrow its interval, and its div conjuncts meet in
+  one residue class by the Chinese remainder theorem (as in Pugh's
+  Omega test).  When nothing else mentions v, the first member of that
+  progression decides existence in O(atoms); otherwise only the
+  progression is scanned.
+
+The point cap refuses upfront when the worst-case nesting product of
+interval sizes in the input formula exceeds it, whatever the plan then
+saves.
+
+eliminate_quantifiers / decide: exact semantics over all of Z, by
+innermost-first elimination.  Universals go through the dual
+(forall x F == not exists x not F).  Each existential is removed either
+by the same equality-substitution shortcut (when a conjunct pins c*x to
+a term) or by the classic divisibility-aware case split: scale the
+variable's coefficients to a common delta, add (div delta x), then
+cover the solution space with boundary terms plus a periodic tail,
+instantiating offsets 1..D where D is the lcm of all div moduli.  The
+boundary set is taken from whichever side (lower or upper bounds) is
+smaller.  div atoms appear in the output; the result keeps the input's
+free variables and is quantifier-free.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
@@ -28,13 +46,13 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from math import lcm
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping
 
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
     And, Atom, Bool, Exists, Forall, Formula, FormulaError, LinearTerm, Not, Or,
-    atoms_of, bitlen, free_vars, is_quantifier_free, mk_and, mk_or,
+    atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, mk_and, mk_or,
 )
 
 DEFAULT_MAX_ATOMS = 10 ** 6
@@ -79,27 +97,7 @@ def count_atoms(f: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation
-
-
-def _atom_holds(a: Atom, env: Mapping[str, int]) -> bool:
-    if a.kind == DIV:
-        return a.left.value(env) % a.modulus == 0
-    l = a.left.value(env)
-    r = a.right.value(env)
-    if a.kind == LE:
-        return l <= r
-    if a.kind == LT:
-        return l < r
-    return l == r
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b  # b > 0
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)  # b > 0
+# Compiled evaluation
 
 
 def _conjuncts(f: Formula) -> Iterable[Formula]:
@@ -108,118 +106,6 @@ def _conjuncts(f: Formula) -> Iterable[Formula]:
             yield from _conjuncts(p)
     else:
         yield f
-
-
-def _visible_atoms(f: Formula, blocked: frozenset[str]) -> Iterable[Atom]:
-    """Positive atom conjuncts, looking through nested existentials.
-
-    An atom conjunct sitting under an inner (exists w ...) must still hold
-    whenever that existential holds, so it can prune the outer variable as
-    long as it does not mention any intervening bound variable.
-    """
-    for part in _conjuncts(f):
-        if isinstance(part, Atom):
-            if not (part.left.vars() | part.right.vars()) & blocked:
-                yield part
-        elif isinstance(part, Exists):
-            yield from _visible_atoms(part.body, blocked | {part.var})
-
-
-def _exists_candidates(var: str, lo: int, hi: int, body: Formula,
-                       env: Mapping[str, int]) -> Iterable[int]:
-    """Shrink an existential's enumeration range using ground conjuncts.
-
-    Only values that falsify some positive atom conjunct are removed, so
-    the reduction never loses a witness.
-    """
-    pinned: set[int] | None = None
-    for part in _visible_atoms(body, frozenset()):
-        if part.kind == DIV:
-            continue
-        g = part.left - part.right
-        c = g.coeff(var)
-        rest = g.drop(var)
-        if not rest.is_ground and not rest.vars() <= env.keys():
-            continue
-        k = rest.value(env)
-        if part.kind == EQ:
-            if c == 0:
-                if k != 0:
-                    return []
-                continue
-            if (-k) % c != 0:
-                return []
-            val = (-k) // c
-            pinned = {val} if pinned is None else pinned & {val}
-            continue
-        slack = 1 if part.kind == LT else 0  # c*var + k + slack <= 0
-        if c == 0:
-            if k + slack > 0:
-                return []
-        elif c > 0:
-            hi = min(hi, _floor_div(-k - slack, c))
-        else:
-            lo = max(lo, _ceil_div(k + slack, -c))
-    if pinned is not None:
-        return sorted(v for v in pinned if lo <= v <= hi)
-    if lo > hi:
-        return []
-    return range(lo, hi + 1)
-
-
-def _eval(f: Formula, env: dict[str, int],
-          hints: Mapping[str, tuple[int, int]]) -> bool:
-    if isinstance(f, Bool):
-        return f.value
-    if isinstance(f, Atom):
-        return _atom_holds(f, env)
-    if isinstance(f, Not):
-        return not _eval(f.body, env, hints)
-    if isinstance(f, And):
-        return all(_eval(p, env, hints) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_eval(p, env, hints) for p in f.parts)
-    if isinstance(f, (Exists, Forall)):
-        if f.var not in hints:
-            raise MissingHintError(f"no hint interval for {f.var!r}")
-        lo, hi = hints[f.var]
-        if isinstance(f, Exists):
-            candidates: Iterable[int] = _exists_candidates(f.var, lo, hi,
-                                                           f.body, env)
-        else:
-            candidates = range(lo, hi + 1)
-        want = isinstance(f, Exists)
-        had = f.var in env
-        old = env.get(f.var)
-        try:
-            for val in candidates:
-                env[f.var] = val
-                if _eval(f.body, env, hints) == want:
-                    return want
-        finally:
-            if had:
-                env[f.var] = old
-            elif f.var in env:
-                del env[f.var]
-        return not want
-    raise EvalError(f"not a formula: {f!r}")
-
-
-def eval_point(f: Formula, env: Mapping[str, int]) -> bool:
-    """Evaluate a quantifier-free formula at a point covering its free vars."""
-    if not is_quantifier_free(f):
-        raise EvalError("formula has quantifiers; use eval_bounded or decide")
-    missing = free_vars(f) - set(env)
-    if missing:
-        raise EvalError(f"point missing variables: {sorted(missing)}")
-    return _eval(f, dict(env), {})
-
-
-def eval_ground(f: Formula) -> bool:
-    """Evaluate a variable-free, quantifier-free formula."""
-    if free_vars(f):
-        raise EvalError(f"formula is not ground: free {sorted(free_vars(f))}")
-    return eval_point(f, {})
 
 
 def _worst_case_points(f: Formula, hints: Mapping[str, tuple[int, int]]) -> int:
@@ -238,6 +124,243 @@ def _worst_case_points(f: Formula, hints: Mapping[str, tuple[int, int]]) -> int:
     raise EvalError(f"not a formula: {f!r}")
 
 
+def _presolve(f: Formula, hints: Mapping[str, tuple[int, int]]) -> Formula:
+    """Innermost-first rewrite, exact when every quantified variable ranges
+    over its hint interval.
+
+    exists v (c*v = t and R) with hint [lo, hi] becomes
+    (div c t) and c*lo <= t <= c*hi and R[c*v := t].  Any other
+    existential keeps only the conjuncts that mention v; the rest move
+    out of it, where an enclosing existential can use them.  Both steps
+    need a nonempty hint; over an empty one the existential is false.
+    """
+    if isinstance(f, (Bool, Atom)):
+        return f
+    if isinstance(f, Not):
+        return Not(_presolve(f.body, hints))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_presolve(p, hints) for p in f.parts))
+    body = _presolve(f.body, hints)
+    if isinstance(f, Forall):
+        return Forall(f.var, body)
+    lo, hi = hints[f.var]
+    if lo > hi:
+        return FALSE
+    shortcut = _equality_shortcut(f.var, body)
+    if shortcut is not None:
+        c, t, pinned = shortcut
+        return mk_and([Atom(LE, LinearTerm.num(c * lo), t),
+                       Atom(LE, t, LinearTerm.num(c * hi)), pinned])
+    parts = list(_conjuncts(body))
+    outside = [p for p in parts if f.var not in free_vars(p)]
+    inside = [p for p in parts if f.var in free_vars(p)]
+    if not inside:
+        return mk_and(outside)
+    return mk_and(outside + [Exists(f.var, mk_and(inside))])
+
+
+_Env = list[int]
+_Test = Callable[[_Env], bool]
+
+
+def _atom_test(a: Atom, scope: Mapping[str, int]) -> _Test:
+    g = a.left - a.right
+    pairs = tuple((scope[v], c) for v, c in g.coeffs)
+    k = g.const + (a.kind == LT)  # integers: t < 0 iff t + 1 <= 0
+    kind, m = a.kind, a.modulus
+
+    def test(env: _Env) -> bool:
+        t = k
+        for i, c in pairs:
+            t += c * env[i]
+        if kind == DIV:
+            return t % m == 0
+        return t == 0 if kind == EQ else t <= 0
+    return test
+
+
+def _all_test(parts: tuple[_Test, ...]) -> _Test:
+    def test(env: _Env) -> bool:
+        for p in parts:
+            if not p(env):
+                return False
+        return True
+    return test
+
+
+def _any_test(parts: tuple[_Test, ...]) -> _Test:
+    def test(env: _Env) -> bool:
+        for p in parts:
+            if p(env):
+                return True
+        return False
+    return test
+
+
+def _forall_test(slot: int, values: range, body: _Test) -> _Test:
+    def test(env: _Env) -> bool:
+        for val in values:
+            env[slot] = val
+            if not body(env):
+                return False
+        return True
+    return test
+
+
+def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
+                 bounds: tuple, divs: tuple, others: tuple[_Test, ...]) -> _Test:
+    """exists v in [lo, hi] of (fixed and bounds and divs and others).
+
+    `fixed` does not depend on v.  Each bound (a, pairs, k) reads
+    a*v + k <= 0 and each div (g, m, inv, pairs, k) reads
+    g | k and v = (k/g)*inv mod m, with k completed from `pairs` at the
+    point.  The bounds narrow [lo, hi] and the divs meet in one residue
+    class by CRT, so only that progression is scanned, and only when
+    `others` (the conjuncts that mention v in any other way) is nonempty;
+    without them the first value of the progression decides.
+    """
+    def test(env: _Env) -> bool:
+        for p in fixed:
+            if not p(env):
+                return False
+        low, high = lo, hi
+        for a, pairs, k in bounds:
+            for i, c in pairs:
+                k += c * env[i]
+            if a > 0:
+                cut = -k // a
+                if cut < high:
+                    high = cut
+            else:
+                cut = -(k // a)
+                if cut > low:
+                    low = cut
+            if low > high:
+                return False
+        res, mod = 0, 1
+        for g, m, inv, pairs, k in divs:
+            for i, c in pairs:
+                k += c * env[i]
+            if k % g:
+                return False
+            r = k // g * inv % m
+            common = gcd(mod, m)
+            if (r - res) % common:
+                return False
+            step = m // common
+            res += mod * ((r - res) // common
+                          * pow(mod // common, -1, step) % step)
+            mod *= step
+        first = low + (res - low) % mod
+        if not others:
+            return first <= high
+        for val in range(first, high + 1, mod):
+            env[slot] = val
+            for p in others:
+                if not p(env):
+                    break
+            else:
+                return True
+        return False
+    return test
+
+
+def compile_plan(f: Formula, variables: Iterable[str],
+                 hints: Mapping[str, tuple[int, int]] | None = None,
+                 max_points: int = DEFAULT_MAX_POINTS
+                 ) -> Callable[[Iterable[int]], bool]:
+    """Compile `f` once into a test of points over `variables`.
+
+    The returned function takes one integer per variable, in order, and
+    gives the truth of `f` there, each quantified variable ranging over
+    its interval in `hints`.  Raises EvalError when a free variable of f
+    is not in `variables`, MissingHintError when a quantified variable
+    has no hint, and ResourceCapError when the worst root-to-leaf product
+    of interval sizes in f exceeds `max_points`.
+    """
+    variables = tuple(variables)
+    missing = free_vars(f) - set(variables)
+    if missing:
+        raise EvalError(f"point missing variables: {sorted(missing)}")
+    hints = {} if hints is None else hints
+    worst = _worst_case_points(f, hints)
+    if worst > max_points:
+        raise ResourceCapError("enumeration points", max_points, worst)
+    n_slots = len(variables)
+
+    def build(g: Formula, scope: dict[str, int]) -> _Test:
+        nonlocal n_slots
+        if isinstance(g, Atom):
+            g = _atom_simplified(g)
+        if isinstance(g, Bool):
+            value = g.value
+            return lambda env: value
+        if isinstance(g, Atom):
+            return _atom_test(g, scope)
+        if isinstance(g, Not):
+            body = build(g.body, scope)
+            return lambda env: not body(env)
+        if isinstance(g, And):
+            return _all_test(tuple(build(p, scope) for p in g.parts))
+        if isinstance(g, Or):
+            return _any_test(tuple(build(p, scope) for p in g.parts))
+        # every binder gets its own slot, so shadowing needs no restore
+        slot = n_slots
+        n_slots += 1
+        inner = {**scope, g.var: slot}
+        lo, hi = hints[g.var]
+        if isinstance(g, Forall):
+            return _forall_test(slot, range(lo, hi + 1), build(g.body, inner))
+        fixed, bounds, divs, others = [], [], [], []
+        for part in _conjuncts(g.body):
+            if isinstance(part, Atom):
+                part = _atom_simplified(part)
+            if not isinstance(part, Atom):
+                (others if g.var in free_vars(part) else fixed).append(
+                    build(part, inner))
+                continue
+            lin = part.left - part.right
+            a = lin.coeff(g.var)
+            if a == 0:
+                fixed.append(build(part, inner))
+                continue
+            pairs = tuple((inner[v], c) for v, c in lin.coeffs if v != g.var)
+            k = lin.const
+            if part.kind == DIV:
+                common = gcd(a, part.modulus)
+                m = part.modulus // common
+                inv = -pow(a // common, -1, m) % m if m > 1 else 0
+                divs.append((common, m, inv, pairs, k))
+            elif part.kind == EQ:
+                bounds.append((a, pairs, k))
+                bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
+            else:
+                bounds.append((a, pairs, k + (part.kind == LT)))
+        return _exists_test(slot, lo, hi, tuple(fixed), tuple(bounds),
+                            tuple(divs), tuple(others))
+
+    test = build(_presolve(f, hints), {v: i for i, v in enumerate(variables)})
+    pad = [0] * (n_slots - len(variables))
+
+    def plan(values: Iterable[int]) -> bool:
+        return test([*values, *pad])
+    return plan
+
+
+def eval_point(f: Formula, env: Mapping[str, int]) -> bool:
+    """Evaluate a quantifier-free formula at a point covering its free vars."""
+    if not is_quantifier_free(f):
+        raise EvalError("formula has quantifiers; use eval_bounded or decide")
+    return compile_plan(f, env)(env.values())
+
+
+def eval_ground(f: Formula) -> bool:
+    """Evaluate a variable-free, quantifier-free formula."""
+    if free_vars(f):
+        raise EvalError(f"formula is not ground: free {sorted(free_vars(f))}")
+    return eval_point(f, {})
+
+
 def eval_bounded(f: Formula, point: Mapping[str, int],
                  hints: Mapping[str, tuple[int, int]],
                  max_points: int = DEFAULT_MAX_POINTS) -> bool:
@@ -248,13 +371,7 @@ def eval_bounded(f: Formula, point: Mapping[str, int],
     when the worst root-to-leaf product of interval sizes exceeds
     `max_points`.
     """
-    missing = free_vars(f) - set(point)
-    if missing:
-        raise EvalError(f"point missing variables: {sorted(missing)}")
-    worst = _worst_case_points(f, hints)
-    if worst > max_points:
-        raise ResourceCapError("enumeration points", max_points, worst)
-    return _eval(f, dict(point), hints)
+    return compile_plan(f, point, hints, max_points)(point.values())
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +482,6 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
                     f"unexpected node {type(f).__name__}")
 
 
-def _flatten_conjuncts(f: Formula) -> list[Formula]:
-    return list(_conjuncts(f))
-
-
 def _rewrite_atoms(f: Formula, fn) -> Formula:
     if isinstance(f, Bool):
         return f
@@ -380,17 +493,23 @@ def _rewrite_atoms(f: Formula, fn) -> Formula:
         return And(tuple(_rewrite_atoms(p, fn) for p in f.parts))
     if isinstance(f, Or):
         return Or(tuple(_rewrite_atoms(p, fn) for p in f.parts))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _rewrite_atoms(f.body, fn))
     raise EvalError(f"unexpected node under rewrite: {type(f).__name__}")
 
 
-def _try_equality_shortcut(var: str, body: Formula) -> Formula | None:
+def _equality_shortcut(var: str, body: Formula
+                       ) -> tuple[int, LinearTerm, Formula] | None:
     """exists var (c*var = t and R)  ==  (div c t) and R[c*var := t].
 
     Applies when some top-level conjunct is an equality containing var;
     every other atom is scaled by c (positive, so inequality directions
-    survive) and the pinned value substituted.
+    survive) and the pinned value substituted, under quantifiers over
+    other variables too.  Returns (c, t, right-hand side), or None when
+    there is no such equality or a quantifier in body binds var
+    (shadowing) or a variable of t (capture).
     """
-    conjuncts = _flatten_conjuncts(body)
+    conjuncts = list(_conjuncts(body))
     best: tuple[int, int, LinearTerm] | None = None  # (|c|, index, t)
     for idx, part in enumerate(conjuncts):
         if isinstance(part, Atom) and part.kind == EQ:
@@ -405,6 +524,8 @@ def _try_equality_shortcut(var: str, body: Formula) -> Formula | None:
     if best is None:
         return None
     c, chosen, t = best
+    if bound_vars(body) & (t.vars() | {var}):
+        return None
 
     def rewrite(a: Atom) -> Formula:
         if a.kind == DIV:
@@ -424,7 +545,7 @@ def _try_equality_shortcut(var: str, body: Formula) -> Formula | None:
         _rewrite_atoms(p, rewrite)
         for i, p in enumerate(conjuncts) if i != chosen
     ]
-    return mk_and([Atom(DIV, t, ZERO, c)] + rest_parts)
+    return c, t, mk_and([Atom(DIV, t, ZERO, c)] + rest_parts)
 
 
 def _solved_form(a: Atom, var: str, delta: int):
@@ -454,9 +575,9 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
     if var not in free_vars(body):
         return body
 
-    shortcut = _try_equality_shortcut(var, body)
+    shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
-        return simplify(shortcut)
+        return simplify(shortcut[2])
 
     nnf_body = _nnf(body, var)
 

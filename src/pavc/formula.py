@@ -62,11 +62,6 @@ def bitlen(n: int) -> int:
     return abs(n).bit_length() + 1
 
 
-def _ceildiv(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -162,7 +157,6 @@ class LinearTerm:
 
 
 ZERO = LinearTerm.num(0)
-ONE = LinearTerm.num(1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +200,6 @@ class Atom(Formula):
                 raise FormulaError("div atom stores its term on the left")
         elif self.modulus is not None:
             raise FormulaError("modulus is only meaningful for div atoms")
-
-    def gap(self) -> LinearTerm:
-        """left - right; for div atoms just the divided term."""
-        return self.left - self.right
 
 
 @dataclass(frozen=True)
@@ -317,29 +307,6 @@ def is_quantifier_free(f: Formula) -> bool:
     if isinstance(f, (And, Or)):
         return all(is_quantifier_free(p) for p in f.parts)
     return False
-
-
-def validate_scopes(f: Formula) -> None:
-    """Reject enclosing-quantifier rebinds and free/bound name collisions."""
-
-    def walk(g: Formula, in_scope: frozenset[str]) -> None:
-        if isinstance(g, (Bool, Atom)):
-            return
-        if isinstance(g, Not):
-            walk(g.body, in_scope)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p, in_scope)
-        elif isinstance(g, (Exists, Forall)):
-            if g.var in in_scope:
-                raise ShadowingError(f"variable {g.var!r} rebound inside its own scope")
-            walk(g.body, in_scope | {g.var})
-
-    walk(f, frozenset())
-    clash = free_vars(f) & bound_vars(f)
-    if clash:
-        raise ShadowingError(
-            f"names used both free and bound: {sorted(clash)}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +429,6 @@ def _tokenize(text: str) -> list[_Token]:
                 col += 1
             tokens.append(_Token(text[start:i], line, start_col))
     return tokens
-
-
-_INT_CHARS = frozenset("-0123456789")
 
 
 def _is_int(s: str) -> bool:

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import eliminate_quantifiers, eval_bounded, eval_point
+from .evaluator import compile_plan, eliminate_quantifiers
 from .formula import PartitionedFormula
 
 DEFAULT_VC_CAP = 20
@@ -215,6 +215,7 @@ def family_from_formula(pf: PartitionedFormula,
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
     eliminates quantifiers once and evaluates the result pointwise.
+    Either way the formula is compiled once for the whole family.
     """
     if len(pf.object_vars) != 1:
         raise VcLabError("families need exactly one object variable")
@@ -230,26 +231,19 @@ def family_from_formula(pf: PartitionedFormula,
 
     if mode == "qe":
         body = eliminate_quantifiers(pf.formula, max_atoms=max_atoms)
-
-        def holds(env: dict[str, int]) -> bool:
-            return eval_point(body, env)
     elif mode == "bounded":
         body = pf.formula
-
-        def holds(env: dict[str, int]) -> bool:
-            return eval_bounded(body, env, hints or {})
     else:
         raise VcLabError(f"unknown mode {mode!r}")
 
     ground = tuple(_window_points(ground_window))
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
+    holds = compile_plan(body, (obj,) + pf.param_vars, hints)
     members = []
     for combo in product(*param_ranges):
-        env = dict(zip(pf.param_vars, combo))
         mask = 0
         for i, x in enumerate(ground):
-            env[obj] = x
-            if holds(env):
+            if holds((x, *combo)):
                 mask |= 1 << i
         label = ",".join(str(c) for c in combo)
         members.append((label, mask))

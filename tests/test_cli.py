@@ -161,6 +161,19 @@ class TestResourceCap:
         assert rc == 3
         assert "cap" in captured.err
 
+    def test_bridged_bounded_verify_refused_on_nominal_points(self, capsys,
+                                                              outdir):
+        # the point cap counts the input formula's nested hint sizes, not
+        # the work the compiled plan does: bridged d = 6 needs 4.7e9
+        f, m = str(outdir / "b6.pa"), str(outdir / "b6.json")
+        assert main(["gen", "--d", "6", "--encoder", "bridged",
+                     "--out", f, "--meta", m]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--formula", f, "--meta", m])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "enumeration points" in captured.err
+
 
 class TestAnalysisCommands:
     def test_qe_command_writes_result(self, capsys, outdir):

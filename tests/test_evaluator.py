@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pavc.evaluator import (
+    DEFAULT_MAX_POINTS,
     EvalError,
     MissingHintError,
     ResourceCapError,
@@ -16,7 +17,9 @@ from pavc.evaluator import (
     simplify,
 )
 from pavc.formula import (
+    And,
     Atom,
+    Bool,
     DIV,
     EQ,
     Exists,
@@ -26,16 +29,24 @@ from pavc.formula import (
     LinearTerm,
     LT,
     Not,
+    Or,
     TRUE,
     ZERO,
     bound_vars,
     free_vars,
     is_quantifier_free,
+    mk_and,
     parse,
     to_text,
 )
-from pavc.fuzz import SOUND_BOX, random_qf, random_sentence
-from pavc.generator import build_code_set, encode_naive
+from pavc.fuzz import SOUND_BOX, random_partitioned, random_qf, random_sentence
+from pavc.generator import (
+    build_code_set,
+    code_set_contains,
+    encode_bridged,
+    encode_naive,
+)
+from pavc.vclab import family_from_formula
 
 
 class TestDirectEvaluation:
@@ -106,6 +117,128 @@ class TestBoundedEvaluation:
             y = (t - x) // 6
             got = eval_bounded(pf.formula, {"x": x, "y": y}, hints)
             assert got == (t in code), t
+
+
+def reference_eval(f, env, hints):
+    """Slow reference: plain recursive enumeration, no pruning, no rewriting."""
+    if isinstance(f, Bool):
+        return f.value
+    if isinstance(f, Atom):
+        left = f.left.value(env)
+        if f.kind == DIV:
+            return left % f.modulus == 0
+        right = f.right.value(env)
+        return {LE: left <= right, LT: left < right, EQ: left == right}[f.kind]
+    if isinstance(f, Not):
+        return not reference_eval(f.body, env, hints)
+    if isinstance(f, And):
+        return all(reference_eval(p, env, hints) for p in f.parts)
+    if isinstance(f, Or):
+        return any(reference_eval(p, env, hints) for p in f.parts)
+    lo, hi = hints[f.var]
+    values = (reference_eval(f.body, {**env, f.var: v}, hints)
+              for v in range(lo, hi + 1))
+    return any(values) if isinstance(f, Exists) else all(values)
+
+
+def _random_quantified(rng):
+    """Fuzz body under 1-3 quantifiers over u, v, w drawn with repeats
+    (a repeat shadows), each level adding maybe a multi-variable equality
+    (it pins a bound variable, or mentions one bound inside: capture) and
+    maybe more atoms, div atoms included."""
+    names = ("x", "u", "v", "w")
+    f = random_qf(rng, names, max_atoms=3, allow_div=True)
+    for _ in range(rng.randint(1, 3)):
+        parts = [f]
+        if rng.random() < 0.7:
+            coeffs = {n: rng.randint(-3, 3) for n in names}
+            parts.append(Atom(EQ, LinearTerm.of(coeffs),
+                              LinearTerm.num(rng.randint(-5, 5))))
+        if rng.random() < 0.5:
+            parts.append(random_qf(rng, names, max_atoms=2, allow_div=True))
+        rng.shuffle(parts)
+        quant = Exists if rng.random() < 0.75 else Forall
+        f = quant(rng.choice(names[1:]), mk_and(parts))
+    return f
+
+
+class TestCompiledPlanDifferential:
+    HINTS = {"u": (-3, 3), "v": (-2, 4), "w": (-4, 2)}
+
+    def test_fuzz_against_reference(self):
+        for i in range(400):
+            rng = random.Random(5_500_000 + i)
+            f = _random_quantified(rng)
+            for _ in range(3):
+                point = {n: rng.randint(-6, 6) for n in sorted(free_vars(f))}
+                assert eval_bounded(f, point, self.HINTS) == \
+                    reference_eval(f, point, self.HINTS), (to_text(f), point)
+
+    def test_shadowing_and_capture(self):
+        # inner u shadows the outer one; v's equality mentions x and u,
+        # and u is bound again under it (capture), so v is not substituted
+        x, u, v = (LinearTerm.var(n) for n in ("x", "u", "v"))
+        cases = [
+            Exists("u", mk_and([
+                Atom(EQ, u.scaled(2), x),
+                Exists("u", mk_and([Atom(EQ, u.scaled(3), x.shifted(1)),
+                                    Atom(LT, u, x)])),
+            ])),
+            Exists("u", Exists("v", mk_and([
+                Atom(EQ, v.scaled(2), u + x),
+                Forall("u", Atom(LE, u, v.shifted(2))),
+                Exists("u", mk_and([Atom(EQ, u, v), Atom(DIV, u + x, ZERO, 3)])),
+            ]))),
+        ]
+        for f in cases:
+            for xv in range(-8, 9):
+                point = {"x": xv}
+                assert eval_bounded(f, point, self.HINTS) == \
+                    reference_eval(f, point, self.HINTS), (to_text(f), xv)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_encoders_on_every_grid_point(self, d):
+        # the plain reference is too slow for the bridged encoder past
+        # d = 3 (its tp hint alone spans 452 values at d = 4); there the
+        # code set is the only reference
+        for encode, by_reference in ((encode_naive, True),
+                                     (encode_bridged, d <= 3)):
+            pf, meta = encode(d)
+            hints = meta.hint_map()
+            for y in range(1 << d):
+                for x in range(1, d + 1):
+                    point = {"x": x, "y": y}
+                    got = eval_bounded(pf.formula, point, hints)
+                    assert got == code_set_contains(d, x + d * y), (d, x, y)
+                    if by_reference:
+                        assert got == reference_eval(pf.formula, point, hints)
+
+    def test_bounded_and_qe_families_agree(self):
+        for i in range(60):
+            rng = random.Random(6_600_000 + i)
+            pf = random_partitioned(rng)
+            windows = {p: (-3, 3) for p in pf.param_vars}
+            bounded = family_from_formula(pf, (-4, 6), windows)
+            viaqe = family_from_formula(pf, (-4, 6), windows, mode="qe")
+            assert bounded == viaqe, to_text(pf.formula)
+
+    def test_naive_encoder_at_scale(self):
+        # each hint spans 2^15, so the nominal product 2^30 is over the
+        # default cap; the plan decides every disjunct without scanning
+        d = 16
+        pf, meta = encode_naive(d)
+        hints = meta.hint_map()
+        worst = (1 << (d - 1)) ** 2
+        assert worst > DEFAULT_MAX_POINTS
+        rng = random.Random(1616)
+        code = build_code_set(d)
+        for _ in range(64):
+            t = rng.choice(code) if rng.random() < 0.5 \
+                else rng.randint(1, d << d)
+            x = (t - 1) % d + 1
+            point = {"x": x, "y": (t - x) // d}
+            assert eval_bounded(pf.formula, point, hints, max_points=worst) \
+                == code_set_contains(d, t), t
 
 
 class TestSimplify:
