@@ -33,7 +33,7 @@ print(certificate_report(cert, inv))
 # quantified: eliminate, then certify the quantifier-free equivalent
 pf = PartitionedFormula(
     parse("(exists z (and (= x (* 2 z)) (<= x y)))"), ("x",), ("y",))
-cert, stats = upper_bound_via_qe(pf)
+cert, _, stats = upper_bound_via_qe(pf)
 print("after elimination:", stats)
 print("certified dimension bound:", cert.bound)
 
@@ -46,7 +46,7 @@ print("measured on windows:", measured, " certificate:", cert.bound,
 # same story for a generated high-dimension formula: measured value is
 # exactly d, the certificate is far above it (elimination is loose)
 pf, meta = encode_naive(3)
-cert, stats = upper_bound_via_qe(pf)
+cert, _, stats = upper_bound_via_qe(pf)
 fam = family_from_formula(
     pf, meta.ground_window, {meta.param_var: meta.param_window},
     mode="bounded", hints=meta.hint_map())

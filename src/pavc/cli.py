@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from . import contfrac
@@ -40,6 +40,7 @@ from .generator import (
     build_code_set,
     code_set_contains,
     collapse_image,
+    collapse_witness,
     encode_bridged,
     encode_cf_short,
     encode_naive,
@@ -47,9 +48,8 @@ from .generator import (
     meta_from_json,
     meta_to_json,
     select_modulus,
-    spread_aps,
 )
-from .upperbound import certificate, certificate_report, inventory
+from .upperbound import certificate_report, upper_bound_via_qe
 from .vclab import (
     SetFamily,
     VcLabError,
@@ -130,13 +130,7 @@ def _read_partitioned(path: str, allow_div: bool) -> PartitionedFormula:
 
 def _shape_dict(pf: PartitionedFormula) -> dict:
     sh = shape(pf.formula)
-    return {
-        "total_vars": sh.total_vars,
-        "num_inequalities": sh.num_inequalities,
-        "num_quantifier_alternations": sh.num_quantifier_alternations,
-        "phi_bits": sh.phi_bits,
-        "is_short_10_18": sh.is_short(10, 18),
-    }
+    return {**asdict(sh), "is_short_10_18": sh.is_short(10, 18)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +233,16 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
     checks.append(_check("vc_dimension_exact", rep.vc_dim == d,
                          f"measured {rep.vc_display()}, expected {d}"))
 
+    # the collapse system has exactly one solution per code t
     code = build_code_set(d)
     wmap = meta.witness_map()
-    bad_t = None
     if set(wmap) != set(code):
-        bad_t = "coverage"
+        bad = "witness set does not cover the code set"
     else:
-        aps = spread_aps(d)
-        for t in code:
-            tp, r, rp, s = wmap[t]
-            if not (any(ap.contains(tp) for ap in aps)
-                    and 1 <= r <= d and 0 <= rp < (1 << d)
-                    and tp == r + d * ((1 << d) * s + rp)
-                    and t == r + d * (s + rp)):
-                bad_t = str(t)
-                break
-    checks.append(_check(
-        "witnesses_check_out", bad_t is None,
-        "all witnesses solve the collapse system" if bad_t is None
-        else ("witness set does not cover the code set" if bad_t == "coverage"
-              else f"witness for t={bad_t} fails the collapse system"),
-    ))
+        bad = next((f"witness for t={t} fails the collapse system"
+                    for t in code if wmap[t] != collapse_witness(d, t)), None)
+    checks.append(_check("witnesses_check_out", bad is None,
+                         bad or "all witnesses solve the collapse system"))
 
     outputs = {
         "d": d,
@@ -359,19 +342,17 @@ def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
 def _cmd_analyze(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=True)
     sh = shape(pf.formula)
+    short = sh.is_short(args.max_vars, args.max_ineqs)
     outputs = {
-        "total_vars": sh.total_vars,
-        "num_inequalities": sh.num_inequalities,
-        "num_quantifier_alternations": sh.num_quantifier_alternations,
-        "phi_bits": sh.phi_bits,
-        "is_short": sh.is_short(args.max_vars, args.max_ineqs),
+        **asdict(sh),
+        "is_short": short,
         "short_thresholds": {"max_vars": args.max_vars,
                              "max_inequalities": args.max_ineqs},
     }
     checks = []
     if args.require_short:
         checks.append(_check(
-            "shape_is_short", sh.is_short(args.max_vars, args.max_ineqs),
+            "shape_is_short", short,
             f"{sh.total_vars} vars, {sh.num_inequalities} inequalities"))
     inputs = {"formula": _file_input(args.formula)}
     return inputs, outputs, checks
@@ -379,11 +360,7 @@ def _cmd_analyze(args) -> tuple[dict, dict, list[dict]]:
 
 def _cmd_upperbound(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=True)
-    before = len(set(atoms_of(pf.formula)))
-    qf = eliminate_quantifiers(pf.formula)
-    inv = inventory(qf)
-    cert = certificate(inv)
-    stats = {"atoms_before": before, "atoms_after": len(inv.entries)}
+    cert, inv, stats = upper_bound_via_qe(pf)
     outputs = certificate_report(cert, inv, stats)
     checks = [_check("certificate_valid", cert.check(),
                      f"ell={cert.ell}, bound={cert.bound}")]

@@ -53,10 +53,6 @@ def from_rational(p: int, q: int) -> ContinuedFraction:
         if r == 0:
             break
         p, q = q, r
-    # Euclid can end ... a, 1]; fold it to keep the form canonical.
-    if len(terms) > 1 and terms[-1] == 1:
-        terms.pop()
-        terms[-1] += 1
     return ContinuedFraction(tuple(terms))
 
 

@@ -135,12 +135,12 @@ def upper_bound_via_qe(
     *,
     max_atoms: int | None = None,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> tuple[UpperBoundCertificate, dict]:
+) -> tuple[UpperBoundCertificate, AtomInventory, dict]:
     """Eliminate quantifiers, then certify a VC upper bound from the atoms.
 
-    Returns the certificate together with elimination statistics.  The
-    bound applies to the family carved out by the object variables as the
-    parameter variables range over all integers.
+    Returns the certificate, the atom inventory it counts, and elimination
+    statistics.  The bound applies to the family carved out by the object
+    variables as the parameter variables range over all integers.
     """
     before = len(list(dict.fromkeys(atoms_of(pf.formula))))
     qf = eliminate_quantifiers(pf.formula, max_atoms=max_atoms,
@@ -159,7 +159,7 @@ def upper_bound_via_qe(
         "num_congruence": inv.num_congruence,
         "max_coeff_bits_after": worst_bits,
     }
-    return certificate(inv), stats
+    return certificate(inv), inv, stats
 
 
 def certificate_report(cert: UpperBoundCertificate, inv: AtomInventory | None = None,

@@ -123,40 +123,55 @@ def _distinct_traces(masks: Sequence[int], subset_mask: int) -> int:
     return len({m & subset_mask for m in masks})
 
 
+def _most_traces(masks: Sequence[int], size: int, k: int,
+                 max_subsets: int) -> tuple[int, tuple[int, ...]]:
+    """The most distinct traces on any k of `size` ground indices, and the
+    first index combination (in lexicographic order) that reaches it.
+
+    The scan stops at the first combination with all 2^k traces.  Refuses
+    when C(size, k) exceeds max_subsets.
+    """
+    if comb(size, k) > max_subsets:
+        raise VcLabError(f"C({size},{k}) subsets exceed the cap {max_subsets}")
+    best, first = 0, ()
+    if not masks:
+        return best, first
+    limit = 1 << k
+    for idx_combo in combinations(range(size), k):
+        sub = 0
+        for i in idx_combo:
+            sub |= 1 << i
+        count = _distinct_traces(masks, sub)
+        if count > best:
+            best, first = count, idx_combo
+            if best == limit:
+                break
+    return best, first
+
+
 def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP,
                  max_subsets: int = DEFAULT_MAX_SUBSETS) -> ShatterReport:
-    """Exact VC-dimension of the finite family (or `>= cap` if it survives
-    every tested size).  Includes the shatter-function table."""
+    """VC-dimension of the finite family, read off its shatter-function
+    table: the largest k <= cap with pi(k) = 2^k, with the first shattered
+    k-subset as witness; capped means it reached cap.
+
+    pi_table covers k = 0..n, but stops at the first k with more than
+    max_subsets k-subsets once the dimension is settled there (k > vc_dim
+    + 1, or vc_dim == cap); before that, such a k raises VcLabError.
+    """
     masks = fam.distinct_masks()
     n = len(fam.ground)
-    best_witness: tuple[int, ...] = ()
-    dim = 0
-    capped = False
-    size = 1
-    while True:
-        if size > min(cap, n):
-            capped = size > cap
+    table = []
+    dim, witness = 0, ()
+    for k in range(n + 1):
+        if comb(n, k) > max_subsets and (k > dim + 1 or dim >= cap):
             break
-        found = None
-        for idx_combo in combinations(range(n), size):
-            sub = 0
-            for i in idx_combo:
-                sub |= 1 << i
-            if _distinct_traces(masks, sub) == 1 << size:
-                found = idx_combo
-                break
-        if found is None:
-            break
-        dim = size
-        best_witness = tuple(fam.ground[i] for i in found)
-        size += 1
-    return ShatterReport(
-        vc_dim=dim,
-        capped=capped,
-        witness=best_witness,
-        pi_table=tuple((k, shatter_function(fam, k, max_subsets))
-                       for k in range(0, n + 1)),
-    )
+        count, first = _most_traces(masks, n, k, max_subsets)
+        table.append((k, count))
+        if k == dim + 1 and k <= cap and count == 1 << k:
+            dim, witness = k, tuple(fam.ground[i] for i in first)
+    return ShatterReport(vc_dim=dim, capped=dim >= cap, witness=witness,
+                         pi_table=tuple(table))
 
 
 def shatter_function(fam: SetFamily, n: int,
@@ -167,21 +182,7 @@ def shatter_function(fam: SetFamily, n: int,
         raise VcLabError("shatter function needs n >= 0")
     if n > size:
         raise VcLabError(f"n={n} exceeds the ground size {size}")
-    if comb(size, n) > max_subsets:
-        raise VcLabError(f"C({size},{n}) subsets exceed the cap {max_subsets}")
-    masks = fam.distinct_masks()
-    if not masks:
-        return 0
-    best = 0
-    limit = 1 << n
-    for idx_combo in combinations(range(size), n):
-        sub = 0
-        for i in idx_combo:
-            sub |= 1 << i
-        best = max(best, _distinct_traces(masks, sub))
-        if best == limit:
-            break
-    return best
+    return _most_traces(fam.distinct_masks(), size, n, max_subsets)[0]
 
 
 def sauer_shelah_bound(d: int, n: int) -> int:

@@ -156,7 +156,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
                           (encode_bridged, "bridged", range(1, 4))):
         for d in ds:
             pf, meta = enc(d)
-            cert, _ = upper_bound_via_qe(pf)
+            cert, _, _ = upper_bound_via_qe(pf)
             fam = family_from_formula(
                 pf, meta.ground_window, {meta.param_var: meta.param_window},
                 mode="bounded", hints=meta.hint_map())
@@ -169,7 +169,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     for i in range(100):
         rng = random.Random(660_000 + i)
         pf = random_partitioned(rng)
-        cert, _ = upper_bound_via_qe(pf)
+        cert, _, _ = upper_bound_via_qe(pf)
         fam = family_from_formula(
             pf, (0, 11), {v: (-4, 4) for v in pf.param_vars}, mode="qe")
         rep = vc_dimension(fam)

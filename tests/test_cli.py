@@ -85,6 +85,22 @@ class TestGenVerify:
         detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
         assert "t=4" in detail["witnesses_check_out"]
 
+    def test_missing_witness_fails_coverage(self, capsys, outdir):
+        f = str(outdir / "m3.pa")
+        m = outdir / "m3.json"
+        run(capsys, "gen", "--d", "3", "--out", f, "--meta", str(m))
+        data = json.loads(m.read_text())
+        del data["witnesses"]["5"]
+        m.write_text(json.dumps(data, indent=2, sort_keys=True))
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
+        assert rc == 1
+        got = checks_by_name(rep)
+        assert got["witnesses_check_out"] is False
+        assert got["extensional_membership"] is True
+        detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
+        assert detail["witnesses_check_out"] == \
+            "witness set does not cover the code set"
+
     def test_corrupted_window_fails_fast(self, capsys, outdir):
         f = str(outdir / "w2.pa")
         m = outdir / "w2.json"
@@ -213,6 +229,16 @@ class TestAnalysisCommands:
                       "--param", "b=0..5", "--expect-vc", "2")
         assert rc == 0
         assert rep["outputs"]["vc_dim"] == 2
+
+    def test_vc_on_21_points_cuts_the_table(self, capsys, outdir):
+        # C(21, 8) subsets exceed the budget, but VC 1 is settled by k = 2
+        f = outdir / "thresh.pa"
+        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        rc, rep = run(capsys, "vc", "--formula", str(f), "--ground", "0..20",
+                      "--param", "y=0..20", "--expect-vc", "1")
+        assert rc == 0
+        assert rep["outputs"]["vc_dim"] == 1
+        assert [k for k, _ in rep["outputs"]["pi_table"]] == list(range(8))
 
     def test_shatter_points(self, capsys, outdir):
         f = outdir / "in.pa"

@@ -61,6 +61,15 @@ def test_determinant_identity_alternates():
     assert dets == [1, -1, 1]
 
 
+def test_euclid_never_ends_in_one():
+    # Euclid's last quotient is >= 2 whenever there are >= 2 terms, so
+    # ContinuedFraction's canonical-form check never rejects its output
+    for p in range(400):
+        for q in range(1, 400):
+            g = math.gcd(p, q)
+            assert to_rational(from_rational(p, q)) == (p // g, q // g)
+
+
 def test_roundtrip_fuzz():
     rng = random.Random(314159)
     for _ in range(500):

@@ -173,6 +173,22 @@ class TestCollapse:
                 assert tp == r + d * ((1 << d) * s + rp)
                 assert t == r + d * (s + rp)
 
+    def test_witness_is_the_only_solution(self):
+        # every (tp, r, rp) with tp in the spread set; the tp equation
+        # then fixes s, and the t equation says which t it solves
+        for d in range(1, 6):
+            solutions = {}
+            for tp in spread_values(d):
+                for r in range(1, d + 1):
+                    for rp in range(1 << d):
+                        s, rem = divmod(tp - r - d * rp, d << d)
+                        if rem == 0:
+                            solutions.setdefault(r + d * (s + rp), []).append(
+                                (tp, r, rp, s))
+            assert sorted(solutions) == list(build_code_set(d)), d
+            for t, found in solutions.items():
+                assert found == [collapse_witness(d, t)], (d, t)
+
     def test_image_equals_code_set(self):
         for d in range(1, 9):
             assert collapse_image(d) == build_code_set(d)

@@ -83,7 +83,7 @@ class TestCertificate:
     def test_anchor_even_interval(self):
         pf = PartitionedFormula(
             parse("(exists z (and (= x (* 2 z)) (<= x y)))"), ("x",), ("y",))
-        cert, stats = upper_bound_via_qe(pf)
+        cert, _, stats = upper_bound_via_qe(pf)
         assert cert.ell == 2
         assert cert.bound == 5
         assert cert.check()
@@ -93,7 +93,7 @@ class TestCertificate:
 
     def test_single_inequality(self):
         pf = PartitionedFormula(parse("(<= x y)"), ("x",), ("y",))
-        cert, _ = upper_bound_via_qe(pf)
+        cert, _, _ = upper_bound_via_qe(pf)
         assert cert.ell == 1
         assert cert.bound == 1
 
@@ -118,7 +118,7 @@ class TestDominance:
     def test_generator_certificate_dominates_true_dimension(self):
         for d in (1, 2, 3):
             pf, meta = encode_naive(d)
-            cert, _ = upper_bound_via_qe(pf)
+            cert, _, _ = upper_bound_via_qe(pf)
             assert cert.bound >= d, (d, cert)
 
     def test_fuzzed_families_never_exceed_certificate(self):

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from pavc.fuzz import random_family
 from pavc.generator import encode_naive, lex_subset
 from pavc.vclab import (
     SetFamily,
+    ShatterReport,
     VcLabError,
     family_from_formula,
     is_shattered,
@@ -118,6 +120,72 @@ class TestVcDimension:
             if rep.vc_dim > 0:
                 ok, _ = is_shattered(rep.witness, fam)
                 assert ok
+
+
+def reference_vc_dimension(fam, cap=20):
+    """The two-loop vc_dimension: a size-by-size search for the first
+    shattered subset, then a full scan per k for the pi table."""
+    masks = fam.distinct_masks()
+    n = len(fam.ground)
+
+    def traces(combo):
+        sub = sum(1 << i for i in combo)
+        return len({m & sub for m in masks})
+
+    dim, capped, witness, size = 0, False, (), 1
+    while True:
+        if size > min(cap, n):
+            capped = size > cap
+            break
+        found = next((c for c in combinations(range(n), size)
+                      if traces(c) == 1 << size), None)
+        if found is None:
+            break
+        dim, witness = size, tuple(fam.ground[i] for i in found)
+        size += 1
+    table = tuple(
+        (k, max(traces(c) for c in combinations(range(n), k)) if masks else 0)
+        for k in range(n + 1))
+    return ShatterReport(dim, capped, witness, table)
+
+
+class TestVcDimensionDifferential:
+    CAPS = (-1, 0, 1, 2, 3, 20)
+
+    def test_matches_two_loop_reference_on_random_families(self):
+        for i in range(500):
+            fam = random_family(random.Random(61_000 + i))
+            for cap in self.CAPS:
+                assert vc_dimension(fam, cap=cap) == \
+                    reference_vc_dimension(fam, cap=cap), (i, cap)
+
+    def test_matches_reference_on_edge_families(self):
+        for fam in (SetFamily((), ()), SetFamily((0, 1, 2), ())):
+            for cap in self.CAPS:
+                assert vc_dimension(fam, cap=cap) == \
+                    reference_vc_dimension(fam, cap=cap)
+        fam = power_set_family(list(range(5)))
+        assert vc_dimension(fam, cap=5) == reference_vc_dimension(fam, cap=5)
+
+
+class TestSubsetBudget:
+    def test_table_stops_once_dimension_is_settled(self):
+        # C(21, 8) = 203490 exceeds the default budget; VC 1 is settled by k = 2
+        rep = vc_dimension(thresholds(list(range(21))))
+        assert (rep.vc_dim, rep.capped) == (1, False)
+        assert [k for k, _ in rep.pi_table] == list(range(8))
+        assert comb(21, 8) > 200_000 >= comb(21, 7)
+
+    def test_table_stops_when_dimension_reaches_cap(self):
+        rep = vc_dimension(power_set_family(list(range(6))), cap=1,
+                           max_subsets=10)
+        assert (rep.vc_dim, rep.capped) == (1, True)
+        assert rep.pi_table == ((0, 1), (1, 2))
+
+    def test_unsettled_dimension_refuses(self):
+        # pi(1) = 2, so k = 2 (15 subsets) could still raise the dimension
+        with pytest.raises(VcLabError, match=r"C\(6,2\) subsets exceed the cap 10"):
+            vc_dimension(power_set_family(list(range(6))), max_subsets=10)
 
 
 class TestShatterFunction:
