@@ -184,6 +184,18 @@ def collapse_witness(d: int, t: int) -> tuple[int, int, int, int] | None:
     return (tp, i, rp, s)
 
 
+def solves_collapse(d: int, t: int, w: tuple[int, int, int, int],
+                    spread: Mapping[int, AP]) -> bool:
+    """Whether w = (tp, r, rp, s) solves the collapse system for t when the
+    spread set is the union of `spread`'s progressions, keyed by start:
+    tp must lie in the progression that starts at r."""
+    tp, r, rp, s = w
+    ap = spread.get(r)
+    return (ap is not None and ap.contains(tp) and 1 <= r <= d
+            and 0 <= rp < 1 << d and tp == r + d * ((1 << d) * s + rp)
+            and t == r + d * (s + rp))
+
+
 def collapse_image(d: int) -> tuple[int, ...]:
     """Map every spread element through the collapse system; equals the
     code set."""
@@ -257,25 +269,23 @@ class GeneratorMeta:
     param_window: tuple[int, int]
     t_window: tuple[int, int]
     hints: tuple[tuple[str, tuple[int, int]], ...]
-    witnesses: tuple[tuple[int, tuple[int, int, int, int]], ...]
     aps: tuple[AP, ...]
-    largest: tuple[int, ...]
     modulus: int | None = None
     modulus_mode: str | None = None
 
     def hint_map(self) -> dict[str, tuple[int, int]]:
         return dict(self.hints)
 
-    def witness_map(self) -> dict[int, tuple[int, int, int, int]]:
-        return dict(self.witnesses)
+    @property
+    def witnesses(self) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
+        """(t, collapse_witness(d, t)) for every code t, derived from d."""
+        return tuple((t, collapse_witness(self.d, t))
+                     for t in build_code_set(self.d))
 
 
 def _meta(d: int, encoder: str, hints: Mapping[str, tuple[int, int]],
           modulus: int | None = None,
           modulus_mode: str | None = None) -> GeneratorMeta:
-    witnesses = tuple(
-        (t, collapse_witness(d, t)) for t in build_code_set(d)
-    )
     return GeneratorMeta(
         d=d,
         encoder=encoder,
@@ -285,9 +295,7 @@ def _meta(d: int, encoder: str, hints: Mapping[str, tuple[int, int]],
         param_window=(0, (1 << d) - 1),
         t_window=(1, d * (1 << d)),
         hints=tuple(sorted(hints.items())),
-        witnesses=witnesses,
         aps=spread_aps(d),
-        largest=largest_terms(d),
         modulus=modulus,
         modulus_mode=modulus_mode,
     )
@@ -459,25 +467,19 @@ def next_prime_above(n: int, mode: str = "probabilistic", seed: int = 0) -> int:
 # Meta serialization (big integers as decimal strings)
 
 
-def _s(v: int) -> str:
-    return str(v)
-
-
 def meta_to_json(meta: GeneratorMeta) -> dict:
     return {
         "d": meta.d,
         "encoder": meta.encoder,
         "object_var": meta.object_var,
         "param_var": meta.param_var,
-        "ground_window": [_s(v) for v in meta.ground_window],
-        "param_window": [_s(v) for v in meta.param_window],
-        "t_window": [_s(v) for v in meta.t_window],
-        "hints": {v: [_s(lo), _s(hi)] for v, (lo, hi) in meta.hints},
-        "witnesses": {_s(t): [_s(v) for v in w] for t, w in meta.witnesses},
-        "aps": [{"start": _s(ap.start), "step": _s(ap.step),
-                 "count": _s(ap.count)} for ap in meta.aps],
-        "largest": [_s(v) for v in meta.largest],
-        "modulus": None if meta.modulus is None else _s(meta.modulus),
+        "ground_window": [str(v) for v in meta.ground_window],
+        "param_window": [str(v) for v in meta.param_window],
+        "t_window": [str(v) for v in meta.t_window],
+        "hints": {v: [str(lo), str(hi)] for v, (lo, hi) in meta.hints},
+        "aps": [{"start": str(ap.start), "step": str(ap.step),
+                 "count": str(ap.count)} for ap in meta.aps],
+        "modulus": None if meta.modulus is None else str(meta.modulus),
         "modulus_mode": meta.modulus_mode,
     }
 
@@ -496,12 +498,8 @@ def meta_from_json(data: Mapping) -> GeneratorMeta:
         t_window=pair(data["t_window"]),
         hints=tuple(sorted(
             (v, pair(w)) for v, w in data["hints"].items())),
-        witnesses=tuple(sorted(
-            (int(t), tuple(int(v) for v in w))
-            for t, w in data["witnesses"].items())),
         aps=tuple(AP(int(ap["start"]), int(ap["step"]), int(ap["count"]))
                   for ap in data["aps"]),
-        largest=tuple(int(v) for v in data["largest"]),
         modulus=None if data["modulus"] is None else int(data["modulus"]),
         modulus_mode=data["modulus_mode"],
     )

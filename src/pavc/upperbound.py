@@ -155,8 +155,6 @@ def upper_bound_via_qe(
     stats = {
         "atoms_before": before,
         "atoms_after": len(inv.entries),
-        "num_inequality": inv.num_inequality,
-        "num_congruence": inv.num_congruence,
         "max_coeff_bits_after": worst_bits,
     }
     return certificate(inv), inv, stats

@@ -155,21 +155,22 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP,
     table: the largest k <= cap with pi(k) = 2^k, with the first shattered
     k-subset as witness; capped means it reached cap.
 
-    pi_table covers k = 0..n, but stops at the first k with more than
-    max_subsets k-subsets once the dimension is settled there (k > vc_dim
-    + 1, or vc_dim == cap); before that, such a k raises VcLabError.
+    Shattering is hereditary, so pi_table stops after the first k with
+    pi(k) < 2^k (k = vc_dim + 1), at k = cap, or at k = n; no later entry
+    could change the dimension.  A k in the table with more than
+    max_subsets k-subsets raises VcLabError.
     """
     masks = fam.distinct_masks()
     n = len(fam.ground)
     table = []
     dim, witness = 0, ()
     for k in range(n + 1):
-        if comb(n, k) > max_subsets and (k > dim + 1 or dim >= cap):
-            break
         count, first = _most_traces(masks, n, k, max_subsets)
         table.append((k, count))
-        if k == dim + 1 and k <= cap and count == 1 << k:
+        if count == 1 << k and k <= cap:
             dim, witness = k, tuple(fam.ground[i] for i in first)
+        if count < 1 << k or k >= cap:
+            break
     return ShatterReport(vc_dim=dim, capped=dim >= cap, witness=witness,
                          pi_table=tuple(table))
 

@@ -70,27 +70,22 @@ class TestGenVerify:
             pairs.append((f.read_bytes(), m.read_bytes()))
         assert pairs[0] == pairs[1]
 
+    def test_meta_file_holds_no_witnesses(self, capsys, outdir):
+        m = outdir / "n16.json"
+        rc, _ = run(capsys, "gen", "--d", "16", "--out",
+                    str(outdir / "n16.pa"), "--meta", str(m))
+        assert rc == 0
+        data = json.loads(m.read_text())
+        assert "witnesses" not in data and "largest" not in data
+        assert m.stat().st_size < 4096
+
     def test_corrupted_witness_fails_named_check(self, capsys, outdir):
         f = str(outdir / "c2.pa")
         m = outdir / "c2.json"
         run(capsys, "gen", "--d", "2", "--out", f, "--meta", str(m))
         data = json.loads(m.read_text())
-        data["witnesses"]["4"] = ["10", "2", "0", "0"]  # wrong s
-        m.write_text(json.dumps(data, indent=2, sort_keys=True))
-        rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
-        assert rc == 1
-        got = checks_by_name(rep)
-        assert got["witnesses_check_out"] is False
-        assert got["extensional_membership"] is True
-        detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
-        assert "t=4" in detail["witnesses_check_out"]
-
-    def test_missing_witness_fails_coverage(self, capsys, outdir):
-        f = str(outdir / "m3.pa")
-        m = outdir / "m3.json"
-        run(capsys, "gen", "--d", "3", "--out", f, "--meta", str(m))
-        data = json.loads(m.read_text())
-        del data["witnesses"]["5"]
+        assert data["aps"][1] == {"start": "2", "step": "8", "count": "2"}
+        data["aps"][1]["step"] = "16"  # t=4's tp = 10 leaves the progression
         m.write_text(json.dumps(data, indent=2, sort_keys=True))
         rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
         assert rc == 1
@@ -99,7 +94,23 @@ class TestGenVerify:
         assert got["extensional_membership"] is True
         detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
         assert detail["witnesses_check_out"] == \
-            "witness set does not cover the code set"
+            "witness for t=4 fails the collapse system"
+
+    def test_missing_progression_fails_named_check(self, capsys, outdir):
+        f = str(outdir / "m3.pa")
+        m = outdir / "m3.json"
+        run(capsys, "gen", "--d", "3", "--out", f, "--meta", str(m))
+        data = json.loads(m.read_text())
+        del data["aps"][0]  # the progression starting at r = 1
+        m.write_text(json.dumps(data, indent=2, sort_keys=True))
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
+        assert rc == 1
+        got = checks_by_name(rep)
+        assert got["witnesses_check_out"] is False
+        assert got["extensional_membership"] is True
+        detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
+        assert detail["witnesses_check_out"] == \
+            "witness for t=1 fails the collapse system"
 
     def test_corrupted_window_fails_fast(self, capsys, outdir):
         f = str(outdir / "w2.pa")
@@ -231,14 +242,15 @@ class TestAnalysisCommands:
         assert rep["outputs"]["vc_dim"] == 2
 
     def test_vc_on_21_points_cuts_the_table(self, capsys, outdir):
-        # C(21, 8) subsets exceed the budget, but VC 1 is settled by k = 2
+        # C(21, 8) subsets exceed the budget, but the table stops at
+        # k = 2, the first k with pi(k) < 2^k
         f = outdir / "thresh.pa"
         f.write_text("#objects: x\n#params: y\n(<= x y)\n")
         rc, rep = run(capsys, "vc", "--formula", str(f), "--ground", "0..20",
                       "--param", "y=0..20", "--expect-vc", "1")
         assert rc == 0
         assert rep["outputs"]["vc_dim"] == 1
-        assert [k for k, _ in rep["outputs"]["pi_table"]] == list(range(8))
+        assert rep["outputs"]["pi_table"] == [[0, 1], [1, 2], [2, 3]]
 
     def test_shatter_points(self, capsys, outdir):
         f = outdir / "in.pa"

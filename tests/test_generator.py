@@ -266,7 +266,7 @@ class TestEncoders:
                 assert a == b == code_set_contains(3, x + 3 * y)
 
     def test_witnesses_check_under_substitution(self):
-        # plugging the stored witness into the naive body grounds it true
+        # every t with a derived witness grounds the naive body true
         for d in (2, 3):
             pf, meta = encode_naive(d)
             for t, (tp, r, rp, s) in meta.witnesses:
@@ -369,5 +369,5 @@ class TestMetaSerialization:
         _, meta = encode_naive(5)
         data = meta_to_json(meta)
         assert all(isinstance(v, str) for v in data["t_window"])
-        assert all(isinstance(v, str) for w in data["witnesses"].values()
-                   for v in w)
+        assert all(isinstance(v, str) for ap in data["aps"]
+                   for v in ap.values())

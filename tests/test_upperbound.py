@@ -83,13 +83,13 @@ class TestCertificate:
     def test_anchor_even_interval(self):
         pf = PartitionedFormula(
             parse("(exists z (and (= x (* 2 z)) (<= x y)))"), ("x",), ("y",))
-        cert, _, stats = upper_bound_via_qe(pf)
+        cert, inv, stats = upper_bound_via_qe(pf)
         assert cert.ell == 2
         assert cert.bound == 5
         assert cert.check()
         assert stats["atoms_after"] == 2
-        assert stats["num_congruence"] == 1
-        assert stats["num_inequality"] == 1
+        assert inv.num_congruence == 1
+        assert inv.num_inequality == 1
 
     def test_single_inequality(self):
         pf = PartitionedFormula(parse("(<= x y)"), ("x",), ("y",))

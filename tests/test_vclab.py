@@ -149,6 +149,22 @@ def reference_vc_dimension(fam, cap=20):
     return ShatterReport(dim, capped, witness, table)
 
 
+def assert_matches_reference(fam, cap):
+    """Same dimension, cap flag and witness as the reference; pi_table is
+    the reference table up to the first k with pi(k) < 2^k (k = vc + 1
+    for a nonempty family) or k = n, or up to k = cap when capped."""
+    got, want = vc_dimension(fam, cap=cap), reference_vc_dimension(fam, cap=cap)
+    assert (got.vc_dim, got.capped, got.witness) == \
+        (want.vc_dim, want.capped, want.witness)
+    n = len(fam.ground)
+    if got.capped:
+        last = max(cap, 0)
+    else:
+        last = next((k for k, pi in want.pi_table if pi < 1 << k), n)
+        assert last >= min(got.vc_dim + 1, n) or not fam.members
+    assert got.pi_table == want.pi_table[:last + 1]
+
+
 class TestVcDimensionDifferential:
     CAPS = (-1, 0, 1, 2, 3, 20)
 
@@ -156,25 +172,23 @@ class TestVcDimensionDifferential:
         for i in range(500):
             fam = random_family(random.Random(61_000 + i))
             for cap in self.CAPS:
-                assert vc_dimension(fam, cap=cap) == \
-                    reference_vc_dimension(fam, cap=cap), (i, cap)
+                assert_matches_reference(fam, cap)
 
     def test_matches_reference_on_edge_families(self):
         for fam in (SetFamily((), ()), SetFamily((0, 1, 2), ())):
             for cap in self.CAPS:
-                assert vc_dimension(fam, cap=cap) == \
-                    reference_vc_dimension(fam, cap=cap)
-        fam = power_set_family(list(range(5)))
-        assert vc_dimension(fam, cap=5) == reference_vc_dimension(fam, cap=5)
+                assert_matches_reference(fam, cap)
+        assert_matches_reference(power_set_family(list(range(5))), 5)
 
 
 class TestSubsetBudget:
     def test_table_stops_once_dimension_is_settled(self):
-        # C(21, 8) = 203490 exceeds the default budget; VC 1 is settled by k = 2
+        # C(21, 8) = 203490 exceeds the default budget, but pi(2) < 2^2
+        # settles VC 1 and ends the table
         rep = vc_dimension(thresholds(list(range(21))))
         assert (rep.vc_dim, rep.capped) == (1, False)
-        assert [k for k, _ in rep.pi_table] == list(range(8))
-        assert comb(21, 8) > 200_000 >= comb(21, 7)
+        assert rep.pi_table == ((0, 1), (1, 2), (2, 3))
+        assert comb(21, 8) > 200_000
 
     def test_table_stops_when_dimension_reaches_cap(self):
         rep = vc_dimension(power_set_family(list(range(6))), cap=1,
@@ -186,6 +200,9 @@ class TestSubsetBudget:
         # pi(1) = 2, so k = 2 (15 subsets) could still raise the dimension
         with pytest.raises(VcLabError, match=r"C\(6,2\) subsets exceed the cap 10"):
             vc_dimension(power_set_family(list(range(6))), max_subsets=10)
+        # k = vc + 1 = 2 settles the dimension, so it is never skipped
+        with pytest.raises(VcLabError, match=r"C\(21,2\) subsets exceed the cap 100"):
+            vc_dimension(thresholds(list(range(21))), max_subsets=100)
 
 
 class TestShatterFunction:
