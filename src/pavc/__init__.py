@@ -98,7 +98,6 @@ from .generator import (
     meta_to_json,
     next_prime_above,
     select_modulus,
-    solves_collapse,
     spread_aps,
     spread_block,
     spread_values,

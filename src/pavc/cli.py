@@ -48,7 +48,7 @@ from .generator import (
     meta_from_json,
     meta_to_json,
     select_modulus,
-    solves_collapse,
+    spread_aps,
 )
 from .upperbound import certificate_report, upper_bound_via_qe
 from .vclab import (
@@ -232,11 +232,14 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
                          f"measured {rep.vc_display()}, expected {d}"))
 
     # each code t's witness, derived from d, must solve the collapse
-    # system over the meta file's own spread progressions
+    # system over the meta file's own spread progressions: tp lies in the
+    # progression that starts at r; extra or longer progressions fail too
     spread = {ap.start: ap for ap in meta.aps}
     bad = next((f"witness for t={t} fails the collapse system"
-                for t, w in meta.witnesses
-                if not solves_collapse(d, t, w, spread)), None)
+                for t, (tp, r, _, _) in meta.witnesses
+                if r not in spread or not spread[r].contains(tp)), None)
+    if bad is None and meta.aps != spread_aps(d):
+        bad = "spread progressions differ from those of d"
     checks.append(_check("witnesses_check_out", bad is None,
                          bad or "all witnesses solve the collapse system"))
 

@@ -184,18 +184,6 @@ def collapse_witness(d: int, t: int) -> tuple[int, int, int, int] | None:
     return (tp, i, rp, s)
 
 
-def solves_collapse(d: int, t: int, w: tuple[int, int, int, int],
-                    spread: Mapping[int, AP]) -> bool:
-    """Whether w = (tp, r, rp, s) solves the collapse system for t when the
-    spread set is the union of `spread`'s progressions, keyed by start:
-    tp must lie in the progression that starts at r."""
-    tp, r, rp, s = w
-    ap = spread.get(r)
-    return (ap is not None and ap.contains(tp) and 1 <= r <= d
-            and 0 <= rp < 1 << d and tp == r + d * ((1 << d) * s + rp)
-            and t == r + d * (s + rp))
-
-
 def collapse_image(d: int) -> tuple[int, ...]:
     """Map every spread element through the collapse system; equals the
     code set."""

@@ -39,7 +39,12 @@ from pavc.generator import (
     spread_values,
 )
 from pavc.upperbound import upper_bound_via_qe
-from pavc.vclab import family_from_formula, sauer_shelah_bound, vc_dimension
+from pavc.vclab import (
+    family_from_formula,
+    sauer_shelah_bound,
+    shatter_function,
+    vc_dimension,
+)
 
 
 def _line(capsys, n: int, ok: bool, detail: str) -> None:
@@ -134,10 +139,14 @@ def test_05_shatter_function_bounds(capsys):
         fam = random_family(rng)
         rep = vc_dimension(fam)
         assert not rep.capped
-        for n, pi in rep.pi_table:
+        # the whole shatter function, not vc_dimension's own table, which
+        # stops once the dimension is settled
+        table = [(n, shatter_function(fam, n))
+                 for n in range(len(fam.ground) + 1)]
+        for n, pi in table:
             if pi > sauer_shelah_bound(rep.vc_dim, n):
                 violations.append((i, "bound", n, pi))
-        full = max(n for n, pi in rep.pi_table if pi == 1 << n)
+        full = max(n for n, pi in table if pi == 1 << n)
         if full != rep.vc_dim:
             violations.append((i, "dim-vs-pi", full, rep.vc_dim))
     ok = not violations

@@ -112,6 +112,24 @@ class TestGenVerify:
         assert detail["witnesses_check_out"] == \
             "witness for t=1 fails the collapse system"
 
+    def test_lengthened_progression_fails_named_check(self, capsys, outdir):
+        # every derived witness still lies in its progression, but the
+        # progressions no longer describe d's spread set
+        f = str(outdir / "l2.pa")
+        m = outdir / "l2.json"
+        run(capsys, "gen", "--d", "2", "--out", f, "--meta", str(m))
+        data = json.loads(m.read_text())
+        data["aps"][0]["count"] = "3"
+        m.write_text(json.dumps(data, indent=2, sort_keys=True))
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
+        assert rc == 1
+        got = checks_by_name(rep)
+        assert got["witnesses_check_out"] is False
+        assert got["extensional_membership"] is True
+        detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
+        assert detail["witnesses_check_out"] == \
+            "spread progressions differ from those of d"
+
     def test_corrupted_window_fails_fast(self, capsys, outdir):
         f = str(outdir / "w2.pa")
         m = outdir / "w2.json"
@@ -242,8 +260,7 @@ class TestAnalysisCommands:
         assert rep["outputs"]["vc_dim"] == 2
 
     def test_vc_on_21_points_cuts_the_table(self, capsys, outdir):
-        # C(21, 8) subsets exceed the budget, but the table stops at
-        # k = 2, the first k with pi(k) < 2^k
+        # the table stops at k = 2, the first k with pi(k) < 2^k
         f = outdir / "thresh.pa"
         f.write_text("#objects: x\n#params: y\n(<= x y)\n")
         rc, rep = run(capsys, "vc", "--formula", str(f), "--ground", "0..20",
