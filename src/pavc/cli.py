@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "generate high-VC families, decide and measure "
                     "formulas, and verify shattering at desk scale.",
         epilog="Set PAVC_MAX_ATOMS to override the quantifier-elimination "
-               "atom cap (default 1000000).")
+               "atom cap (default 1000000, at least 1).")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a high-VC formula and its meta file")

@@ -33,8 +33,12 @@ variable's coefficients to a common delta, add (div delta x), then
 cover the solution space with boundary terms plus a periodic tail,
 instantiating offsets 1..D where D is the lcm of all div moduli.  The
 boundary set is taken from whichever side (lower or upper bounds) is
-smaller.  div atoms appear in the output; the result keeps the input's
-free variables and is quantifier-free.
+smaller.  The body is compiled once into a template: subtrees without
+the variable are simplified once and shared; each disjunct rebuilds only
+the paths to the variable's atoms, simplified as built by the and/or join
+that simplify uses, and the split stops at the first disjunct that is T.
+div atoms appear in the output; the result keeps the input's free
+variables, is quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
@@ -45,7 +49,6 @@ length.
 from __future__ import annotations
 
 import os
-from collections import deque
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
@@ -84,12 +87,15 @@ def resolve_max_atoms(max_atoms: int | None) -> int:
     if max_atoms is not None:
         return max_atoms
     raw = os.environ.get(MAX_ATOMS_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}") from exc
-    return DEFAULT_MAX_ATOMS
+    if raw is None:
+        return DEFAULT_MAX_ATOMS
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}") from exc
+    if value < 1:
+        raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}: must be at least 1")
+    return value
 
 
 def count_atoms(f: Formula) -> int:
@@ -385,14 +391,45 @@ def _atom_simplified(a: Atom) -> Formula:
         if a.left.is_ground:
             return TRUE if a.left.const % a.modulus == 0 else FALSE
         return a
-    g = a.left - a.right
-    if g.is_ground:
-        if a.kind == LE:
-            return TRUE if g.const <= 0 else FALSE
-        if a.kind == LT:
-            return TRUE if g.const < 0 else FALSE
-        return TRUE if g.const == 0 else FALSE
-    return a
+    if a.left.coeffs != a.right.coeffs:  # canonical, so left - right is not ground
+        return a
+    g = a.left.const - a.right.const
+    if a.kind == LE:
+        return TRUE if g <= 0 else FALSE
+    if a.kind == LT:
+        return TRUE if g < 0 else FALSE
+    return TRUE if g == 0 else FALSE
+
+
+def _negate(b: Formula) -> Formula:
+    """simplify(Not(b)) for a `b` that is already simplified."""
+    if isinstance(b, Bool):
+        return FALSE if b.value else TRUE
+    if isinstance(b, Not):
+        return b.body
+    return Not(b)
+
+
+def _join(is_and: bool, parts: Iterable[Formula]) -> Formula:
+    """simplify(And(parts)) (or Or) for parts that are each already
+    simplified.  Parts are drawn one at a time, and none after the first
+    absorbing constant."""
+    kind = And if is_and else Or
+    flat: dict[Formula, None] = {}
+    for p in parts:
+        if isinstance(p, Bool):
+            if p.value != is_and:
+                return FALSE if is_and else TRUE
+        elif isinstance(p, kind):
+            flat.update(dict.fromkeys(p.parts))
+        else:
+            flat[p] = None
+    for p in flat:
+        if Not(p) in flat or (isinstance(p, Not) and p.body in flat):
+            return FALSE if is_and else TRUE
+    if len(flat) < 2:
+        return next(iter(flat), TRUE if is_and else FALSE)
+    return kind(tuple(flat))
 
 
 def simplify(f: Formula) -> Formula:
@@ -403,45 +440,12 @@ def simplify(f: Formula) -> Formula:
     if isinstance(f, Atom):
         return _atom_simplified(f)
     if isinstance(f, Not):
-        b = simplify(f.body)
-        if isinstance(b, Bool):
-            return FALSE if b.value else TRUE
-        if isinstance(b, Not):
-            return b.body
-        return Not(b)
+        return _negate(simplify(f.body))
     if isinstance(f, (And, Or)):
-        is_and = isinstance(f, And)
-        absorber = FALSE if is_and else TRUE
-        identity = TRUE if is_and else FALSE
-        flat: dict[Formula, None] = {}
-        stack = deque(f.parts)
-        while stack:
-            p = simplify(stack.popleft())
-            if p == absorber:
-                return absorber
-            if p == identity:
-                continue
-            if (is_and and isinstance(p, And)) or (not is_and and isinstance(p, Or)):
-                stack.extendleft(reversed(p.parts))
-                continue
-            flat[p] = None
-        parts = list(flat)
-        part_set = set(parts)
-        for p in parts:
-            if Not(p) in part_set or (isinstance(p, Not) and p.body in part_set):
-                return absorber
-        if not parts:
-            return identity
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts)) if is_and else Or(tuple(parts))
+        return _join(isinstance(f, And), map(simplify, f.parts))
     if isinstance(f, (Exists, Forall)):
         b = simplify(f.body)
-        if isinstance(b, Bool):
-            return b
-        if f.var not in free_vars(b):
-            return b
-        return type(f)(f.var, b)
+        return b if f.var not in free_vars(b) else type(f)(f.var, b)
     raise EvalError(f"not a formula: {f!r}")
 
 
@@ -569,9 +573,28 @@ def _solved_form(a: Atom, var: str, delta: int):
     return ("upper", t.scaled(delta // (-c)))
 
 
+def _template(f: Formula, slot: Mapping[Atom, int]):
+    """simplify(f) when f holds no atom of `slot`; otherwise a function
+    from the simplified instances of the slot atoms, in slot order, to
+    simplify(f) with them in place, rebuilt only along paths to them."""
+    if isinstance(f, (Bool, Atom)):
+        i = slot.get(f)
+        return simplify(f) if i is None else lambda leaves: leaves[i]
+    if isinstance(f, Not):
+        body = _template(f.body, slot)
+        return _negate(body) if isinstance(body, Formula) \
+            else lambda leaves: _negate(body(leaves))
+    is_and = isinstance(f, And)
+    parts = [_template(p, slot) for p in f.parts]
+    if all(isinstance(p, Formula) for p in parts):
+        return _join(is_and, parts)
+    parts = [p if callable(p) else (lambda leaves, p=p: p) for p in parts]
+    return lambda leaves: _join(is_and, (p(leaves) for p in parts))
+
+
 def _eliminate_exists(var: str, body: Formula, max_atoms: int,
                       max_coeff_bits: int) -> Formula:
-    body = simplify(body)
+    """Simplified QF equivalent of exists var body, for a simplified QF body."""
     if var not in free_vars(body):
         return body
 
@@ -603,12 +626,12 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
         g = a.left if a.kind == DIV else a.right - a.left
         delta = lcm(delta, abs(g.coeff(var)))
 
-    solved = {a: _solved_form(a, var, delta) for a in var_atoms}
+    solved = [_solved_form(a, var, delta) for a in var_atoms]
     period = delta
     lowers: dict[LinearTerm, None] = {}
     uppers: dict[LinearTerm, None] = {}
     worst_bits = bitlen(delta)
-    for form in solved.values():
+    for form in solved:
         if form[0] == "div":
             period = lcm(period, form[1])
             worst_bits = max(worst_bits, bitlen(form[1]), form[2].max_coeff_bits())
@@ -628,40 +651,27 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
     if estimate > max_atoms:
         raise ResourceCapError("output atoms", max_atoms, estimate)
 
+    template = _template(nnf_body, {a: i for i, a in enumerate(var_atoms)})
+    dropped = "upper" if use_uppers else "lower"
+
     def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
         """witness=None means the periodic tail below all lower bounds
         (or above all upper bounds when use_uppers)."""
-        if witness is None:
-            w_div = LinearTerm.num(offset)
-        else:
-            w_div = witness.shifted(offset)
+        w = LinearTerm.num(offset) if witness is None else witness.shifted(offset)
 
-        def fn(a: Atom) -> Formula:
-            form = solved.get(a)
-            if form is None:
-                return a
-            tag = form[0]
-            if tag == "div":
-                return Atom(DIV, w_div + form[2], ZERO, form[1])
+        def leaf(form) -> Formula:
+            if form[0] == "div":
+                return _atom_simplified(Atom(DIV, w + form[2], ZERO, form[1]))
             if witness is None:
-                dropped = "lower" if not use_uppers else "upper"
-                return FALSE if tag == dropped else TRUE
-            if tag == "lower":
-                return Atom(LT, form[1], w_div)
-            return Atom(LT, w_div, form[1])
+                return FALSE if form[0] == dropped else TRUE
+            return _atom_simplified(Atom(LT, form[1], w) if form[0] == "lower"
+                                    else Atom(LT, w, form[1]))
+        return _join(True, (template([leaf(form) for form in solved]),
+                            _atom_simplified(Atom(DIV, w, ZERO, delta))))
 
-        inst = _rewrite_atoms(nnf_body, fn)
-        return mk_and([inst, Atom(DIV, w_div, ZERO, delta)])
-
-    disjuncts: list[Formula] = []
-    for j in range(1, period + 1):
-        off = -j if use_uppers else j
-        disjuncts.append(instantiate(None, off))
-    for b in boundary:
-        for j in range(1, period + 1):
-            off = -j if use_uppers else j
-            disjuncts.append(instantiate(b, off))
-    return simplify(mk_or(disjuncts))
+    offsets = [-j if use_uppers else j for j in range(1, period + 1)]
+    return _join(False, (instantiate(witness, off)
+                         for witness in (None, *boundary) for off in offsets))
 
 
 def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,
@@ -675,25 +685,22 @@ def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,
     atoms_cap = resolve_max_atoms(max_atoms)
 
     def walk(g: Formula) -> Formula:
+        """simplify of g with its quantifiers eliminated."""
         if isinstance(g, (Bool, Atom)):
-            return g
+            return simplify(g)
         if isinstance(g, Not):
-            return simplify(Not(walk(g.body)))
-        if isinstance(g, And):
-            return simplify(And(tuple(walk(p) for p in g.parts)))
-        if isinstance(g, Or):
-            return simplify(Or(tuple(walk(p) for p in g.parts)))
+            return _negate(walk(g.body))
+        if isinstance(g, (And, Or)):
+            return _join(isinstance(g, And), [walk(p) for p in g.parts])
         if isinstance(g, Exists):
-            inner = walk(g.body)
-            return _eliminate_exists(g.var, inner, atoms_cap, max_coeff_bits)
-        if isinstance(g, Forall):
-            inner = walk(g.body)
-            dual = _eliminate_exists(g.var, simplify(Not(inner)),
-                                     atoms_cap, max_coeff_bits)
-            return simplify(Not(dual))
+            return _eliminate_exists(g.var, walk(g.body), atoms_cap,
+                                     max_coeff_bits)
+        if isinstance(g, Forall):  # forall x F == not exists x not F
+            return _negate(_eliminate_exists(g.var, _negate(walk(g.body)),
+                                             atoms_cap, max_coeff_bits))
         raise EvalError(f"not a formula: {g!r}")
 
-    result = simplify(walk(f))
+    result = walk(f)
     produced = count_atoms(result)
     if produced > atoms_cap:
         raise ResourceCapError("output atoms", atoms_cap, produced)

@@ -21,7 +21,7 @@ and bound; sibling quantifier scopes may reuse a name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Union
 
 LE = "<="
@@ -32,6 +32,9 @@ DIV = "div"
 _INEQ_COUNT = {LE: 1, LT: 1, EQ: 2, DIV: 2}
 
 RESERVED_WORDS = frozenset({"T", "F"})
+
+# parse refuses deeper nesting, so recursive passes stay within 1000 frames
+MAX_NESTING = 200
 
 
 class FormulaError(ValueError):
@@ -62,11 +65,26 @@ def bitlen(n: int) -> int:
     return abs(n).bit_length() + 1
 
 
+def _node(cls):
+    """A frozen dataclass that keeps its structural hash once computed: QE
+    hashes the same subtrees many times over."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            fields_hash = hash(tuple(getattr(self, n) for n in names))
+            object.__setattr__(self, "_hash", fields_hash)
+        return self._hash
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
+@_node
 class LinearTerm:
     """Integer linear combination: sum of coeff*var entries plus a constant.
 
@@ -109,8 +127,19 @@ class LinearTerm:
         return not self.coeffs
 
     def __add__(self, other: "LinearTerm") -> "LinearTerm":
-        return LinearTerm.of(list(self.coeffs) + list(other.coeffs),
-                             self.const + other.const)
+        # merge the two name-sorted tuples, dropping coefficients that cancel
+        a, b = self.coeffs, other.coeffs
+        i = j = 0
+        out = []
+        while i < len(a) and j < len(b):
+            (u, c), (v, e) = a[i], b[j]
+            if u != v:
+                out.append(a[i] if u < v else b[j])
+            elif c + e:
+                out.append((u, c + e))
+            i += u <= v
+            j += v <= u
+        return LinearTerm((*out, *a[i:], *b[j:]), self.const + other.const)
 
     def __sub__(self, other: "LinearTerm") -> "LinearTerm":
         return self + other.scaled(-1)
@@ -169,7 +198,7 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Bool(Formula):
     value: bool
 
@@ -181,7 +210,7 @@ TRUE = Bool(True)
 FALSE = Bool(False)
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     """kind in {<=, <, =}: left REL right.  kind div: modulus | left."""
 
@@ -202,12 +231,12 @@ class Atom(Formula):
             raise FormulaError("modulus is only meaningful for div atoms")
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     parts: tuple[Formula, ...]
 
@@ -216,7 +245,7 @@ class And(Formula):
             raise FormulaError("conjunction needs at least two parts")
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     parts: tuple[Formula, ...]
 
@@ -225,13 +254,13 @@ class Or(Formula):
             raise FormulaError("disjunction needs at least two parts")
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula
@@ -406,7 +435,7 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
-    i = 0
+    i = depth = 0
     n = len(text)
     while i < n:
         ch = text[i]
@@ -418,6 +447,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
         elif ch in "()":
+            depth += 1 if ch == "(" else -1
+            if depth > MAX_NESTING:
+                raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING}", line, col)
             tokens.append(_Token(ch, line, col))
             col += 1
             i += 1
@@ -562,10 +594,10 @@ def parse(text: str, *, allow_div: bool = False,
           declared_free: Iterable[str] | None = None) -> Formula:
     """Parse one formula.
 
-    Raises FormulaSyntaxError with line:column on malformed input,
-    ShadowingError on variable shadowing, and UnboundVariableError when
-    `declared_free` is given and the formula's free variables are not a
-    subset of it.
+    Raises FormulaSyntaxError with line:column on malformed input or
+    nesting deeper than MAX_NESTING, ShadowingError on variable shadowing,
+    and UnboundVariableError when `declared_free` is given and the
+    formula's free variables are not a subset of it.
     """
     tokens = _tokenize(text)
     if not tokens:

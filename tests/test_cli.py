@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pavc.cli import main
+from pavc.formula import MAX_NESTING
 
 
 def run(capsys, *args):
@@ -328,3 +329,33 @@ def test_report_structure(capsys, tmp_path):
     assert rep["inputs"]["d"] == 2
     assert len(rep["outputs"]["formula_file"]["sha256"]) == 64
     assert isinstance(rep["wall_time_s"], float)
+
+
+class TestDeepNesting:
+    @staticmethod
+    def write(path, depth):
+        """(exists z (and (< y z) (or (< x 4) (and (< z x) ... (< z 1))))),
+        `depth` parentheses deep."""
+        body = "(< z 1)"
+        for i in range(depth - 2):
+            atom = ("(< y z)", "(< z x)")[i // 2 % 2] if i % 2 else f"(< x {i})"
+            body = f"({'and' if i % 2 else 'or'} {atom} {body})"
+        path.write_text(f"#objects: x\n#params: y\n(exists z {body})\n")
+        return str(path)
+
+    def test_commands_run_at_the_cap(self, capsys, outdir):
+        f = self.write(outdir / "deep.pa", MAX_NESTING)
+        for args in (["qe", "--formula", f], ["upperbound", "--formula", f],
+                     ["analyze", "--formula", f],
+                     ["vc", "--formula", f, "--ground", "0..3",
+                      "--param", "y=0..3", "--hint", "z=-2..6"]):
+            rc, rep = run(capsys, *args)
+            assert rc == 0 and rep["command"] == args[0]
+
+    def test_one_past_the_cap_exits_3(self, capsys, outdir):
+        f = self.write(outdir / "deeper.pa", MAX_NESTING + 1)
+        for command in ("qe", "upperbound", "analyze"):
+            rc = main([command, "--formula", f])
+            captured = capsys.readouterr()
+            assert rc == 3
+            assert f"nesting deeper than {MAX_NESTING}" in captured.err

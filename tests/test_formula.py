@@ -10,6 +10,7 @@ from pavc.formula import (
     FALSE,
     LE,
     LT,
+    MAX_NESTING,
     TRUE,
     ZERO,
     And,
@@ -69,6 +70,9 @@ class TestLinearTerm:
             k = rng.randint(-6, 6)
             env = {v: rng.randint(-50, 50) for v in "xyz"}
             assert (a + b).value(env) == a.value(env) + b.value(env)
+            # the merge gives the canonical term that LinearTerm.of builds
+            assert a + b == LinearTerm.of(a.coeffs + b.coeffs,
+                                          a.const + b.const)
             assert (a - b).value(env) == a.value(env) - b.value(env)
             assert (-a).value(env) == -a.value(env)
             assert a.scaled(k).value(env) == k * a.value(env)
@@ -141,6 +145,17 @@ class TestParsing:
     def test_empty_input_rejected(self):
         with pytest.raises(FormulaSyntaxError):
             parse("   ")
+
+    def test_nesting_cap(self):
+        def nots(depth):
+            return "(not " * (depth - 1) + "(< x 1)" + ")" * (depth - 1)
+        f = parse(nots(MAX_NESTING))
+        assert to_text(f) == nots(MAX_NESTING)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("\n" + nots(MAX_NESTING + 1))
+        assert (err.value.line, err.value.column) == (2, 5 * MAX_NESTING + 1)
+        with pytest.raises(FormulaSyntaxError):  # terms nest too
+            parse("(< " + "(+ " * MAX_NESTING + "x" + " 1)" * MAX_NESTING + " 0)")
 
     def test_single_part_connective_collapses(self):
         assert parse("(and (< x 1))") == parse("(< x 1)")
