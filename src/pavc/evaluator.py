@@ -1,12 +1,16 @@
 """Evaluation and quantifier elimination for linear integer formulas.
 
-Evaluation has one route.  compile_plan turns a formula, once, into a
-test of points over a fixed variable order: atoms become coefficient
-tuples over variable slots, and the free-variable, hint and point-cap
-checks run at compile time, not per point.  eval_point, eval_ground,
-eval_bounded and vclab.family_from_formula all go through it.  Under
+Evaluation compiles a formula once, by one of two routes.  compile_plan
+makes a test of points over a fixed variable order, checking free
+variables, hints and the point cap at compile time; eval_point,
+eval_ground, eval_bounded and the other families use it.
+compile_masks evaluates a quantifier-free formula over a window of its
+last variable as one int (intervals, bits and periodic masks for atoms,
+bit operations for connectives); vclab.family_from_formula uses it for
+quantifier-free bodies with parameters: O(atoms x |ground|) big-int
+operations instead of O(atoms x |ground| x window) point tests.  Under
 bounded semantics (each quantified variable ranges over its hint
-interval) two rules keep the work per point small:
+interval) two rules keep compile_plan's work per point small:
 
 * Equality substitution, at compile time, innermost first (Cooper
   1972): exists v (c*v = t and R) over [lo, hi] becomes
@@ -213,6 +217,13 @@ def _forall_test(slot: int, values: range, body: _Test) -> _Test:
     return test
 
 
+def _div_solver(a: int, m: int) -> tuple[int, int, int]:
+    """(g, n, inv) such that m | a*v + k iff g | k and v = (k/g)*inv mod n."""
+    g = gcd(a, m)
+    n = m // g
+    return g, n, -pow(a // g, -1, n) % n if n > 1 else 0
+
+
 def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
                  bounds: tuple, divs: tuple, others: tuple[_Test, ...]) -> _Test:
     """exists v in [lo, hi] of (fixed and bounds and divs and others).
@@ -271,6 +282,14 @@ def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
     return test
 
 
+def _checked_vars(f: Formula, variables: Iterable[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    missing = free_vars(f) - set(variables)
+    if missing:
+        raise EvalError(f"point missing variables: {sorted(missing)}")
+    return variables
+
+
 def compile_plan(f: Formula, variables: Iterable[str],
                  hints: Mapping[str, tuple[int, int]] | None = None,
                  max_points: int = DEFAULT_MAX_POINTS
@@ -284,10 +303,7 @@ def compile_plan(f: Formula, variables: Iterable[str],
     has no hint, and ResourceCapError when the worst root-to-leaf product
     of interval sizes in f exceeds `max_points`.
     """
-    variables = tuple(variables)
-    missing = free_vars(f) - set(variables)
-    if missing:
-        raise EvalError(f"point missing variables: {sorted(missing)}")
+    variables = _checked_vars(f, variables)
     hints = {} if hints is None else hints
     worst = _worst_case_points(f, hints)
     if worst > max_points:
@@ -333,10 +349,7 @@ def compile_plan(f: Formula, variables: Iterable[str],
             pairs = tuple((inner[v], c) for v, c in lin.coeffs if v != g.var)
             k = lin.const
             if part.kind == DIV:
-                common = gcd(a, part.modulus)
-                m = part.modulus // common
-                inv = -pow(a // common, -1, m) % m if m > 1 else 0
-                divs.append((common, m, inv, pairs, k))
+                divs.append((*_div_solver(a, part.modulus), pairs, k))
             elif part.kind == EQ:
                 bounds.append((a, pairs, k))
                 bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
@@ -351,6 +364,79 @@ def compile_plan(f: Formula, variables: Iterable[str],
     def plan(values: Iterable[int]) -> bool:
         return test([*values, *pad])
     return plan
+
+
+def compile_masks(f: Formula, variables: Iterable[str],
+                  window: range) -> Callable[[Iterable[int]], int]:
+    """Compile a quantifier-free `f` once into a function from values of
+    all but the last of `variables` to an int whose bit k is the truth of
+    `f` with the last variable at window[k] (a range of step 1).  Each
+    distinct atom is computed once per call."""
+    if not is_quantifier_free(f):
+        raise EvalError("mask evaluation needs a quantifier-free formula")
+    *lead, last = _checked_vars(f, variables)
+    lo, width = window.start, len(window)
+    full = (1 << width) - 1
+    periodic: dict[tuple[int, int], int] = {}  # bits r, r + n, r + 2n, ...
+    leaves: dict[Atom, Callable[[_Env], int]] = {}
+
+    def leaf(a: Atom) -> Callable[[_Env], int]:
+        g = a.left - a.right
+        c = g.coeff(last)
+        pairs = tuple((lead.index(v), cv) for v, cv in g.coeffs if v != last)
+        k0, kind = g.const + (a.kind == LT) + c * lo, a.kind
+        common, n, inv = _div_solver(c, a.modulus) if kind == DIV else (1, 1, 0)
+        seen: list = [None, 0]  # the last env and its mask
+
+        def mask(env: _Env) -> int:  # bit j: k + c*j <= 0, = 0 or divisible
+            if seen[0] is env:
+                return seen[1]
+            k = k0
+            for i, cv in pairs:
+                k += cv * env[i]
+            if kind == DIV:
+                r = k // common * inv % n
+                out = 0 if k % common else periodic.get((r, n))
+                if out is None:  # by doubling
+                    out, span = 1, n
+                    while span < width:
+                        out, span = out | out << span, span << 1
+                    out = periodic[r, n] = out << r & full
+            elif c == 0:
+                out = full if (k == 0 if kind == EQ else k <= 0) else 0
+            elif kind == EQ:
+                out = 1 << -k // c if k % c == 0 and 0 <= -k // c < width else 0
+            elif c > 0:  # j <= -k // c
+                out = full >> width - min(width, max(0, -k // c + 1))
+            else:  # j >= -(k // c)
+                out = full ^ full >> width - min(width, max(0, -(k // c)))
+            seen[:] = env, out
+            return out
+        return mask
+
+    def build(g: Formula) -> Callable[[_Env], int]:
+        if isinstance(g, Bool):
+            value = full if g.value else 0
+            return lambda env: value
+        if isinstance(g, Atom):
+            return leaves.get(g) or leaves.setdefault(g, leaf(g))
+        if isinstance(g, Not):
+            body = build(g.body)
+            return lambda env: full ^ body(env)
+        parts = tuple(build(p) for p in g.parts)
+        stop, join = (0, int.__and__) if isinstance(g, And) else (full, int.__or__)
+
+        def fold(env: _Env) -> int:  # and stops at 0, or at FULL
+            out = full ^ stop
+            for p in parts:
+                out = join(out, p(env))
+                if out == stop:
+                    break
+            return out
+        return fold
+
+    root = build(f)
+    return lambda values: root(list(values))
 
 
 def eval_point(f: Formula, env: Mapping[str, int]) -> bool:

@@ -87,11 +87,9 @@ def code_set_contains(d: int, t: int) -> bool:
 def build_code_set(d: int, cap: int = DEFAULT_D_CAP) -> tuple[int, ...]:
     """All code-set elements, sorted.  The largest is at most d*2^d."""
     _check_d(d, cap)
-    out = []
-    for j in range(1 << d):
-        for i in lex_subset(d, j):
-            out.append(i + d * j)
-    return tuple(sorted(out))
+    # block j holds i iff bit i-1 of j is clear; it spans t = d*j + 1 .. d*j + d
+    return tuple(i + d * j for j in range(1 << d) for i in range(1, d + 1)
+                 if not j >> (i - 1) & 1)
 
 
 def index_block_values(i: int, d: int) -> tuple[int, ...]:
@@ -188,13 +186,9 @@ def collapse_image(d: int) -> tuple[int, ...]:
     """Map every spread element through the collapse system; equals the
     code set."""
     _check_d(d)
-    out = set()
-    for tp in spread_values(d):
-        r = (tp - 1) % d + 1
-        u = (tp - r) // d
-        s, rp = divmod(u, 1 << d)
-        out.add(r + d * (s + rp))
-    return tuple(sorted(out))
+    # progression r holds tp = r + d*u; u = 2^d*s + rp maps to r + d*(s + rp)
+    return tuple(sorted({ap.start + d * sum(divmod(u, 1 << d)) for ap in spread_aps(d)
+                         for u in range(0, ap.count * ap.step // d, ap.step // d)}))
 
 
 def collapse_formula(d: int, spread_member: Formula, spread_var: str,

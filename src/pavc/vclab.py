@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import compile_plan, eliminate_quantifiers
-from .formula import PartitionedFormula
+from .evaluator import (DEFAULT_MAX_POINTS, ResourceCapError, compile_masks,
+                        compile_plan, eliminate_quantifiers)
+from .formula import PartitionedFormula, is_quantifier_free
 
 DEFAULT_VC_CAP = 20
 DEFAULT_MAX_SUBSETS = 200_000
@@ -216,8 +217,11 @@ def family_from_formula(pf: PartitionedFormula,
 
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
-    eliminates quantifiers once and evaluates the result pointwise.
-    Either way the formula is compiled once for the whole family.
+    eliminates quantifiers once first.  A quantifier-free body with
+    parameters goes through compile_masks, one mask over the last
+    parameter's window per ground object; any other through compile_plan.
+    Refuses (ResourceCapError) before any evaluation when |ground| times
+    the parameter box exceeds DEFAULT_MAX_POINTS.
     """
     if len(pf.object_vars) != 1:
         raise VcLabError("families need exactly one object variable")
@@ -231,25 +235,30 @@ def family_from_formula(pf: PartitionedFormula,
     if missing:
         raise VcLabError(f"missing parameter windows: {sorted(missing)}")
 
-    if mode == "qe":
-        body = eliminate_quantifiers(pf.formula, max_atoms=max_atoms)
-    elif mode == "bounded":
-        body = pf.formula
-    else:
+    if mode not in ("qe", "bounded"):
         raise VcLabError(f"unknown mode {mode!r}")
-
-    ground = tuple(_window_points(ground_window))
+    ground = _window_points(ground_window)
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
-    holds = compile_plan(body, (obj,) + pf.param_vars, hints)
+    points = prod(r.stop - r.start for r in (ground, *param_ranges))
+    if points > DEFAULT_MAX_POINTS:
+        raise ResourceCapError("enumeration points", DEFAULT_MAX_POINTS, points)
+    body = pf.formula if mode == "bounded" else \
+        eliminate_quantifiers(pf.formula, max_atoms=max_atoms)
     members = []
-    for combo in product(*param_ranges):
-        mask = 0
-        for i, x in enumerate(ground):
-            if holds((x, *combo)):
-                mask |= 1 << i
-        label = ",".join(str(c) for c in combo)
-        members.append((label, mask))
-    return SetFamily(ground, tuple(members))
+    if pf.param_vars and is_quantifier_free(body):
+        *outer, window = param_ranges
+        masks = compile_masks(body, (obj,) + pf.param_vars, window)
+        for combo in product(*outer):  # one row per ground object, last first
+            rows = [format(masks((x, *combo)), f"0{len(window)}b")[::-1]
+                    for x in reversed(ground)]
+            members += ((",".join(map(str, (*combo, y))), int("".join(bits), 2))
+                        for y, bits in zip(window, zip(*rows)))
+    else:
+        holds = compile_plan(body, (obj,) + pf.param_vars, hints)
+        for combo in product(*param_ranges):
+            members.append((",".join(map(str, combo)), sum(
+                1 << i for i, x in enumerate(ground) if holds((x, *combo)))))
+    return SetFamily(tuple(ground), tuple(members))
 
 
 def report_json(report: ShatterReport, fam: SetFamily,

@@ -221,6 +221,16 @@ class TestResourceCap:
         assert "enumeration points" in captured.err
 
 
+    def test_oversized_family_grid_exits_3(self, capsys, outdir):
+        f = outdir / "thr.pa"
+        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        rc = main(["vc", "--formula", str(f), "--ground", "0..3",
+                   "--param", "y=0..100000000000"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "enumeration points cap exceeded" in captured.err
+
+
 class TestAnalysisCommands:
     def test_qe_command_writes_result(self, capsys, outdir):
         f = outdir / "in.pa"
@@ -351,6 +361,19 @@ class TestDeepNesting:
                       "--param", "y=0..3", "--hint", "z=-2..6"]):
             rc, rep = run(capsys, *args)
             assert rc == 0 and rep["command"] == args[0]
+
+    def test_quantifier_free_formula_at_the_cap(self, capsys, outdir):
+        # a quantifier-free body with a parameter takes the mask path
+        body = "(< x 1)"
+        for i in range(MAX_NESTING - 2):
+            atom = ("(< y x)", "(div 3 (+ x (* 2 y)))")[i // 2 % 2] \
+                if i % 2 else f"(< x {i % 7})"
+            body = f"({'and' if i % 2 else 'or'} {atom} {body})"
+        f = outdir / "deep-qf.pa"
+        f.write_text(f"#objects: x\n#params: y\n(not {body})\n")
+        rc, rep = run(capsys, "vc", "--formula", str(f), "--ground", "0..5",
+                      "--param", "y=-3..3")
+        assert rc == 0 and rep["outputs"]["family_size"] == 7
 
     def test_one_past_the_cap_exits_3(self, capsys, outdir):
         f = self.write(outdir / "deeper.pa", MAX_NESTING + 1)

@@ -2,14 +2,18 @@
 
 import hashlib
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pavc.evaluator import (
     DEFAULT_MAX_POINTS,
     EvalError,
     MissingHintError,
     ResourceCapError,
+    compile_masks,
+    compile_plan,
     decide,
     eliminate_quantifiers,
     eval_bounded,
@@ -31,8 +35,10 @@ from pavc.formula import (
     LT,
     Not,
     Or,
+    PartitionedFormula,
     TRUE,
     ZERO,
+    atoms_of,
     bound_vars,
     free_vars,
     is_quantifier_free,
@@ -47,7 +53,7 @@ from pavc.generator import (
     encode_bridged,
     encode_naive,
 )
-from pavc.vclab import family_from_formula
+from pavc.vclab import SetFamily, family_from_formula
 
 
 class TestDirectEvaluation:
@@ -163,6 +169,18 @@ def _random_quantified(rng):
     return f
 
 
+def point_family(pf, ground_window, windows, hints=None):
+    """family_from_formula's family built point by point with compile_plan."""
+    ground = range(ground_window[0], ground_window[1] + 1)
+    holds = compile_plan(pf.formula, pf.object_vars + pf.param_vars, hints)
+    members = []
+    for combo in product(*(range(windows[p][0], windows[p][1] + 1)
+                           for p in pf.param_vars)):
+        mask = sum(1 << i for i, x in enumerate(ground) if holds((x, *combo)))
+        members.append((",".join(map(str, combo)), mask))
+    return SetFamily(tuple(ground), tuple(members))
+
+
 class TestCompiledPlanDifferential:
     HINTS = {"u": (-3, 3), "v": (-2, 4), "w": (-4, 2)}
 
@@ -222,6 +240,8 @@ class TestCompiledPlanDifferential:
             bounded = family_from_formula(pf, (-4, 6), windows)
             viaqe = family_from_formula(pf, (-4, 6), windows, mode="qe")
             assert bounded == viaqe, to_text(pf.formula)
+            assert bounded == point_family(pf, (-4, 6), windows), \
+                to_text(pf.formula)
 
     def test_naive_encoder_at_scale(self):
         # each hint spans 2^15, so the nominal product 2^30 is over the
@@ -240,6 +260,117 @@ class TestCompiledPlanDifferential:
             point = {"x": x, "y": (t - x) // d}
             assert eval_bounded(pf.formula, point, hints, max_points=worst) \
                 == code_set_contains(d, t), t
+
+
+WIDTHS = (1, 63, 64, 65, 130)  # around one and two 64-bit words
+
+
+def last_window(pf, lo, width, outer=(-2, 2)):
+    """The last parameter over width values from lo, the others over outer."""
+    *rest, last = pf.param_vars
+    return {**dict.fromkeys(rest, outer), last: (lo, lo + width - 1)}
+
+
+_qf_terms = st.builds(
+    lambda cs, k: LinearTerm.of(dict(zip("xyz", cs)), k),
+    st.tuples(*[st.integers(-4, 4)] * 3), st.integers(-9, 9))
+qf_formulas = st.recursive(
+    st.one_of(
+        st.builds(Atom, st.sampled_from([LE, LT, EQ]), _qf_terms, _qf_terms),
+        st.builds(lambda t, m: Atom(DIV, t, ZERO, m), _qf_terms,
+                  st.integers(1, 7)),
+        st.sampled_from([TRUE, FALSE])),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, st.lists(kids, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(kids, min_size=2, max_size=3).map(tuple))),
+    max_leaves=8)
+
+
+class TestMaskDifferential:
+    """family_from_formula's mask path for quantifier-free bodies against
+    the same family built point by point with compile_plan."""
+
+    def test_fuzz_families_with_divs(self):
+        checked, seed = 0, 7_700_000
+        while checked < 200:
+            rng = random.Random(seed)
+            seed += 1
+            pf = random_partitioned(rng)
+            if not pf.param_vars or all(a.kind != DIV
+                                        for a in atoms_of(pf.formula)):
+                continue
+            windows = last_window(pf, -rng.randint(1, 80),
+                                  WIDTHS[checked % len(WIDTHS)])
+            assert family_from_formula(pf, (-4, 6), windows) == \
+                point_family(pf, (-4, 6), windows), (to_text(pf.formula),
+                                                     windows)
+            checked += 1
+
+    @pytest.mark.parametrize("text", [
+        "(<= (* 3 y) (+ x 4))",
+        "(< (+ x 5) (* -2 y))",
+        "(= (* 3 y) (+ x 1))",
+        "(div 6 (+ (* 4 y) x))",
+        "(or (div 5 (+ (* -3 y) (* 2 x) 1)) (not (<= (* 7 y) (* -2 x))))",
+        "(and (div 4 (* 2 y)) (< (* -5 y) (+ x 40)) (not (= (* 2 y) x)))",
+    ])
+    def test_parameter_coefficients(self, text):
+        pf = PartitionedFormula(parse(text, allow_div=True), ("x",), ("y",))
+        plan = compile_plan(pf.formula, ("x", "y"))
+        for lo in (-130, -64, -1, 3):
+            for width in WIDTHS:
+                windows = last_window(pf, lo, width)
+                assert family_from_formula(pf, (-6, 6), windows) == \
+                    point_family(pf, (-6, 6), windows), (lo, width)
+                # no bit is set outside the window either
+                window = range(lo, lo + width)
+                masks = compile_masks(pf.formula, ("x", "y"), window)
+                for x in range(-6, 7):
+                    assert masks((x,)) == sum(plan((x, y)) << k for k, y
+                                              in enumerate(window)), (lo, width)
+
+    @pytest.mark.parametrize("encode, d", [(encode_naive, d) for d in range(1, 9)]
+                             + [(encode_bridged, d) for d in range(1, 4)])
+    def test_encoder_qe_bodies(self, encode, d):
+        pf, meta = encode(d)
+        qf = PartitionedFormula(eliminate_quantifiers(pf.formula),
+                                pf.object_vars, pf.param_vars)
+        windows = {meta.param_var: meta.param_window}
+        assert family_from_formula(qf, meta.ground_window, windows) == \
+            point_family(qf, meta.ground_window, windows)
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              database=None)
+    @given(qf_formulas, st.integers(-70, 5), st.integers(1, 130))
+    def test_property_mask_path_is_point_plan(self, f, lo, width):
+        params = tuple(sorted(free_vars(f) - {"x"}))
+        if "x" not in free_vars(f) or not params:
+            return
+        pf = PartitionedFormula(f, ("x",), params)
+        windows = last_window(pf, lo, width, outer=(-1, 1))
+        assert family_from_formula(pf, (-3, 3), windows) == \
+            point_family(pf, (-3, 3), windows)
+
+    def test_rejects_quantifiers_and_unknown_variables(self):
+        with pytest.raises(EvalError):
+            compile_masks(parse("(exists z (< x z))"), ("x",), range(4))
+        with pytest.raises(EvalError):
+            compile_masks(parse("(< x y)"), ("y",), range(4))
+
+    def test_grid_cap_refuses_before_evaluation(self):
+        pf = PartitionedFormula(parse("(<= x y)"), ("x",), ("y",))
+        with pytest.raises(ResourceCapError) as info:
+            family_from_formula(pf, (0, 3), (0, 10 ** 11))
+        assert info.value.kind == "enumeration points"
+        assert info.value.needed == 4 * (10 ** 11 + 1)
+        assert info.value.limit == DEFAULT_MAX_POINTS
+        # the box is the product over all parameters, checked in either mode
+        pf = PartitionedFormula(parse("(and (<= a x) (<= x b))"), ("x",),
+                                ("a", "b"))
+        with pytest.raises(ResourceCapError):
+            family_from_formula(pf, (0, 9), {"a": (0, 3162), "b": (0, 3162)},
+                                mode="qe")
 
 
 class TestSimplify:

@@ -72,6 +72,12 @@ class TestCodeSet:
         assert build_code_set(1) == (1,)
         assert build_code_set(2) == (1, 2, 4, 5)
 
+    def test_matches_lex_subset_definition(self):
+        for d in range(1, 13):
+            want = sorted(i + d * j for j in range(1 << d)
+                          for i in lex_subset(d, j))
+            assert build_code_set(d) == tuple(want), d
+
     def test_membership_oracle_matches_construction(self):
         for d in range(1, 9):
             explicit = set(build_code_set(d))

@@ -1,10 +1,12 @@
-"""Property tests (hypothesis) for simplification and formula identity,
-on formulas with quantifiers.
+"""Property tests (hypothesis) for simplification, formula identity and
+the parse/print round trip, on formulas with quantifiers, and for the VC
+dimension of random families.
 
 Examples are derandomized and bounded, so every run checks the same
 cases in a few seconds.
 """
 
+from itertools import count
 from random import Random
 
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,10 @@ from pavc.evaluator import _join, decide, eval_bounded, simplify
 from pavc.formula import (
     DIV, EQ, FALSE, LE, LT, TRUE, ZERO,
     And, Atom, Bool, Exists, Forall, LinearTerm, Not, Or,
-    bound_vars, free_vars,
+    bound_vars, free_vars, parse, subst_term, to_text,
 )
-from pavc.fuzz import SOUND_BOX, random_sentence
+from pavc.fuzz import SOUND_BOX, random_family, random_qf, random_sentence
+from pavc.vclab import vc_dimension
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
                     database=None)
@@ -129,3 +132,35 @@ def test_equal_nodes_built_apart_hash_equal(f):
     assert g == f and hash(g) == hash(f)
     assert hash(rebuild(f)) == hash(f)
     assert hash(Not(f)) == hash(Not(g)) and Not(f) == Not(g)
+
+
+def rebind_apart(f, names=None):
+    """f with every binder renamed to a fresh b<n>, which is the form parse
+    reads: no binder shadows another, and no name is both free and bound."""
+    names = count() if names is None else names
+    if isinstance(f, (Bool, Atom)):
+        return f
+    if isinstance(f, Not):
+        return Not(rebind_apart(f.body, names))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(rebind_apart(p, names) for p in f.parts))
+    fresh = f"b{next(names)}"
+    return type(f)(fresh, subst_term(rebind_apart(f.body, names), f.var,
+                                     LinearTerm.var(fresh)))
+
+
+@PROPERTY
+@given(st.one_of(formulas.map(rebind_apart), sentences,
+                 st.integers(0, 2 ** 32 - 1).map(
+                     lambda s: random_qf(Random(s), "xyz", allow_div=True))))
+def test_parse_inverts_to_text(f):
+    assert parse(to_text(f), allow_div=True) == f
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1).map(lambda s: random_family(Random(s))))
+def test_vc_dimension_at_most_log2_of_distinct_members(fam):
+    # shattering k points takes 2^k distinct traces, so 2^k distinct members
+    rep = vc_dimension(fam)
+    assert not rep.capped
+    assert rep.vc_dim <= len(fam.distinct_masks()).bit_length() - 1
