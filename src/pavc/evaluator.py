@@ -370,15 +370,12 @@ def compile_masks(f: Formula, variables: Iterable[str],
                   window: range) -> Callable[[Iterable[int]], int]:
     """Compile a quantifier-free `f` once into a function from values of
     all but the last of `variables` to an int whose bit k is the truth of
-    `f` with the last variable at window[k] (a range of step 1).  Each
-    distinct atom is computed once per call."""
+    `f` with the last variable at window[k] (a range of step 1)."""
     if not is_quantifier_free(f):
         raise EvalError("mask evaluation needs a quantifier-free formula")
     *lead, last = _checked_vars(f, variables)
     lo, width = window.start, len(window)
     full = (1 << width) - 1
-    periodic: dict[tuple[int, int], int] = {}  # bits r, r + n, r + 2n, ...
-    leaves: dict[Atom, Callable[[_Env], int]] = {}
 
     def leaf(a: Atom) -> Callable[[_Env], int]:
         g = a.left - a.right
@@ -386,32 +383,23 @@ def compile_masks(f: Formula, variables: Iterable[str],
         pairs = tuple((lead.index(v), cv) for v, cv in g.coeffs if v != last)
         k0, kind = g.const + (a.kind == LT) + c * lo, a.kind
         common, n, inv = _div_solver(c, a.modulus) if kind == DIV else (1, 1, 0)
-        seen: list = [None, 0]  # the last env and its mask
+        comb, span = 1, n  # bits 0, n, 2n, ... up to width, by doubling
+        while kind == DIV and span < width:
+            comb, span = comb | comb << span, span << 1
 
         def mask(env: _Env) -> int:  # bit j: k + c*j <= 0, = 0 or divisible
-            if seen[0] is env:
-                return seen[1]
             k = k0
             for i, cv in pairs:
                 k += cv * env[i]
-            if kind == DIV:
-                r = k // common * inv % n
-                out = 0 if k % common else periodic.get((r, n))
-                if out is None:  # by doubling
-                    out, span = 1, n
-                    while span < width:
-                        out, span = out | out << span, span << 1
-                    out = periodic[r, n] = out << r & full
-            elif c == 0:
-                out = full if (k == 0 if kind == EQ else k <= 0) else 0
-            elif kind == EQ:
-                out = 1 << -k // c if k % c == 0 and 0 <= -k // c < width else 0
-            elif c > 0:  # j <= -k // c
-                out = full >> width - min(width, max(0, -k // c + 1))
-            else:  # j >= -(k // c)
-                out = full ^ full >> width - min(width, max(0, -(k // c)))
-            seen[:] = env, out
-            return out
+            if kind == DIV:  # the comb shifted to the residue of j mod n
+                return 0 if k % common else comb << k // common * inv % n & full
+            if c == 0:
+                return full if (k == 0 if kind == EQ else k <= 0) else 0
+            if kind == EQ:
+                return 1 << -k // c if k % c == 0 and 0 <= -k // c < width else 0
+            if c > 0:  # j <= -k // c
+                return full >> width - min(width, max(0, -k // c + 1))
+            return full ^ full >> width - min(width, max(0, -(k // c)))  # j >= -(k // c)
         return mask
 
     def build(g: Formula) -> Callable[[_Env], int]:
@@ -419,7 +407,7 @@ def compile_masks(f: Formula, variables: Iterable[str],
             value = full if g.value else 0
             return lambda env: value
         if isinstance(g, Atom):
-            return leaves.get(g) or leaves.setdefault(g, leaf(g))
+            return leaf(g)
         if isinstance(g, Not):
             body = build(g.body)
             return lambda env: full ^ body(env)

@@ -186,9 +186,14 @@ def collapse_image(d: int) -> tuple[int, ...]:
     """Map every spread element through the collapse system; equals the
     code set."""
     _check_d(d)
-    # progression r holds tp = r + d*u; u = 2^d*s + rp maps to r + d*(s + rp)
-    return tuple(sorted({ap.start + d * sum(divmod(u, 1 << d)) for ap in spread_aps(d)
-                         for u in range(0, ap.count * ap.step // d, ap.step // d)}))
+    out = set()
+    for ap in spread_aps(d):
+        for tp in ap.values():
+            r = (tp - 1) % d + 1
+            u = (tp - r) // d
+            s, rp = divmod(u, 1 << d)
+            out.add(r + d * (s + rp))
+    return tuple(sorted(out))
 
 
 def collapse_formula(d: int, spread_member: Formula, spread_var: str,
