@@ -35,19 +35,21 @@ by the same equality-substitution shortcut (when a conjunct pins c*x to
 a term) or by the classic divisibility-aware case split: scale the
 variable's coefficients to a common delta, add (div delta x), then
 cover the solution space with boundary terms plus a periodic tail,
-instantiating offsets 1..D where D is the lcm of all div moduli.  The
-boundary set is taken from whichever side (lower or upper bounds) is
-smaller.  The body is compiled once into a template: subtrees without
-the variable are simplified once and shared; each disjunct rebuilds only
-the paths to the variable's atoms, simplified as built by the and/or join
-that simplify uses, and the split stops at the first disjunct that is T.
-div atoms appear in the output; the result keeps the input's free
-variables, is quantifier-free and is simplified.
+instantiating those offsets in 1..D (D the lcm of all div moduli) that
+(div delta x) and the top-level div conjuncts allow, one residue class
+per boundary term by CRT.  The boundary set is taken from whichever
+side (lower or upper bounds) is smaller.  The body is compiled once into
+a template: subtrees without the variable are simplified once and
+shared; each disjunct rebuilds only the paths to the variable's atoms,
+simplified as built by the and/or join that simplify uses, and the split
+stops at the first disjunct that is T.  div atoms appear in the output;
+the result keeps the input's free variables, is quantifier-free and is
+simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
-PAVC_MAX_ATOMS environment variable) and a maximum coefficient bit
-length.
+PAVC_MAX_ATOMS environment variable), checked against the atoms of the
+offsets actually planned, and a maximum coefficient bit length.
 """
 
 from __future__ import annotations
@@ -224,6 +226,17 @@ def _div_solver(a: int, m: int) -> tuple[int, int, int]:
     return g, n, -pow(a // g, -1, n) % n if n > 1 else 0
 
 
+def _crt(res: int, mod: int, r: int, m: int) -> tuple[int, int] | None:
+    """The class v = res (mod mod) met with v = r (mod m) by the Chinese
+    remainder theorem, as (residue, modulus); None when they are disjoint."""
+    common = gcd(mod, m)
+    if (r - res) % common:
+        return None
+    step = m // common
+    return res + mod * ((r - res) // common * pow(mod // common, -1, step)
+                        % step), mod * step
+
+
 def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
                  bounds: tuple, divs: tuple, others: tuple[_Test, ...]) -> _Test:
     """exists v in [lo, hi] of (fixed and bounds and divs and others).
@@ -260,14 +273,10 @@ def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
                 k += c * env[i]
             if k % g:
                 return False
-            r = k // g * inv % m
-            common = gcd(mod, m)
-            if (r - res) % common:
+            merged = _crt(res, mod, k // g * inv % m, m)
+            if merged is None:
                 return False
-            step = m // common
-            res += mod * ((r - res) // common
-                          * pow(mod // common, -1, step) % step)
-            mod *= step
+            res, mod = merged
         first = low + (res - low) % mod
         if not others:
             return first <= high
@@ -666,6 +675,22 @@ def _template(f: Formula, slot: Mapping[Atom, int]):
     return lambda leaves: _join(is_and, (p(leaves) for p in parts))
 
 
+def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm]],
+             sign: int, period: int) -> range:
+    """The j in 1..period for which w = witness + sign*j (witness None is 0)
+    can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
+    forces g | const(u) + sign*j for g = gcd(m, coefficients of u)."""
+    res, mod = 0, 1
+    for m, t in congruences:
+        u = t if witness is None else witness + t
+        _, n, inv = _div_solver(sign, gcd(m, *(c for _, c in u.coeffs)))
+        merged = _crt(res, mod, u.const * inv % n, n)
+        if merged is None:
+            return range(0)
+        res, mod = merged
+    return range(1 + (res - 1) % mod, period + 1, mod)
+
+
 def _eliminate_exists(var: str, body: Formula, max_atoms: int,
                       max_coeff_bits: int) -> Formula:
     """Simplified QF equivalent of exists var body, for a simplified QF body."""
@@ -719,9 +744,15 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
         raise ResourceCapError("coefficient bits", max_coeff_bits, worst_bits)
 
     use_uppers = len(uppers) < len(lowers)
-    boundary = list(uppers if use_uppers else lowers)
+    sign = -1 if use_uppers else 1
+    # delta | w and the top-level divs hold in every disjunct that can be T
+    top = set(_conjuncts(nnf_body))
+    necessary = [(delta, ZERO)] + [form[1:] for a, form in zip(var_atoms, solved)
+                                   if form[0] == "div" and a in top]
+    plan = [(witness, _offsets(witness, necessary, sign, period))
+            for witness in (None, *(uppers if use_uppers else lowers))]
     n_atoms = count_atoms(nnf_body) + 1
-    estimate = period * (1 + len(boundary)) * n_atoms
+    estimate = sum(len(steps) for _, steps in plan) * n_atoms
     if estimate > max_atoms:
         raise ResourceCapError("output atoms", max_atoms, estimate)
 
@@ -743,9 +774,8 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
         return _join(True, (template([leaf(form) for form in solved]),
                             _atom_simplified(Atom(DIV, w, ZERO, delta))))
 
-    offsets = [-j if use_uppers else j for j in range(1, period + 1)]
-    return _join(False, (instantiate(witness, off)
-                         for witness in (None, *boundary) for off in offsets))
+    return _join(False, (instantiate(witness, sign * j)
+                         for witness, steps in plan for j in steps))
 
 
 def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,

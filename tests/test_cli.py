@@ -71,6 +71,23 @@ class TestGenVerify:
             pairs.append((f.read_bytes(), m.read_bytes()))
         assert pairs[0] == pairs[1]
 
+    def test_rewrite_leaves_exactly_the_new_content(self, capsys, outdir):
+        fresh = {n: outdir / f"fresh.{n}" for n in ("pa", "json", "qe")}
+        stale = {n: outdir / f"stale.{n}" for n in ("pa", "json")}
+        target = outdir / "target.qe"
+        stale["qe"] = outdir / "link.qe"
+        stale["qe"].symlink_to(target)
+        for path in (*stale.values(), target):
+            path.write_text("stale " * 5000)
+        for out in (fresh, stale):
+            assert run(capsys, "gen", "--d", "3", "--out", str(out["pa"]),
+                       "--meta", str(out["json"]))[0] == 0
+            assert run(capsys, "qe", "--formula", str(out["pa"]),
+                       "--out", str(out["qe"]))[0] == 0
+        for n in fresh:
+            assert stale[n].read_bytes() == fresh[n].read_bytes(), n
+        assert stale["qe"].is_symlink()
+
     def test_meta_file_holds_no_witnesses(self, capsys, outdir):
         m = outdir / "n16.json"
         rc, _ = run(capsys, "gen", "--d", "16", "--out",

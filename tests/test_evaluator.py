@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pavc import evaluator
 from pavc.evaluator import (
     DEFAULT_MAX_POINTS,
     EvalError,
@@ -14,6 +15,7 @@ from pavc.evaluator import (
     ResourceCapError,
     compile_masks,
     compile_plan,
+    count_atoms,
     decide,
     eliminate_quantifiers,
     eval_bounded,
@@ -43,6 +45,7 @@ from pavc.formula import (
     free_vars,
     is_quantifier_free,
     mk_and,
+    mk_or,
     parse,
     to_text,
 )
@@ -507,17 +510,102 @@ class TestResourceCaps:
         assert err.value.kind == "coefficient bits"
 
 
+def eliminate_every_offset(f):
+    """eliminate_quantifiers with the case split it had before residue
+    stepping: every offset 1..period of every boundary term is built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_offsets",
+                      lambda witness, congruences, sign, period:
+                      range(1, period + 1))
+        return eliminate_quantifiers(f)
+
+
+def _sha(f):
+    return hashlib.sha256(to_text(f).encode()).hexdigest()
+
+
+def quantified_qf(rng):
+    """exists or forall v of a QF body over v, w, z with divs; a third of
+    them under a second quantifier, over z."""
+    nest = rng.random() < 1 / 3
+    body = random_qf(rng, "vwz", max_atoms=4 if nest else 6,
+                     coeff_bound=2 if nest else 3, allow_div=True)
+    f = rng.choice([Exists, Forall])("v", body)
+    if nest:
+        join = mk_and if rng.random() < 0.5 else mk_or
+        f = rng.choice([Exists, Forall])("z", join(
+            [f, random_qf(rng, "vwz", max_atoms=2, allow_div=True)]))
+    return f
+
+
+class TestResidueSteppedSplit:
+    """The case split builds only the offsets that (div delta w) and the
+    top-level div conjuncts allow; the offsets it skips give disjuncts that
+    are false for every value of the free variables."""
+
+    def test_fuzz_against_every_offset(self):
+        for i in range(120):
+            f = quantified_qf(random.Random(8_800_000 + i))
+            got, want = eliminate_quantifiers(f), eliminate_every_offset(f)
+            assert count_atoms(got) <= count_atoms(want)
+            names = sorted(free_vars(f))
+            test_got, test_want = compile_plan(got, names), compile_plan(want, names)
+            for point in product(range(-6, 7), repeat=len(names)):
+                assert test_got(point) == test_want(point), (to_text(f), point)
+
+    def test_unsatisfiable_residues_leave_no_disjunct(self):
+        # 2x + 2y + 1 is odd, so no offset meets the div; the full split
+        # left two disjuncts that simplify cannot fold to F
+        f = parse("(exists x (and (div 4 (+ (* 2 x) (* 2 y) 1)) (< 0 x) (< x y)))",
+                  allow_div=True)
+        assert eliminate_quantifiers(f) is FALSE
+        old = eliminate_every_offset(f)
+        assert isinstance(old, Or) and len(old.parts) == 2
+        assert not any(eval_point(old, {"y": y}) for y in range(-30, 31))
+
+    def test_bridged_output_pinned(self):
+        pf, meta = encode_bridged(3)
+        got, old = eliminate_quantifiers(pf.formula), eliminate_every_offset(pf.formula)
+        # the full split's output is the one recorded before the stepping
+        assert _sha(old) == \
+            "058c98274422cf9623ddd9bd133d033ef06660237425b2939af8039a6882ebfe"
+        assert _sha(got) == \
+            "23b855a2044effb4eeaff46fbaeeb41231f1f30156c388efaf230f67bab0afc9"
+        assert (count_atoms(got), count_atoms(old)) == (384, 1184)
+        test_got, test_old = compile_plan(got, "xy"), compile_plan(old, "xy")
+        (x0, x1), (y0, y1) = meta.ground_window, meta.param_window
+        for point in product(range(x0, x1 + 1), range(y0, y1 + 1)):
+            assert test_got(point) == test_old(point), point
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_qe_is_oracle(seed):
+    # sentences: brute force over SOUND_BOX decides them (pavc.fuzz).  A
+    # single quantifier over v: with |w|, |z| <= 4 every order atom is
+    # constant for |v| > 33 and every div is periodic with a period
+    # dividing 60, so v over [-100, 100] sees every truth pattern of Z
+    rng = random.Random(seed)
+    s = random_sentence(rng)
+    assert decide(s) == eval_bounded(s, {}, {v: SOUND_BOX for v in bound_vars(s)})
+    f = rng.choice([Exists, Forall])("v", random_qf(rng, "vwz", allow_div=True))
+    qf = eliminate_quantifiers(f)
+    test, oracle = compile_plan(qf, "wz"), compile_plan(f, "wz", {"v": (-100, 100)})
+    for point in product(range(-4, 5), repeat=2):
+        assert test(point) == oracle(point), (to_text(f), point)
+
+
 def test_qe_output_pinned():
-    # sha256 of the printed elimination output, recorded before the case
-    # split was rebuilt around templates; any change to QE output shows here
+    # sha256 of the printed elimination output, recorded with the case
+    # split that built every offset; residue stepping leaves it unchanged,
+    # and any change to QE output on these inputs shows here
     inputs = [random_sentence(random.Random(4_400_000 + i)) for i in range(200)]
-    inputs += [encode_naive(4)[0].formula, encode_naive(6)[0].formula,
-               encode_bridged(3)[0].formula]
+    inputs += [encode_naive(4)[0].formula, encode_naive(6)[0].formula]
     digest = hashlib.sha256()
     for f in inputs:
         digest.update(to_text(eliminate_quantifiers(f)).encode() + b"\n")
     assert digest.hexdigest() == \
-        "0a59f90eeb70a53633f140f7098dcc9240cd8caa7829c4d9539ca4171959479f"
+        "20128a65eb9e2d9dcace7e7860c2fcde45f02fa83d7f7c9c889f90a6846bbd82"
 
 
 def test_negation_duality_fuzz():
