@@ -1,16 +1,18 @@
 """Evaluation and quantifier elimination for linear integer formulas.
 
-Evaluation compiles a formula once, by one of two routes.  compile_plan
-makes a test of points over a fixed variable order, checking free
-variables, hints and the point cap at compile time; eval_point,
-eval_ground, eval_bounded and the other families use it.
-compile_masks evaluates a quantifier-free formula over a window of its
-last variable as one int (intervals, bits and periodic masks for atoms,
-bit operations for connectives); vclab.family_from_formula uses it for
+Evaluation compiles a formula once, by one builder that reads each atom
+as a linear form and gives an int over a window of one variable: bit j
+is the truth of the formula with that variable at window[j] (intervals,
+bits and periodic masks for atoms, bit operations for connectives).  A
+point is the one-bit window.  compile_plan makes a test of points over
+a fixed variable order, checking free variables, hints and the point
+cap at compile time; eval_point, eval_ground, eval_bounded and the other
+families use it.  compile_masks takes a quantifier-free formula over a
+window of its last variable; vclab.family_from_formula uses it for
 quantifier-free bodies with parameters: O(atoms x |ground|) big-int
 operations instead of O(atoms x |ground| x window) point tests.  Under
 bounded semantics (each quantified variable ranges over its hint
-interval) two rules keep compile_plan's work per point small:
+interval) two rules keep the work per point small:
 
 * Equality substitution, at compile time, innermost first (Cooper
   1972): exists v (c*v = t and R) over [lo, hi] becomes
@@ -55,8 +57,9 @@ offsets actually planned, and a maximum coefficient bit length.
 from __future__ import annotations
 
 import os
+from itertools import count
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
@@ -172,41 +175,17 @@ def _presolve(f: Formula, hints: Mapping[str, tuple[int, int]]) -> Formula:
 
 
 _Env = list[int]
-_Test = Callable[[_Env], bool]
+_Test = Callable[[_Env], int]
 
 
-def _atom_test(a: Atom, scope: Mapping[str, int]) -> _Test:
+def _linear(a: Atom, var: str | None, scope: Mapping[str, int]
+            ) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """(c, pairs, k) such that `a` reads c*var + k + the sum of ci*env[i]
+    over pairs (i, ci), compared with 0 by its kind.  A strict atom comes
+    shifted to <=, since t < 0 iff t + 1 <= 0 over the integers."""
     g = a.left - a.right
-    pairs = tuple((scope[v], c) for v, c in g.coeffs)
-    k = g.const + (a.kind == LT)  # integers: t < 0 iff t + 1 <= 0
-    kind, m = a.kind, a.modulus
-
-    def test(env: _Env) -> bool:
-        t = k
-        for i, c in pairs:
-            t += c * env[i]
-        if kind == DIV:
-            return t % m == 0
-        return t == 0 if kind == EQ else t <= 0
-    return test
-
-
-def _all_test(parts: tuple[_Test, ...]) -> _Test:
-    def test(env: _Env) -> bool:
-        for p in parts:
-            if not p(env):
-                return False
-        return True
-    return test
-
-
-def _any_test(parts: tuple[_Test, ...]) -> _Test:
-    def test(env: _Env) -> bool:
-        for p in parts:
-            if p(env):
-                return True
-        return False
-    return test
+    pairs = tuple((scope[v], c) for v, c in g.coeffs if v != var)
+    return g.coeff(var), pairs, g.const + (a.kind == LT)
 
 
 def _forall_test(slot: int, values: range, body: _Test) -> _Test:
@@ -299,6 +278,112 @@ def _checked_vars(f: Formula, variables: Iterable[str]) -> tuple[str, ...]:
     return variables
 
 
+def _compile(f: Formula, scope: Mapping[str, int],
+             hints: Mapping[str, tuple[int, int]], slots: Iterator[int],
+             last: str | None = None, window: range = range(1)) -> _Test:
+    """Compile `f` into a test of environments, which hold each variable
+    at its slot in `scope`.
+
+    The test gives an int whose bit j is the truth of `f` with `last` at
+    window[j]; a point is a one-bit window and no `last`.  Quantifiers
+    are compiled only for points: each quantified variable takes a fresh
+    slot from `slots` and ranges over its interval in `hints`.
+    """
+    width = len(window)
+    full = (1 << width) - 1
+    if isinstance(f, Atom):
+        f = _atom_simplified(f)
+    if isinstance(f, Bool):
+        value = full if f.value else 0
+        return lambda env: value
+    if isinstance(f, Atom):
+        c, pairs, k = _linear(f, last, scope)
+        kind, m = f.kind, f.modulus
+        if c == 0:  # one truth over the whole window
+            def test(env: _Env) -> int:
+                t = k
+                for i, ci in pairs:
+                    t += ci * env[i]
+                if kind == DIV:
+                    hit = t % m == 0
+                else:
+                    hit = t == 0 if kind == EQ else t <= 0
+                return full if hit else 0
+            return test
+        k += c * window.start
+        common, n, inv = _div_solver(c, m) if kind == DIV else (1, 1, 0)
+        comb, span = 1, n  # bits 0, n, 2n, ... up to width, by doubling
+        while kind == DIV and span < width:
+            comb, span = comb | comb << span, span << 1
+
+        def mask(env: _Env) -> int:  # bit j: t + c*j <= 0, = 0 or divisible
+            t = k
+            for i, ci in pairs:
+                t += ci * env[i]
+            if kind == DIV:  # the comb shifted to the residue of j mod n
+                return 0 if t % common else comb << t // common * inv % n & full
+            if kind == EQ:
+                return 1 << -t // c if t % c == 0 and 0 <= -t // c < width else 0
+            if c > 0:  # j <= -t // c
+                return full >> width - min(width, max(0, -t // c + 1))
+            return full ^ full >> width - min(width, max(0, -(t // c)))  # j >= -(t // c)
+        return mask
+    if isinstance(f, Not):
+        body = _compile(f.body, scope, hints, slots, last, window)
+        return lambda env: full ^ body(env)
+    if isinstance(f, And):
+        parts = tuple(_compile(p, scope, hints, slots, last, window) for p in f.parts)
+
+        def test(env: _Env) -> int:  # stops at 0
+            out = full
+            for p in parts:
+                out &= p(env)
+                if not out:
+                    return 0
+            return out
+        return test
+    if isinstance(f, Or):
+        parts = tuple(_compile(p, scope, hints, slots, last, window) for p in f.parts)
+
+        def test(env: _Env) -> int:  # stops at full
+            out = 0
+            for p in parts:
+                out |= p(env)
+                if out == full:
+                    return full
+            return out
+        return test
+    if last is not None:
+        raise EvalError("mask evaluation needs a quantifier-free formula")
+    # every binder gets its own slot, so shadowing needs no restore
+    slot = next(slots)
+    inner = {**scope, f.var: slot}
+    lo, hi = hints[f.var]
+    if isinstance(f, Forall):
+        return _forall_test(slot, range(lo, hi + 1),
+                            _compile(f.body, inner, hints, slots))
+    fixed, bounds, divs, others = [], [], [], []
+    for part in _conjuncts(f.body):
+        if isinstance(part, Atom):
+            part = _atom_simplified(part)
+        if not isinstance(part, Atom):
+            (others if f.var in free_vars(part) else fixed).append(
+                _compile(part, inner, hints, slots))
+            continue
+        a, pairs, k = _linear(part, f.var, inner)
+        if a == 0:
+            fixed.append(_compile(part, inner, hints, slots))
+        elif part.kind == DIV:
+            divs.append((*_div_solver(a, part.modulus), pairs, k))
+        elif part.kind == EQ:
+            bounds.append((a, pairs, k))
+            bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
+        else:
+            bounds.append((a, pairs, k))
+    return _exists_test(slot, lo, hi, tuple(fixed), tuple(bounds),
+                        tuple(divs), tuple(others))
+
+
 def compile_plan(f: Formula, variables: Iterable[str],
                  hints: Mapping[str, tuple[int, int]] | None = None,
                  max_points: int = DEFAULT_MAX_POINTS
@@ -317,61 +402,13 @@ def compile_plan(f: Formula, variables: Iterable[str],
     worst = _worst_case_points(f, hints)
     if worst > max_points:
         raise ResourceCapError("enumeration points", max_points, worst)
-    n_slots = len(variables)
-
-    def build(g: Formula, scope: dict[str, int]) -> _Test:
-        nonlocal n_slots
-        if isinstance(g, Atom):
-            g = _atom_simplified(g)
-        if isinstance(g, Bool):
-            value = g.value
-            return lambda env: value
-        if isinstance(g, Atom):
-            return _atom_test(g, scope)
-        if isinstance(g, Not):
-            body = build(g.body, scope)
-            return lambda env: not body(env)
-        if isinstance(g, And):
-            return _all_test(tuple(build(p, scope) for p in g.parts))
-        if isinstance(g, Or):
-            return _any_test(tuple(build(p, scope) for p in g.parts))
-        # every binder gets its own slot, so shadowing needs no restore
-        slot = n_slots
-        n_slots += 1
-        inner = {**scope, g.var: slot}
-        lo, hi = hints[g.var]
-        if isinstance(g, Forall):
-            return _forall_test(slot, range(lo, hi + 1), build(g.body, inner))
-        fixed, bounds, divs, others = [], [], [], []
-        for part in _conjuncts(g.body):
-            if isinstance(part, Atom):
-                part = _atom_simplified(part)
-            if not isinstance(part, Atom):
-                (others if g.var in free_vars(part) else fixed).append(
-                    build(part, inner))
-                continue
-            lin = part.left - part.right
-            a = lin.coeff(g.var)
-            if a == 0:
-                fixed.append(build(part, inner))
-                continue
-            pairs = tuple((inner[v], c) for v, c in lin.coeffs if v != g.var)
-            k = lin.const
-            if part.kind == DIV:
-                divs.append((*_div_solver(a, part.modulus), pairs, k))
-            elif part.kind == EQ:
-                bounds.append((a, pairs, k))
-                bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
-            else:
-                bounds.append((a, pairs, k + (part.kind == LT)))
-        return _exists_test(slot, lo, hi, tuple(fixed), tuple(bounds),
-                            tuple(divs), tuple(others))
-
-    test = build(_presolve(f, hints), {v: i for i, v in enumerate(variables)})
-    pad = [0] * (n_slots - len(variables))
+    slots = count(len(variables))
+    test = _compile(_presolve(f, hints), {v: i for i, v in enumerate(variables)},
+                    hints, slots)
+    pad = [0] * (next(slots) - len(variables))
 
     def plan(values: Iterable[int]) -> bool:
-        return test([*values, *pad])
+        return bool(test([*values, *pad]))
     return plan
 
 
@@ -380,60 +417,10 @@ def compile_masks(f: Formula, variables: Iterable[str],
     """Compile a quantifier-free `f` once into a function from values of
     all but the last of `variables` to an int whose bit k is the truth of
     `f` with the last variable at window[k] (a range of step 1)."""
-    if not is_quantifier_free(f):
-        raise EvalError("mask evaluation needs a quantifier-free formula")
     *lead, last = _checked_vars(f, variables)
-    lo, width = window.start, len(window)
-    full = (1 << width) - 1
-
-    def leaf(a: Atom) -> Callable[[_Env], int]:
-        g = a.left - a.right
-        c = g.coeff(last)
-        pairs = tuple((lead.index(v), cv) for v, cv in g.coeffs if v != last)
-        k0, kind = g.const + (a.kind == LT) + c * lo, a.kind
-        common, n, inv = _div_solver(c, a.modulus) if kind == DIV else (1, 1, 0)
-        comb, span = 1, n  # bits 0, n, 2n, ... up to width, by doubling
-        while kind == DIV and span < width:
-            comb, span = comb | comb << span, span << 1
-
-        def mask(env: _Env) -> int:  # bit j: k + c*j <= 0, = 0 or divisible
-            k = k0
-            for i, cv in pairs:
-                k += cv * env[i]
-            if kind == DIV:  # the comb shifted to the residue of j mod n
-                return 0 if k % common else comb << k // common * inv % n & full
-            if c == 0:
-                return full if (k == 0 if kind == EQ else k <= 0) else 0
-            if kind == EQ:
-                return 1 << -k // c if k % c == 0 and 0 <= -k // c < width else 0
-            if c > 0:  # j <= -k // c
-                return full >> width - min(width, max(0, -k // c + 1))
-            return full ^ full >> width - min(width, max(0, -(k // c)))  # j >= -(k // c)
-        return mask
-
-    def build(g: Formula) -> Callable[[_Env], int]:
-        if isinstance(g, Bool):
-            value = full if g.value else 0
-            return lambda env: value
-        if isinstance(g, Atom):
-            return leaf(g)
-        if isinstance(g, Not):
-            body = build(g.body)
-            return lambda env: full ^ body(env)
-        parts = tuple(build(p) for p in g.parts)
-        stop, join = (0, int.__and__) if isinstance(g, And) else (full, int.__or__)
-
-        def fold(env: _Env) -> int:  # and stops at 0, or at FULL
-            out = full ^ stop
-            for p in parts:
-                out = join(out, p(env))
-                if out == stop:
-                    break
-            return out
-        return fold
-
-    root = build(f)
-    return lambda values: root(list(values))
+    test = _compile(f, {v: i for i, v in enumerate(lead)}, {}, count(),
+                    last, window)
+    return lambda values: test(list(values))
 
 
 def eval_point(f: Formula, env: Mapping[str, int]) -> bool:
@@ -538,27 +525,35 @@ def simplify(f: Formula) -> Formula:
 
 def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
     """Negation normal form; atoms mentioning `var` are normalized so the
-    only var-forms left are strict < atoms and (possibly negated) div."""
+    only var-forms left are strict < atoms and (possibly negated) div.
+    An atom with `var` on both sides at equal coefficients does not
+    really mention it: its < atoms come out as 0 < right - left, so the
+    case split sees only atoms with a nonzero effective coefficient."""
     if isinstance(f, Bool):
         return Bool(f.value != neg)
     if isinstance(f, Atom):
         has_var = var in (f.left.vars() | f.right.vars())
         if f.kind == DIV:
             return Not(f) if neg else f
-        if not neg:
-            if not has_var:
-                return f
-            if f.kind == LE:
-                return Atom(LT, f.left, f.right.shifted(1))
-            if f.kind == EQ:
-                return And((Atom(LT, f.left, f.right.shifted(1)),
-                            Atom(LT, f.right, f.left.shifted(1))))
+        if not (neg or has_var):
             return f
+        cancelled = has_var and (f.left - f.right).coeff(var) == 0
+
+        def lt(left: LinearTerm, right: LinearTerm) -> Atom:
+            return Atom(LT, ZERO, right - left) if cancelled \
+                else Atom(LT, left, right)
+        if not neg:
+            if f.kind == LE:
+                return lt(f.left, f.right.shifted(1))
+            if f.kind == EQ:
+                return And((lt(f.left, f.right.shifted(1)),
+                            lt(f.right, f.left.shifted(1))))
+            return lt(f.left, f.right)
         if f.kind == LE:
-            return Atom(LT, f.right, f.left)
+            return lt(f.right, f.left)
         if f.kind == LT:
-            return Atom(LT, f.right, f.left.shifted(1))
-        return Or((Atom(LT, f.left, f.right), Atom(LT, f.right, f.left)))
+            return lt(f.right, f.left.shifted(1))
+        return Or((lt(f.left, f.right), lt(f.right, f.left)))
     if isinstance(f, Not):
         return _nnf(f.body, var, not neg)
     if isinstance(f, (And, Or)):
@@ -702,18 +697,6 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
         return simplify(shortcut[2])
 
     nnf_body = _nnf(body, var)
-
-    def drop_cancelled(a: Atom) -> Formula:
-        # var occurring on both sides with equal coefficients is not a
-        # real occurrence; normalize it away so the case split sees only
-        # atoms with a nonzero effective coefficient.
-        if a.kind == LT and var in (a.left.vars() | a.right.vars()):
-            g = a.right - a.left
-            if g.coeff(var) == 0:
-                return Atom(LT, ZERO, g)
-        return a
-
-    nnf_body = _rewrite_atoms(nnf_body, drop_cancelled)
     var_atoms = [a for a in dict.fromkeys(atoms_of(nnf_body))
                  if (a.left.coeff(var) if a.kind == DIV
                      else (a.right - a.left).coeff(var)) != 0]
@@ -811,11 +794,8 @@ def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,
     return result
 
 
-def decide(f: Formula, *, max_atoms: int | None = None,
-           max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS) -> bool:
+def decide(f: Formula) -> bool:
     """Truth value of a sentence over the integers."""
     if free_vars(f):
         raise EvalError(f"not a sentence: free {sorted(free_vars(f))}")
-    qf = eliminate_quantifiers(f, max_atoms=max_atoms,
-                               max_coeff_bits=max_coeff_bits)
-    return eval_ground(qf)
+    return eval_ground(eliminate_quantifiers(f))

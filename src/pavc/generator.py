@@ -373,7 +373,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Witness set below is a correct deterministic test for n < 3.3 * 10^24.
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _EXTRA_ROUNDS = 48  # error probability under 4^-48 << 2^-80 beyond the limit
-_TRIAL_LIMIT = 10 ** 12
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -412,39 +411,15 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
     return True
 
 
-def _is_prime_trial(n: int) -> bool:
-    if n > _TRIAL_LIMIT:
-        raise GeneratorError(
-            f"trial-division mode only for n <= {_TRIAL_LIMIT}")
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1 if f == 2 else 2
-    return True
-
-
-def next_prime_above(n: int, mode: str = "probabilistic", seed: int = 0) -> int:
-    """The least prime strictly greater than n.
-
-    mode "probabilistic" uses Miller-Rabin (seeded; see is_probable_prime);
-    mode "trial" is exact trial division, refused for n beyond 10^12.
-    """
+def next_prime_above(n: int, seed: int = 0) -> int:
+    """The least prime strictly greater than n, by Miller-Rabin (seeded;
+    see is_probable_prime)."""
     if n < 0:
         raise GeneratorError("n must be non-negative")
-    if mode == "trial":
-        check = _is_prime_trial
-    elif mode == "probabilistic":
-        def check(c: int) -> bool:
-            return is_probable_prime(c, seed=seed)
-    else:
-        raise GeneratorError(f"unknown prime search mode {mode!r}")
     gap_cap = 10_000 * (n.bit_length() + 1)
     candidate = n + 1
     while candidate <= n + gap_cap:
-        if check(candidate):
+        if is_probable_prime(candidate, seed=seed):
             return candidate
         candidate += 1
     raise GeneratorError(f"no prime found within {gap_cap} above {n}")

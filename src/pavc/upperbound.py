@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .evaluator import DEFAULT_MAX_COEFF_BITS, eliminate_quantifiers
+from .evaluator import eliminate_quantifiers
 from .formula import (
     DIV,
     Atom,
@@ -130,12 +130,8 @@ def certificate(inv: AtomInventory) -> UpperBoundCertificate:
     return UpperBoundCertificate(ell, capacity_bound(ell))
 
 
-def upper_bound_via_qe(
-    pf: PartitionedFormula,
-    *,
-    max_atoms: int | None = None,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> tuple[UpperBoundCertificate, AtomInventory, dict]:
+def upper_bound_via_qe(pf: PartitionedFormula
+                       ) -> tuple[UpperBoundCertificate, AtomInventory, dict]:
     """Eliminate quantifiers, then certify a VC upper bound from the atoms.
 
     Returns the certificate, the atom inventory it counts, and elimination
@@ -143,8 +139,7 @@ def upper_bound_via_qe(
     variables as the parameter variables range over all integers.
     """
     before = len(list(dict.fromkeys(atoms_of(pf.formula))))
-    qf = eliminate_quantifiers(pf.formula, max_atoms=max_atoms,
-                               max_coeff_bits=max_coeff_bits)
+    qf = eliminate_quantifiers(pf.formula)
     inv = inventory(qf)
     worst_bits = 0
     for a, _ in inv.entries:

@@ -210,8 +210,8 @@ def family_from_formula(pf: PartitionedFormula,
                         param_windows: Mapping[str, tuple[int, int]]
                         | tuple[int, int],
                         mode: str = "bounded",
-                        hints: Mapping[str, tuple[int, int]] | None = None,
-                        *, max_atoms: int | None = None) -> SetFamily:
+                        hints: Mapping[str, tuple[int, int]] | None = None
+                        ) -> SetFamily:
     """Sweep the parameter box; each parameter point contributes the set of
     ground objects satisfying the formula.
 
@@ -242,8 +242,7 @@ def family_from_formula(pf: PartitionedFormula,
     points = prod(r.stop - r.start for r in (ground, *param_ranges))
     if points > DEFAULT_MAX_POINTS:
         raise ResourceCapError("enumeration points", DEFAULT_MAX_POINTS, points)
-    body = pf.formula if mode == "bounded" else \
-        eliminate_quantifiers(pf.formula, max_atoms=max_atoms)
+    body = pf.formula if mode == "bounded" else eliminate_quantifiers(pf.formula)
     members = []
     if pf.param_vars and is_quantifier_free(body):
         *outer, window = param_ranges

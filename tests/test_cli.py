@@ -112,7 +112,7 @@ class TestGenVerify:
         assert got["extensional_membership"] is True
         detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
         assert detail["witnesses_check_out"] == \
-            "witness for t=4 fails the collapse system"
+            "spread progressions differ from those of d"
 
     def test_missing_progression_fails_named_check(self, capsys, outdir):
         f = str(outdir / "m3.pa")
@@ -128,7 +128,7 @@ class TestGenVerify:
         assert got["extensional_membership"] is True
         detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
         assert detail["witnesses_check_out"] == \
-            "witness for t=1 fails the collapse system"
+            "spread progressions differ from those of d"
 
     def test_lengthened_progression_fails_named_check(self, capsys, outdir):
         # every derived witness still lies in its progression, but the

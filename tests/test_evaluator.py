@@ -446,6 +446,23 @@ class TestEliminationAnchors:
         f = parse("(and (< x 1) (div 3 x))", allow_div=True)
         assert eliminate_quantifiers(f) == simplify(f)
 
+    @pytest.mark.parametrize("text, want", [
+        ("(exists x (and (< (+ x y) (+ x 3)) (< 0 x)))",
+         "(< 0 (+ (* -1 y) 3))"),
+        ("(exists x (and (= (+ x y) (+ x 2)) (div 3 x)))",
+         "(and (< 0 (+ (* -1 y) 3)) (< 0 (+ (* 1 y) -1)))"),
+    ])
+    def test_variable_cancelling_on_both_sides(self, text, want):
+        # x + y < x + 3 does not mention x: the case split must not
+        # count it as a bound on x
+        f = parse(text, allow_div=True)
+        qf = eliminate_quantifiers(f)
+        assert to_text(qf) == want
+        assert "x" not in free_vars(qf)
+        for y in range(-10, 11):
+            assert eval_point(qf, {"y": y}) == \
+                eval_bounded(f, {"y": y}, {"x": SOUND_BOX})
+
 
 class TestEliminationDifferential:
     def test_sentences_against_bounded_brute_force(self):

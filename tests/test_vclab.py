@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from pavc.fuzz import random_family
-from pavc.generator import encode_naive, lex_subset
+from pavc.generator import encode_bridged, encode_naive, lex_subset
 from pavc.vclab import (
     SetFamily,
     ShatterReport,
@@ -308,8 +308,13 @@ class TestFamilyFromFormula:
         rep = vc_dimension(fam)
         assert rep.vc_dim == 2  # intervals on a line
 
-    def test_qe_mode_agrees_with_bounded(self):
-        pf, meta = encode_naive(2)
+    @pytest.mark.parametrize("encode, d",
+                             [(encode_naive, d) for d in range(1, 6)]
+                             + [(encode_bridged, d) for d in range(1, 5)])
+    def test_qe_mode_agrees_with_bounded(self, encode, d):
+        # the point plan on the quantified body against the window masks
+        # on its eliminated form
+        pf, meta = encode(d)
         bounded = family_from_formula(pf, meta.ground_window,
                                       meta.param_window,
                                       hints=meta.hint_map())
