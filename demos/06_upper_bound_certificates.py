@@ -38,7 +38,7 @@ print("after elimination:", stats)
 print("certified dimension bound:", cert.bound)
 
 # the certificate must dominate anything we can measure on windows
-fam = family_from_formula(pf, (0, 11), (-4, 12), mode="qe")
+fam = family_from_formula(pf, (0, 11), {"y": (-4, 12)}, mode="qe")
 measured = vc_dimension(fam).vc_dim
 print("measured on windows:", measured, " certificate:", cert.bound,
       " dominated:", measured <= cert.bound)

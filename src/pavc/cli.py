@@ -24,7 +24,8 @@ from dataclasses import asdict, replace
 from typing import Sequence
 
 from . import contfrac
-from .evaluator import EvalError, ResourceCapError, eliminate_quantifiers
+from .evaluator import (DEFAULT_MAX_ATOMS, EvalError, ResourceCapError,
+                        eliminate_quantifiers)
 from .formula import (
     FormulaError,
     PartitionedFormula,
@@ -53,6 +54,7 @@ from .generator import (
 )
 from .upperbound import certificate_report, upper_bound_via_qe
 from .vclab import (
+    DEFAULT_VC_CAP,
     SetFamily,
     VcLabError,
     family_from_formula,
@@ -185,7 +187,7 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
         raw = json.load(fh)
     try:
         meta = meta_from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormulaError(f"unreadable meta file {args.meta}: {exc!r}")
     d = meta.d
     if pf.object_vars != (meta.object_var,) or pf.param_vars != (meta.param_var,):
@@ -233,10 +235,11 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
         else f"block y={bad_label} selects the wrong subset",
     ))
 
-    shattered, _ = is_shattered(fam.ground, fam, cap=max(20, d))
+    # d <= DEFAULT_D_CAP, below the default cap of both searches
+    shattered, _ = is_shattered(fam.ground, fam)
     checks.append(_check("ground_window_shattered", shattered))
 
-    rep = vc_dimension(fam, cap=max(20, d))
+    rep = vc_dimension(fam)
     checks.append(_check("vc_dimension_exact", rep.vc_dim == d,
                          f"measured {rep.vc_display()}, expected {d}"))
 
@@ -406,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "generate high-VC families, decide and measure "
                     "formulas, and verify shattering at desk scale.",
         epilog="Set PAVC_MAX_ATOMS to override the quantifier-elimination "
-               "atom cap (default 1000000, at least 1).")
+               f"atom cap (default {DEFAULT_MAX_ATOMS}, at least 1).")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a high-VC formula and its meta file")
@@ -430,14 +433,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vc", help="measure the VC-dimension of a family")
     _family_args(p)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=DEFAULT_VC_CAP)
     p.add_argument("--expect-vc", type=int, default=None)
     p.set_defaults(fn=_cmd_vc)
 
     p = sub.add_parser("shatter",
                        help="check shattering or evaluate the shatter function")
     _family_args(p)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=DEFAULT_VC_CAP)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", type=_int_list,
                        help="comma-separated ground points")

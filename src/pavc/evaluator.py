@@ -51,7 +51,9 @@ simplified.
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
 PAVC_MAX_ATOMS environment variable), checked against the atoms of the
-offsets actually planned, and a maximum coefficient bit length.
+offsets actually planned, and a maximum bit length of the coefficients,
+constants and moduli of each step's input and result.  Each cap is one
+module-level constant, read when it is enforced.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ from .formula import (
 )
 
 DEFAULT_MAX_ATOMS = 10 ** 6
-DEFAULT_MAX_COEFF_BITS = 10 ** 5
+# below the 4,300 digits (about 14,284 bits) that str() of an int allows
+DEFAULT_MAX_COEFF_BITS = 14_000
 DEFAULT_MAX_POINTS = 10 ** 8
 
 MAX_ATOMS_ENV = "PAVC_MAX_ATOMS"
@@ -92,9 +95,13 @@ class ResourceCapError(RuntimeError):
         self.needed = needed
 
 
-def resolve_max_atoms(max_atoms: int | None) -> int:
-    if max_atoms is not None:
-        return max_atoms
+def _enforce(kind: str, limit: int, needed: int) -> None:
+    if needed > limit:
+        raise ResourceCapError(kind, limit, needed)
+
+
+def resolve_max_atoms() -> int:
+    """The output-atom cap: PAVC_MAX_ATOMS when set, else DEFAULT_MAX_ATOMS."""
     raw = os.environ.get(MAX_ATOMS_ENV)
     if raw is None:
         return DEFAULT_MAX_ATOMS
@@ -105,6 +112,11 @@ def resolve_max_atoms(max_atoms: int | None) -> int:
     if value < 1:
         raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}: must be at least 1")
     return value
+
+
+def check_points(needed: int) -> None:
+    """Refuse (ResourceCapError) to enumerate more than DEFAULT_MAX_POINTS."""
+    _enforce("enumeration points", DEFAULT_MAX_POINTS, needed)
 
 
 def count_atoms(f: Formula) -> int:
@@ -385,8 +397,7 @@ def _compile(f: Formula, scope: Mapping[str, int],
 
 
 def compile_plan(f: Formula, variables: Iterable[str],
-                 hints: Mapping[str, tuple[int, int]] | None = None,
-                 max_points: int = DEFAULT_MAX_POINTS
+                 hints: Mapping[str, tuple[int, int]] | None = None
                  ) -> Callable[[Iterable[int]], bool]:
     """Compile `f` once into a test of points over `variables`.
 
@@ -395,13 +406,11 @@ def compile_plan(f: Formula, variables: Iterable[str],
     its interval in `hints`.  Raises EvalError when a free variable of f
     is not in `variables`, MissingHintError when a quantified variable
     has no hint, and ResourceCapError when the worst root-to-leaf product
-    of interval sizes in f exceeds `max_points`.
+    of interval sizes in f exceeds DEFAULT_MAX_POINTS.
     """
     variables = _checked_vars(f, variables)
     hints = {} if hints is None else hints
-    worst = _worst_case_points(f, hints)
-    if worst > max_points:
-        raise ResourceCapError("enumeration points", max_points, worst)
+    check_points(_worst_case_points(f, hints))
     slots = count(len(variables))
     test = _compile(_presolve(f, hints), {v: i for i, v in enumerate(variables)},
                     hints, slots)
@@ -438,16 +447,15 @@ def eval_ground(f: Formula) -> bool:
 
 
 def eval_bounded(f: Formula, point: Mapping[str, int],
-                 hints: Mapping[str, tuple[int, int]],
-                 max_points: int = DEFAULT_MAX_POINTS) -> bool:
+                 hints: Mapping[str, tuple[int, int]]) -> bool:
     """Evaluate with quantifiers ranging over finite hint intervals.
 
     `point` assigns every free variable; `hints` maps every quantified
     variable to an inclusive interval.  Refuses upfront (ResourceCapError)
     when the worst root-to-leaf product of interval sizes exceeds
-    `max_points`.
+    DEFAULT_MAX_POINTS.
     """
-    return compile_plan(f, point, hints, max_points)(point.values())
+    return compile_plan(f, point, hints)(point.values())
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +694,7 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     return range(1 + (res - 1) % mod, period + 1, mod)
 
 
-def _eliminate_exists(var: str, body: Formula, max_atoms: int,
-                      max_coeff_bits: int) -> Formula:
+def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
     """Simplified QF equivalent of exists var body, for a simplified QF body."""
     if var not in free_vars(body):
         return body
@@ -712,19 +719,14 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
     period = delta
     lowers: dict[LinearTerm, None] = {}
     uppers: dict[LinearTerm, None] = {}
-    worst_bits = bitlen(delta)
     for form in solved:
         if form[0] == "div":
             period = lcm(period, form[1])
-            worst_bits = max(worst_bits, bitlen(form[1]), form[2].max_coeff_bits())
-        elif form[0] == "lower":
-            lowers[form[1]] = None
-            worst_bits = max(worst_bits, form[1].max_coeff_bits())
         else:
-            uppers[form[1]] = None
-            worst_bits = max(worst_bits, form[1].max_coeff_bits())
-    if worst_bits > max_coeff_bits:
-        raise ResourceCapError("coefficient bits", max_coeff_bits, worst_bits)
+            (lowers if form[0] == "lower" else uppers)[form[1]] = None
+    _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS, max(
+        bitlen(delta), *(form[-1].max_coeff_bits() for form in solved),
+        *(bitlen(form[1]) for form in solved if form[0] == "div")))
 
     use_uppers = len(uppers) < len(lowers)
     sign = -1 if use_uppers else 1
@@ -734,10 +736,9 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
                                    if form[0] == "div" and a in top]
     plan = [(witness, _offsets(witness, necessary, sign, period))
             for witness in (None, *(uppers if use_uppers else lowers))]
-    n_atoms = count_atoms(nnf_body) + 1
-    estimate = sum(len(steps) for _, steps in plan) * n_atoms
-    if estimate > max_atoms:
-        raise ResourceCapError("output atoms", max_atoms, estimate)
+    # counted, not len(): a range longer than 2^63 overflows len()
+    offsets = sum(-((s.start - s.stop) // s.step) for _, s in plan)
+    _enforce("output atoms", atoms_cap, offsets * (count_atoms(nnf_body) + 1))
 
     template = _template(nnf_body, {a: i for i, a in enumerate(var_atoms)})
     dropped = "upper" if use_uppers else "lower"
@@ -761,15 +762,15 @@ def _eliminate_exists(var: str, body: Formula, max_atoms: int,
                          for witness, steps in plan for j in steps))
 
 
-def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,
-                          max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS) -> Formula:
+def eliminate_quantifiers(f: Formula) -> Formula:
     """Equivalent quantifier-free formula over the same free variables.
 
     Output may contain div atoms.  Raises ResourceCapError when an
-    elimination step would exceed the atom-count cap (default 10**6,
-    PAVC_MAX_ATOMS overrides) or the coefficient bit cap.
+    elimination step would exceed the atom-count cap (DEFAULT_MAX_ATOMS,
+    PAVC_MAX_ATOMS overrides) or the coefficient bit cap
+    (DEFAULT_MAX_COEFF_BITS), on its input or its result.
     """
-    atoms_cap = resolve_max_atoms(max_atoms)
+    atoms_cap = resolve_max_atoms()
 
     def walk(g: Formula) -> Formula:
         """simplify of g with its quantifiers eliminated."""
@@ -780,17 +781,17 @@ def eliminate_quantifiers(f: Formula, *, max_atoms: int | None = None,
         if isinstance(g, (And, Or)):
             return _join(isinstance(g, And), [walk(p) for p in g.parts])
         if isinstance(g, Exists):
-            return _eliminate_exists(g.var, walk(g.body), atoms_cap,
-                                     max_coeff_bits)
-        if isinstance(g, Forall):  # forall x F == not exists x not F
-            return _negate(_eliminate_exists(g.var, _negate(walk(g.body)),
-                                             atoms_cap, max_coeff_bits))
-        raise EvalError(f"not a formula: {g!r}")
+            out = _eliminate_exists(g.var, walk(g.body), atoms_cap)
+        elif isinstance(g, Forall):  # forall x F == not exists x not F
+            out = _negate(_eliminate_exists(g.var, _negate(walk(g.body)), atoms_cap))
+        else:
+            raise EvalError(f"not a formula: {g!r}")
+        _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
+                 max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
+        return out
 
     result = walk(f)
-    produced = count_atoms(result)
-    if produced > atoms_cap:
-        raise ResourceCapError("output atoms", atoms_cap, produced)
+    _enforce("output atoms", atoms_cap, count_atoms(result))
     return result
 
 

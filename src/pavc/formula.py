@@ -230,6 +230,11 @@ class Atom(Formula):
         elif self.modulus is not None:
             raise FormulaError("modulus is only meaningful for div atoms")
 
+    def max_coeff_bits(self) -> int:
+        """The largest bitlen of a coefficient, constant or modulus."""
+        return max(self.left.max_coeff_bits(), self.right.max_coeff_bits(),
+                   bitlen(self.modulus or 0))
+
 
 @_node
 class Not(Formula):
@@ -502,6 +507,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past the int/str conversion limit, 4,300 digits
+            raise self._fail(f"integer literal too long: "
+                             f"{len(tok.text.lstrip('-'))} digits", tok) from None
+
     def expect(self, text: str) -> _Token:
         tok = self.take()
         if tok.text != text:
@@ -530,10 +542,10 @@ class _Parser:
                 if not _is_var(var_tok.text):
                     raise self._fail(f"invalid variable {var_tok.text!r}", var_tok)
                 self.expect(")")
-                return LinearTerm.of({var_tok.text: int(coef_tok.text)})
+                return LinearTerm.of({var_tok.text: self.integer(coef_tok)})
             raise self._fail(f"unknown term operator {op.text!r}", op)
         if _is_int(tok.text):
-            return LinearTerm.num(int(tok.text))
+            return LinearTerm.num(self.integer(tok))
         if _is_var(tok.text):
             return LinearTerm.var(tok.text)
         raise self._fail(f"expected a term, found {tok.text!r}", tok)
@@ -558,11 +570,12 @@ class _Parser:
                 raise self._fail("div atoms are disabled here (pass allow_div=True)",
                                  head)
             mod_tok = self.take()
-            if not _is_int(mod_tok.text) or int(mod_tok.text) < 1:
+            modulus = self.integer(mod_tok) if _is_int(mod_tok.text) else 0
+            if modulus < 1:
                 raise self._fail("div needs a positive integer modulus", mod_tok)
             term = self.parse_term()
             self.expect(")")
-            return Atom(DIV, term, ZERO, int(mod_tok.text))
+            return Atom(DIV, term, ZERO, modulus)
         if h == "not":
             body = self.parse_formula(scope)
             self.expect(")")
@@ -594,8 +607,9 @@ def parse(text: str, *, allow_div: bool = False,
           declared_free: Iterable[str] | None = None) -> Formula:
     """Parse one formula.
 
-    Raises FormulaSyntaxError with line:column on malformed input or
-    nesting deeper than MAX_NESTING, ShadowingError on variable shadowing,
+    Raises FormulaSyntaxError with line:column on malformed input,
+    nesting deeper than MAX_NESTING or an integer literal past the int/str
+    conversion limit (4,300 digits), ShadowingError on variable shadowing,
     and UnboundVariableError when `declared_free` is given and the
     formula's free variables are not a subset of it.
     """
@@ -658,16 +672,14 @@ def parse_partitioned(text: str, *, allow_div: bool = False) -> PartitionedFormu
     objects: tuple[str, ...] | None = None
     params: tuple[str, ...] | None = None
     body_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         stripped = raw.strip()
         if stripped.startswith(OBJECTS_HEADER):
             objects = tuple(stripped[len(OBJECTS_HEADER):].split())
         elif stripped.startswith(PARAMS_HEADER):
             params = tuple(stripped[len(PARAMS_HEADER):].split())
-        elif stripped.startswith("#"):
-            body_lines.append("")
-        else:
-            body_lines.append(raw)
+        # blank out headers and comments, so positions are the file's
+        body_lines.append("" if stripped.startswith("#") else raw)
     if objects is None or params is None:
         raise FormulaSyntaxError(
             "missing '#objects:' or '#params:' header", 1, 1)

@@ -144,11 +144,11 @@ def random_sentence(rng: Random) -> Formula:
     return out
 
 
-def random_qf(rng: Random, names: Sequence[str], *, max_atoms: int = 6,
+def random_qf(rng: Random, names: Sequence[str], *, atom_bound: int = 6,
               coeff_bound: int = 3, const_bound: int = 8,
               allow_div: bool = False) -> Formula:
-    """Quantifier-free formula over the given variables."""
-    n = rng.randint(1, max_atoms)
+    """Quantifier-free formula of 1..atom_bound atoms over `names`."""
+    n = rng.randint(1, atom_bound)
     atoms: list[Formula] = []
     for _ in range(n):
         coeffs = {v: rng.randint(-coeff_bound, coeff_bound) for v in names}

@@ -52,9 +52,10 @@ class GadgetUnavailableError(NotImplementedError):
     """Raised by the declared-but-unbuilt compressed encoder."""
 
 
-def _check_d(d: int, cap: int = DEFAULT_D_CAP) -> None:
-    if not 1 <= d <= cap:
-        raise GeneratorError(f"d must be in [1, {cap}], got {d}")
+def _check_d(d: int) -> int:
+    if not 1 <= d <= DEFAULT_D_CAP:
+        raise GeneratorError(f"d must be in [1, {DEFAULT_D_CAP}], got {d}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +85,9 @@ def code_set_contains(d: int, t: int) -> bool:
     return bool(((1 << d) - 1 - j) >> (i - 1) & 1)
 
 
-def build_code_set(d: int, cap: int = DEFAULT_D_CAP) -> tuple[int, ...]:
+def build_code_set(d: int) -> tuple[int, ...]:
     """All code-set elements, sorted.  The largest is at most d*2^d."""
-    _check_d(d, cap)
+    _check_d(d)
     # block j holds i iff bit i-1 of j is clear; it spans t = d*j + 1 .. d*j + d
     return tuple(i + d * j for j in range(1 << d) for i in range(1, d + 1)
                  if not j >> (i - 1) & 1)
@@ -447,11 +448,14 @@ def meta_to_json(meta: GeneratorMeta) -> dict:
 
 
 def meta_from_json(data: Mapping) -> GeneratorMeta:
+    """GeneratorError when d is out of range or a pair is not [lo, hi]."""
     def pair(xs) -> tuple[int, int]:
+        if not isinstance(xs, list) or len(xs) != 2:
+            raise GeneratorError(f"expected a [lo, hi] pair, got {xs!r}")
         return (int(xs[0]), int(xs[1]))
 
     return GeneratorMeta(
-        d=int(data["d"]),
+        d=_check_d(int(data["d"])),
         encoder=data["encoder"],
         object_var=data["object_var"],
         param_var=data["param_var"],

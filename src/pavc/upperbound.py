@@ -19,7 +19,6 @@ from .formula import (
     Formula,
     PartitionedFormula,
     atoms_of,
-    bitlen,
     is_quantifier_free,
     to_text,
 )
@@ -28,6 +27,8 @@ from .formula import (
 # at the boundary up to _CONFIRM_LIMIT
 _EXACT_LIMIT = 4096
 _CONFIRM_LIMIT = 65536
+
+MAX_LISTED_ATOMS = 100  # certificate_report lists at most this many atoms
 
 
 class UpperBoundError(ValueError):
@@ -141,33 +142,27 @@ def upper_bound_via_qe(pf: PartitionedFormula
     before = len(list(dict.fromkeys(atoms_of(pf.formula))))
     qf = eliminate_quantifiers(pf.formula)
     inv = inventory(qf)
-    worst_bits = 0
-    for a, _ in inv.entries:
-        worst_bits = max(worst_bits, a.left.max_coeff_bits(),
-                         a.right.max_coeff_bits())
-        if a.kind == DIV:
-            worst_bits = max(worst_bits, bitlen(a.modulus))
     stats = {
         "atoms_before": before,
         "atoms_after": len(inv.entries),
-        "max_coeff_bits_after": worst_bits,
+        "max_coeff_bits_after": max((a.max_coeff_bits() for a, _ in inv.entries),
+                                    default=0),
     }
     return certificate(inv), inv, stats
 
 
-def certificate_report(cert: UpperBoundCertificate, inv: AtomInventory | None = None,
-                       qe_stats: dict | None = None,
-                       max_listed: int = 100) -> dict:
-    """JSON-ready summary; atom listing is truncated past max_listed."""
-    out: dict = {"ell": cert.ell, "vc_upper_bound": cert.bound,
-                 "certificate_valid": cert.check()}
-    if inv is not None:
-        listed = [{"atom": to_text(a), "capacity": b}
-                  for a, b in inv.entries[:max_listed]]
-        out["num_inequality"] = inv.num_inequality
-        out["num_congruence"] = inv.num_congruence
-        out["atoms"] = listed
-        out["atoms_truncated"] = len(inv.entries) > max_listed
+def certificate_report(cert: UpperBoundCertificate, inv: AtomInventory,
+                       qe_stats: dict | None = None) -> dict:
+    """JSON-ready summary; atom listing is truncated past MAX_LISTED_ATOMS."""
+    out: dict = {
+        "ell": cert.ell, "vc_upper_bound": cert.bound,
+        "certificate_valid": cert.check(),
+        "num_inequality": inv.num_inequality,
+        "num_congruence": inv.num_congruence,
+        "atoms": [{"atom": to_text(a), "capacity": b}
+                  for a, b in inv.entries[:MAX_LISTED_ATOMS]],
+        "atoms_truncated": len(inv.entries) > MAX_LISTED_ATOMS,
+    }
     if qe_stats is not None:
         out["qe_stats"] = dict(qe_stats)
     return out

@@ -13,8 +13,8 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import (DEFAULT_MAX_POINTS, ResourceCapError, compile_masks,
-                        compile_plan, eliminate_quantifiers)
+from .evaluator import (check_points, compile_masks, compile_plan,
+                        eliminate_quantifiers)
 from .formula import PartitionedFormula, is_quantifier_free
 
 DEFAULT_VC_CAP = 20
@@ -124,16 +124,16 @@ def _distinct_traces(masks: Sequence[int], subset_mask: int) -> int:
     return len({m & subset_mask for m in masks})
 
 
-def _most_traces(masks: Sequence[int], size: int, k: int,
-                 max_subsets: int) -> tuple[int, tuple[int, ...]]:
+def _most_traces(masks: Sequence[int], size: int, k: int
+                 ) -> tuple[int, tuple[int, ...]]:
     """The most distinct traces on any k of `size` ground indices, and the
     first index combination (in lexicographic order) that reaches it.
 
     The scan stops at the first combination with all 2^k traces.  Refuses
-    when C(size, k) exceeds max_subsets.
+    when C(size, k) exceeds DEFAULT_MAX_SUBSETS.
     """
-    if comb(size, k) > max_subsets:
-        raise VcLabError(f"C({size},{k}) subsets exceed the cap {max_subsets}")
+    if comb(size, k) > DEFAULT_MAX_SUBSETS:
+        raise VcLabError(f"C({size},{k}) subsets exceed the cap {DEFAULT_MAX_SUBSETS}")
     best, first = 0, ()
     if not masks:
         return best, first
@@ -150,8 +150,7 @@ def _most_traces(masks: Sequence[int], size: int, k: int,
     return best, first
 
 
-def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP,
-                 max_subsets: int = DEFAULT_MAX_SUBSETS) -> ShatterReport:
+def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP) -> ShatterReport:
     """VC-dimension of the finite family, read off its shatter-function
     table: the largest k <= cap with pi(k) = 2^k, with the first shattered
     k-subset as witness; capped means it reached cap.
@@ -159,14 +158,14 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP,
     Shattering is hereditary, so pi_table stops after the first k with
     pi(k) < 2^k (k = vc_dim + 1), at k = cap, or at k = n; no later entry
     could change the dimension.  A k in the table with more than
-    max_subsets k-subsets raises VcLabError.
+    DEFAULT_MAX_SUBSETS k-subsets raises VcLabError.
     """
     masks = fam.distinct_masks()
     n = len(fam.ground)
     table = []
     dim, witness = 0, ()
     for k in range(n + 1):
-        count, first = _most_traces(masks, n, k, max_subsets)
+        count, first = _most_traces(masks, n, k)
         table.append((k, count))
         if count == 1 << k and k <= cap:
             dim, witness = k, tuple(fam.ground[i] for i in first)
@@ -176,15 +175,14 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP,
                          pi_table=tuple(table))
 
 
-def shatter_function(fam: SetFamily, n: int,
-                     max_subsets: int = DEFAULT_MAX_SUBSETS) -> int:
+def shatter_function(fam: SetFamily, n: int) -> int:
     """pi(n): the largest number of distinct traces on any n ground points."""
     size = len(fam.ground)
     if n < 0:
         raise VcLabError("shatter function needs n >= 0")
     if n > size:
         raise VcLabError(f"n={n} exceeds the ground size {size}")
-    return _most_traces(fam.distinct_masks(), size, n, max_subsets)[0]
+    return _most_traces(fam.distinct_masks(), size, n)[0]
 
 
 def sauer_shelah_bound(d: int, n: int) -> int:
@@ -207,8 +205,7 @@ def _window_points(window: tuple[int, int]) -> range:
 
 def family_from_formula(pf: PartitionedFormula,
                         ground_window: tuple[int, int],
-                        param_windows: Mapping[str, tuple[int, int]]
-                        | tuple[int, int],
+                        param_windows: Mapping[str, tuple[int, int]],
                         mode: str = "bounded",
                         hints: Mapping[str, tuple[int, int]] | None = None
                         ) -> SetFamily:
@@ -226,11 +223,6 @@ def family_from_formula(pf: PartitionedFormula,
     if len(pf.object_vars) != 1:
         raise VcLabError("families need exactly one object variable")
     obj = pf.object_vars[0]
-    if isinstance(param_windows, tuple) and len(param_windows) == 2 \
-            and all(isinstance(v, int) for v in param_windows):
-        if len(pf.param_vars) != 1:
-            raise VcLabError("a single window needs a single parameter")
-        param_windows = {pf.param_vars[0]: param_windows}
     missing = set(pf.param_vars) - set(param_windows)
     if missing:
         raise VcLabError(f"missing parameter windows: {sorted(missing)}")
@@ -239,9 +231,7 @@ def family_from_formula(pf: PartitionedFormula,
         raise VcLabError(f"unknown mode {mode!r}")
     ground = _window_points(ground_window)
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
-    points = prod(r.stop - r.start for r in (ground, *param_ranges))
-    if points > DEFAULT_MAX_POINTS:
-        raise ResourceCapError("enumeration points", DEFAULT_MAX_POINTS, points)
+    check_points(prod(r.stop - r.start for r in (ground, *param_ranges)))
     body = pf.formula if mode == "bounded" else eliminate_quantifiers(pf.formula)
     members = []
     if pf.param_vars and is_quantifier_free(body):
@@ -261,10 +251,10 @@ def family_from_formula(pf: PartitionedFormula,
 
 
 def report_json(report: ShatterReport, fam: SetFamily,
-                ground_window: tuple[int, int] | None = None,
-                param_windows=None) -> dict:
+                ground_window: tuple[int, int],
+                param_windows: Mapping[str, tuple[int, int]]) -> dict:
     """JSON-ready summary; window integers rendered as decimal strings."""
-    out = {
+    return {
         "vc_dim": report.vc_dim,
         "vc_display": report.vc_display(),
         "capped": report.capped,
@@ -272,14 +262,7 @@ def report_json(report: ShatterReport, fam: SetFamily,
         "pi_table": [[n, count] for n, count in report.pi_table],
         "family_size": len(fam.members),
         "distinct_members": len(fam.distinct_masks()),
+        "ground_window": [str(v) for v in ground_window],
+        "param_windows": {v: [str(lo), str(hi)]
+                          for v, (lo, hi) in param_windows.items()},
     }
-    if ground_window is not None:
-        out["ground_window"] = [str(v) for v in ground_window]
-    if param_windows is not None:
-        if isinstance(param_windows, Mapping):
-            out["param_windows"] = {
-                v: [str(lo), str(hi)] for v, (lo, hi) in param_windows.items()
-            }
-        else:
-            out["param_windows"] = [str(v) for v in param_windows]
-    return out

@@ -205,7 +205,7 @@ def test_07_half_plane_families_have_dimension_one(capsys):
         expr = (f"({op} {lhs} y)" if rng.random() < 0.5
                 else f"({op} y {lhs})")
         pf = PartitionedFormula(parse(expr), ("x",), ("y",))
-        rep = vc_dimension(family_from_formula(pf, (0, 9), (-50, 50)))
+        rep = vc_dimension(family_from_formula(pf, (0, 9), {"y": (-50, 50)}))
         if rep.vc_dim != 1:
             wrong.append((i, expr, rep.vc_dim))
     ok = not wrong

@@ -18,6 +18,14 @@ def checks_by_name(report):
     return {c["name"]: c["pass"] for c in report["checks"]}
 
 
+def refused(capsys, *args):
+    """Exit code and stderr of a run that fails with one error line."""
+    rc = main(list(args))
+    err = capsys.readouterr().err
+    assert err.startswith(f"pavc {args[0]}: error: ") and err.count("\n") == 1
+    return rc, err
+
+
 @pytest.fixture
 def outdir(tmp_path):
     return tmp_path
@@ -180,6 +188,27 @@ class TestGenVerify:
         capsys.readouterr()
         assert rc == 3
 
+    @pytest.mark.parametrize("edit", [
+        {"ground_window": ["1"]},
+        {"hints": {"xh": ["0"], "yh": ["0", "1"]}},
+        {"hints": ["xh", "yh"]},
+        {"ground_window": ["1", "2", "3"]},
+        {"d": -1, "ground_window": ["1", "-1"]},
+        # windows consistent with d = 17: refused before any family is built
+        {"d": 17, "ground_window": ["1", "17"],
+         "param_window": ["0", str((1 << 17) - 1)],
+         "t_window": ["1", str(17 << 17)]},
+    ], ids=["one-entry-window", "one-entry-hint", "hint-list", "three-entry-window",
+            "negative-d", "d-over-the-cap"])
+    def test_malformed_meta_is_unreadable(self, capsys, outdir, edit):
+        f = str(outdir / "e2.pa")
+        m = outdir / "e2.json"
+        run(capsys, "gen", "--d", "2", "--out", f, "--meta", str(m))
+        m.write_text(json.dumps({**json.loads(m.read_text()), **edit}))
+        rc, err = refused(capsys, "verify", "--formula", f, "--meta", str(m))
+        assert rc == 3
+        assert "unreadable meta file" in err
+
 
 class TestUsageErrors:
     def test_d_zero_is_usage_error(self, capsys, outdir):
@@ -237,6 +266,36 @@ class TestResourceCap:
         assert rc == 3
         assert "enumeration points" in captured.err
 
+    @pytest.mark.parametrize("command", ["qe", "upperbound"])
+    def test_offset_count_past_2_63_exits_3(self, capsys, outdir, monkeypatch,
+                                            command):
+        # about 2^70 offsets, past what len() of a range can count
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        f = outdir / "lcm.pa"
+        f.write_text("#objects: y\n#params:\n"
+                     "(exists x (and (< (* 1180591620717411303425 x) y) "
+                     "(< y (* 1180591620717411303423 x))))\n")
+        rc, err = refused(capsys, command, "--formula", str(f))
+        assert rc == 3
+        assert "output atoms cap exceeded" in err
+
+    def test_coefficients_past_str_limit_exit_3(self, capsys, outdir):
+        # the equality shortcut's product D*E has 16,001 bits, which
+        # to_text could not print
+        c, d, e = ((1 << 8000) + k for k in (1, 3, 5))
+        f = outdir / "wide.pa"
+        f.write_text("#objects: y z\n#params:\n(exists x (and "
+                     f"(= (* {c} x) (* {e} z)) (< (* {d} x) y)))\n")
+        rc, err = refused(capsys, "qe", "--formula", str(f))
+        assert rc == 3
+        assert "coefficient bits cap exceeded" in err
+
+    def test_literal_past_str_limit_exits_3(self, capsys, outdir):
+        f = outdir / "long.pa"
+        f.write_text(f"#objects: x\n#params:\n(< x {'9' * 5000})\n")
+        rc, err = refused(capsys, "analyze", "--formula", str(f))
+        assert rc == 3
+        assert "3:6: integer literal too long: 5000 digits" in err
 
     def test_oversized_family_grid_exits_3(self, capsys, outdir):
         f = outdir / "thr.pa"

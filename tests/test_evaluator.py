@@ -103,8 +103,9 @@ class TestBoundedEvaluation:
         f = parse("(exists a (exists b (< (+ a b) x)))")
         big = (0, 10 ** 5)
         with pytest.raises(ResourceCapError) as err:
-            eval_bounded(f, {"x": 0}, {"a": big, "b": big}, max_points=10 ** 6)
+            eval_bounded(f, {"x": 0}, {"a": big, "b": big})
         assert err.value.kind == "enumeration points"
+        assert err.value.limit == DEFAULT_MAX_POINTS
 
     def test_candidate_pruning_matches_full_scan(self):
         # same result whether or not equality pinning kicks in
@@ -157,7 +158,7 @@ def _random_quantified(rng):
     (it pins a bound variable, or mentions one bound inside: capture) and
     maybe more atoms, div atoms included."""
     names = ("x", "u", "v", "w")
-    f = random_qf(rng, names, max_atoms=3, allow_div=True)
+    f = random_qf(rng, names, atom_bound=3, allow_div=True)
     for _ in range(rng.randint(1, 3)):
         parts = [f]
         if rng.random() < 0.7:
@@ -165,7 +166,7 @@ def _random_quantified(rng):
             parts.append(Atom(EQ, LinearTerm.of(coeffs),
                               LinearTerm.num(rng.randint(-5, 5))))
         if rng.random() < 0.5:
-            parts.append(random_qf(rng, names, max_atoms=2, allow_div=True))
+            parts.append(random_qf(rng, names, atom_bound=2, allow_div=True))
         rng.shuffle(parts)
         quant = Exists if rng.random() < 0.75 else Forall
         f = quant(rng.choice(names[1:]), mk_and(parts))
@@ -246,7 +247,7 @@ class TestCompiledPlanDifferential:
             assert bounded == point_family(pf, (-4, 6), windows), \
                 to_text(pf.formula)
 
-    def test_naive_encoder_at_scale(self):
+    def test_naive_encoder_at_scale(self, monkeypatch):
         # each hint spans 2^15, so the nominal product 2^30 is over the
         # default cap; the plan decides every disjunct without scanning
         d = 16
@@ -254,6 +255,7 @@ class TestCompiledPlanDifferential:
         hints = meta.hint_map()
         worst = (1 << (d - 1)) ** 2
         assert worst > DEFAULT_MAX_POINTS
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_POINTS", worst)
         rng = random.Random(1616)
         code = build_code_set(d)
         for _ in range(64):
@@ -261,7 +263,7 @@ class TestCompiledPlanDifferential:
                 else rng.randint(1, d << d)
             x = (t - 1) % d + 1
             point = {"x": x, "y": (t - x) // d}
-            assert eval_bounded(pf.formula, point, hints, max_points=worst) \
+            assert eval_bounded(pf.formula, point, hints) \
                 == code_set_contains(d, t), t
 
 
@@ -364,7 +366,7 @@ class TestMaskDifferential:
     def test_grid_cap_refuses_before_evaluation(self):
         pf = PartitionedFormula(parse("(<= x y)"), ("x",), ("y",))
         with pytest.raises(ResourceCapError) as info:
-            family_from_formula(pf, (0, 3), (0, 10 ** 11))
+            family_from_formula(pf, (0, 3), {"y": (0, 10 ** 11)})
         assert info.value.kind == "enumeration points"
         assert info.value.needed == 4 * (10 ** 11 + 1)
         assert info.value.limit == DEFAULT_MAX_POINTS
@@ -493,12 +495,23 @@ class TestEliminationDifferential:
 
 
 class TestResourceCaps:
-    def test_atom_cap_refuses_loudly(self):
+    def test_atom_cap_refuses_loudly(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 10)
         with pytest.raises(ResourceCapError) as err:
-            eliminate_quantifiers(f, max_atoms=10)
+            eliminate_quantifiers(f)
         assert err.value.kind == "output atoms"
         assert err.value.limit == 10
+
+    def test_offset_count_past_2_63_refused(self, monkeypatch):
+        # the residue classes of delta, about 2^140, leave about 2^70 offsets
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        f = parse(OVERFLOWING_OFFSETS)
+        with pytest.raises(ResourceCapError) as err:
+            eliminate_quantifiers(f)
+        assert err.value.kind == "output atoms"
+        assert err.value.needed > 1 << 63
 
     def test_env_var_overrides_cap(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
@@ -519,12 +532,29 @@ class TestResourceCaps:
             with pytest.raises(EvalError, match="bad PAVC_MAX_ATOMS value"):
                 eliminate_quantifiers(parse("(exists x (< x y))"))
 
-    def test_coefficient_cap(self):
+    def test_coefficient_cap(self, monkeypatch):
         # repeated squaring of coefficients through nested eliminations
         f = parse("(exists x (and (< (* 1048576 x) y) (< y (* 1048575 x))))")
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_COEFF_BITS", 20)
         with pytest.raises(ResourceCapError) as err:
-            eliminate_quantifiers(f, max_coeff_bits=20)
+            eliminate_quantifiers(f)
         assert err.value.kind == "coefficient bits"
+
+    def test_equality_shortcut_result_is_capped(self):
+        # the shortcut multiplies D by E into a 16,001-bit coefficient
+        # (bitlen 16,002), more than to_text could print
+        f = parse(WIDE_SHORTCUT)
+        with pytest.raises(ResourceCapError) as err:
+            eliminate_quantifiers(f)
+        assert err.value.kind == "coefficient bits"
+        assert err.value.limit == evaluator.DEFAULT_MAX_COEFF_BITS
+        assert err.value.needed == 16_002
+
+
+OVERFLOWING_OFFSETS = ("(exists x (and (< (* 1180591620717411303425 x) y) "
+                       "(< y (* 1180591620717411303423 x))))")
+_C, _D, _E = ((1 << 8000) + k for k in (1, 3, 5))
+WIDE_SHORTCUT = f"(exists x (and (= (* {_C} x) (* {_E} z)) (< (* {_D} x) y)))"
 
 
 def eliminate_every_offset(f):
@@ -545,13 +575,13 @@ def quantified_qf(rng):
     """exists or forall v of a QF body over v, w, z with divs; a third of
     them under a second quantifier, over z."""
     nest = rng.random() < 1 / 3
-    body = random_qf(rng, "vwz", max_atoms=4 if nest else 6,
+    body = random_qf(rng, "vwz", atom_bound=4 if nest else 6,
                      coeff_bound=2 if nest else 3, allow_div=True)
     f = rng.choice([Exists, Forall])("v", body)
     if nest:
         join = mk_and if rng.random() < 0.5 else mk_or
         f = rng.choice([Exists, Forall])("z", join(
-            [f, random_qf(rng, "vwz", max_atoms=2, allow_div=True)]))
+            [f, random_qf(rng, "vwz", atom_bound=2, allow_div=True)]))
     return f
 
 

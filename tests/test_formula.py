@@ -157,6 +157,17 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):  # terms nest too
             parse("(< " + "(+ " * MAX_NESTING + "x" + " 1)" * MAX_NESTING + " 0)")
 
+    def test_literal_past_str_limit_refused_at_the_literal(self):
+        wide = "9" * 4300
+        assert to_text(parse(f"(< x {wide})")) == f"(< x {wide})"
+        for text, column in ((f"(< x {wide}9)", 6),
+                             (f"(< (* -{wide}9 x) 1)", 7),
+                             (f"(div {wide}9 x)", 6)):
+            with pytest.raises(FormulaSyntaxError,
+                               match="integer literal too long: 4301 digits") as err:
+                parse(text, allow_div=True)
+            assert (err.value.line, err.value.column) == (1, column)
+
     def test_single_part_connective_collapses(self):
         assert parse("(and (< x 1))") == parse("(< x 1)")
         assert parse("(or (< x 1))") == parse("(< x 1)")
@@ -211,6 +222,11 @@ class TestPartition:
         pf = parse_partitioned(
             "# emitted artifact\n#objects: x\n#params: y\n# body\n(< x y)\n")
         assert pf.formula == parse("(< x y)")
+
+    def test_error_positions_count_header_lines(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_partitioned("#objects: x\n#params:\n# c\n(< x )\n")
+        assert (err.value.line, err.value.column) == (4, 6)
 
     def test_partition_must_cover_free_vars(self):
         with pytest.raises(FormulaError):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from pavc import vclab
 from pavc.fuzz import random_family
 from pavc.generator import encode_bridged, encode_naive, lex_subset
 from pavc.vclab import (
@@ -187,19 +188,21 @@ class TestSubsetBudget:
         assert (rep.vc_dim, rep.capped) == (1, False)
         assert rep.pi_table == ((0, 1), (1, 2), (2, 3))
 
-    def test_table_stops_when_dimension_reaches_cap(self):
-        rep = vc_dimension(power_set_family(list(range(6))), cap=1,
-                           max_subsets=10)
+    def test_table_stops_when_dimension_reaches_cap(self, monkeypatch):
+        monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 10)
+        rep = vc_dimension(power_set_family(list(range(6))), cap=1)
         assert (rep.vc_dim, rep.capped) == (1, True)
         assert rep.pi_table == ((0, 1), (1, 2))
 
-    def test_unsettled_dimension_refuses(self):
+    def test_unsettled_dimension_refuses(self, monkeypatch):
         # pi(1) = 2, so k = 2 (15 subsets) could still raise the dimension
+        monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 10)
         with pytest.raises(VcLabError, match=r"C\(6,2\) subsets exceed the cap 10"):
-            vc_dimension(power_set_family(list(range(6))), max_subsets=10)
+            vc_dimension(power_set_family(list(range(6))))
         # k = vc + 1 = 2 settles the dimension, so it is never skipped
+        monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 100)
         with pytest.raises(VcLabError, match=r"C\(21,2\) subsets exceed the cap 100"):
-            vc_dimension(thresholds(list(range(21))), max_subsets=100)
+            vc_dimension(thresholds(list(range(21))))
 
 
 class TestShatterFunction:
@@ -214,10 +217,11 @@ class TestShatterFunction:
         for n in range(0, 6):
             assert shatter_function(fam, n) == n + 1
 
-    def test_subset_budget_cap(self):
+    def test_subset_budget_cap(self, monkeypatch):
         fam = thresholds(list(range(18)))
+        monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 1000)
         with pytest.raises(VcLabError):
-            shatter_function(fam, 9, max_subsets=1000)
+            shatter_function(fam, 9)
 
     def test_args_validated(self):
         fam = thresholds([0, 1])
@@ -282,7 +286,7 @@ class TestFamilyFromFormula:
         from pavc.formula import PartitionedFormula, parse
         pf = PartitionedFormula(parse("(and (<= y x) (<= x (+ y 2)))"),
                                 ("x",), ("y",))
-        fam = family_from_formula(pf, (0, 9), (0, 7))
+        fam = family_from_formula(pf, (0, 9), {"y": (0, 7)})
         assert fam.ground == tuple(range(10))
         for label, mask in fam.members:
             y = int(label)
@@ -291,7 +295,8 @@ class TestFamilyFromFormula:
 
     def test_generator_family_is_lexicographic(self):
         pf, meta = encode_naive(3)
-        fam = family_from_formula(pf, meta.ground_window, meta.param_window,
+        fam = family_from_formula(pf, meta.ground_window,
+                                  {meta.param_var: meta.param_window},
                                   hints=meta.hint_map())
         assert len(fam.members) == 8
         for label, mask in fam.members:
@@ -315,20 +320,22 @@ class TestFamilyFromFormula:
         # the point plan on the quantified body against the window masks
         # on its eliminated form
         pf, meta = encode(d)
-        bounded = family_from_formula(pf, meta.ground_window,
-                                      meta.param_window,
+        windows = {meta.param_var: meta.param_window}
+        bounded = family_from_formula(pf, meta.ground_window, windows,
                                       hints=meta.hint_map())
-        viaqe = family_from_formula(pf, meta.ground_window,
-                                    meta.param_window, mode="qe")
+        viaqe = family_from_formula(pf, meta.ground_window, windows, mode="qe")
         assert bounded.members == viaqe.members
 
     def test_validation(self):
         from pavc.formula import PartitionedFormula, parse
         pf = PartitionedFormula(parse("(< x y)"), ("x",), ("y",))
-        with pytest.raises(VcLabError):
-            family_from_formula(pf, (3, 1), (0, 1))
-        with pytest.raises(VcLabError):
+        with pytest.raises(VcLabError, match="empty window"):
+            family_from_formula(pf, (3, 1), {"y": (0, 1)})
+        with pytest.raises(VcLabError, match="missing parameter windows"):
             family_from_formula(pf, (0, 1), {})
+        # a bare (lo, hi) is not a mapping of windows
+        with pytest.raises(VcLabError, match="missing parameter windows"):
+            family_from_formula(pf, (0, 1), (0, 1))
         two_obj = PartitionedFormula(parse("(< x y)"), ("x", "y"), ())
         with pytest.raises(VcLabError):
             family_from_formula(two_obj, (0, 1), {})
