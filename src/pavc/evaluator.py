@@ -31,22 +31,23 @@ interval sizes in the input formula exceeds it, whatever the plan then
 saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
-innermost-first elimination.  Universals go through the dual
-(forall x F == not exists x not F).  Each existential is removed either
-by the same equality-substitution shortcut (when a conjunct pins c*x to
-a term) or by the classic divisibility-aware case split: scale the
-variable's coefficients to a common delta, add (div delta x), then
-cover the solution space with boundary terms plus a periodic tail,
-instantiating those offsets in 1..D (D the lcm of all div moduli) that
-(div delta x) and the top-level div conjuncts allow, one residue class
-per boundary term by CRT.  The boundary set is taken from whichever
-side (lower or upper bounds) is smaller.  The body is compiled once into
-a template: subtrees without the variable are simplified once and
-shared; each disjunct rebuilds only the paths to the variable's atoms,
-simplified as built by the and/or join that simplify uses, and the split
-stops at the first disjunct that is T.  div atoms appear in the output;
-the result keeps the input's free variables, is quantifier-free and is
-simplified.
+innermost-first elimination.  Both engines read each atom as c*x + rest
+through one reader, _linear, and take universals through the dual
+(forall x F == not exists x not F; _presolve does it for plans).  Each
+existential is removed either by the same equality-substitution shortcut
+(when a conjunct pins c*x to a term) or by the classic
+divisibility-aware case split: scale the variable's coefficients to a
+common delta, add (div delta x), then cover the solution space with
+boundary terms plus a periodic tail, instantiating those offsets in 1..D
+(D the lcm of all div moduli) that (div delta x) and the top-level div
+conjuncts allow, one residue class per boundary term by CRT.  The
+boundary set is taken from whichever side (lower or upper bounds) is
+smaller.  The body is compiled once into a template: subtrees without
+the variable are simplified once and shared; each disjunct rebuilds only
+the paths to the variable's atoms, simplified as built by the and/or
+join that simplify uses, and the split stops at the first disjunct that
+is T.  div atoms appear in the output; the result keeps the input's free
+variables, is quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
@@ -160,6 +161,7 @@ def _presolve(f: Formula, hints: Mapping[str, tuple[int, int]]) -> Formula:
     existential keeps only the conjuncts that mention v; the rest move
     out of it, where an enclosing existential can use them.  Both steps
     need a nonempty hint; over an empty one the existential is false.
+    A universal goes through the dual, forall v F == not exists v not F.
     """
     if isinstance(f, (Bool, Atom)):
         return f
@@ -167,9 +169,9 @@ def _presolve(f: Formula, hints: Mapping[str, tuple[int, int]]) -> Formula:
         return Not(_presolve(f.body, hints))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(_presolve(p, hints) for p in f.parts))
-    body = _presolve(f.body, hints)
     if isinstance(f, Forall):
-        return Forall(f.var, body)
+        return Not(_presolve(Exists(f.var, Not(f.body)), hints))
+    body = _presolve(f.body, hints)
     lo, hi = hints[f.var]
     if lo > hi:
         return FALSE
@@ -190,24 +192,23 @@ _Env = list[int]
 _Test = Callable[[_Env], int]
 
 
-def _linear(a: Atom, var: str | None, scope: Mapping[str, int]
-            ) -> tuple[int, tuple[tuple[int, int], ...], int]:
+def _linear(a: Atom, var: str | None) -> tuple[int, LinearTerm]:
+    """(c, rest) such that `a` reads c*var + rest compared with 0 by its
+    kind, or m | c*var + rest for a div atom; c is 0 when var is None.
+    The one reader of an atom's linear form, for QE and for plans."""
+    g = a.left - a.right
+    c = g.coeff(var)
+    return c, g.drop(var) if c else g
+
+
+def _slotted(a: Atom, var: str | None, scope: Mapping[str, int]
+             ) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """(c, pairs, k) such that `a` reads c*var + k + the sum of ci*env[i]
     over pairs (i, ci), compared with 0 by its kind.  A strict atom comes
     shifted to <=, since t < 0 iff t + 1 <= 0 over the integers."""
-    g = a.left - a.right
-    pairs = tuple((scope[v], c) for v, c in g.coeffs if v != var)
-    return g.coeff(var), pairs, g.const + (a.kind == LT)
-
-
-def _forall_test(slot: int, values: range, body: _Test) -> _Test:
-    def test(env: _Env) -> bool:
-        for val in values:
-            env[slot] = val
-            if not body(env):
-                return False
-        return True
-    return test
+    c, rest = _linear(a, var)
+    pairs = tuple((scope[v], ci) for v, ci in rest.coeffs)
+    return c, pairs, rest.const + (a.kind == LT)
 
 
 def _div_solver(a: int, m: int) -> tuple[int, int, int]:
@@ -297,9 +298,9 @@ def _compile(f: Formula, scope: Mapping[str, int],
     at its slot in `scope`.
 
     The test gives an int whose bit j is the truth of `f` with `last` at
-    window[j]; a point is a one-bit window and no `last`.  Quantifiers
-    are compiled only for points: each quantified variable takes a fresh
-    slot from `slots` and ranges over its interval in `hints`.
+    window[j]; a point is a one-bit window and no `last`.  Existentials
+    (the only quantifier left by _presolve) are compiled only for points:
+    each takes a fresh slot from `slots` and ranges over its hint interval.
     """
     width = len(window)
     full = (1 << width) - 1
@@ -309,7 +310,7 @@ def _compile(f: Formula, scope: Mapping[str, int],
         value = full if f.value else 0
         return lambda env: value
     if isinstance(f, Atom):
-        c, pairs, k = _linear(f, last, scope)
+        c, pairs, k = _slotted(f, last, scope)
         kind, m = f.kind, f.modulus
         if c == 0:  # one truth over the whole window
             def test(env: _Env) -> int:
@@ -371,9 +372,6 @@ def _compile(f: Formula, scope: Mapping[str, int],
     slot = next(slots)
     inner = {**scope, f.var: slot}
     lo, hi = hints[f.var]
-    if isinstance(f, Forall):
-        return _forall_test(slot, range(lo, hi + 1),
-                            _compile(f.body, inner, hints, slots))
     fixed, bounds, divs, others = [], [], [], []
     for part in _conjuncts(f.body):
         if isinstance(part, Atom):
@@ -382,7 +380,7 @@ def _compile(f: Formula, scope: Mapping[str, int],
             (others if f.var in free_vars(part) else fixed).append(
                 _compile(part, inner, hints, slots))
             continue
-        a, pairs, k = _linear(part, f.var, inner)
+        a, pairs, k = _slotted(part, f.var, inner)
         if a == 0:
             fixed.append(_compile(part, inner, hints, slots))
         elif part.kind == DIV:
@@ -545,7 +543,7 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
             return Not(f) if neg else f
         if not (neg or has_var):
             return f
-        cancelled = has_var and (f.left - f.right).coeff(var) == 0
+        cancelled = has_var and _linear(f, var)[0] == 0
 
         def lt(left: LinearTerm, right: LinearTerm) -> Atom:
             return Atom(LT, ZERO, right - left) if cancelled \
@@ -583,8 +581,8 @@ def _rewrite_atoms(f: Formula, fn) -> Formula:
         return And(tuple(_rewrite_atoms(p, fn) for p in f.parts))
     if isinstance(f, Or):
         return Or(tuple(_rewrite_atoms(p, fn) for p in f.parts))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _rewrite_atoms(f.body, fn))
+    if isinstance(f, Exists):  # _presolve has taken universals to the dual
+        return Exists(f.var, _rewrite_atoms(f.body, fn))
     raise EvalError(f"unexpected node under rewrite: {type(f).__name__}")
 
 
@@ -603,14 +601,9 @@ def _equality_shortcut(var: str, body: Formula
     best: tuple[int, int, LinearTerm] | None = None  # (|c|, index, t)
     for idx, part in enumerate(conjuncts):
         if isinstance(part, Atom) and part.kind == EQ:
-            g = part.left - part.right
-            c = g.coeff(var)
-            if c == 0:
-                continue
-            rest = g.drop(var)
-            cc, tt = (c, -rest) if c > 0 else (-c, rest)
-            if best is None or cc < best[0]:
-                best = (cc, idx, tt)
+            c, rest = _linear(part, var)
+            if c and (best is None or abs(c) < best[0]):
+                best = (abs(c), idx, -rest if c > 0 else rest)
     if best is None:
         return None
     c, chosen, t = best
@@ -618,18 +611,11 @@ def _equality_shortcut(var: str, body: Formula
         return None
 
     def rewrite(a: Atom) -> Formula:
-        if a.kind == DIV:
-            av = a.left.coeff(var)
-            if av == 0:
-                return a
-            w = a.left.drop(var).scaled(c) + t.scaled(av)
-            return Atom(DIV, w, ZERO, a.modulus * c)
-        g = a.left - a.right
-        av = g.coeff(var)
+        av, rest = _linear(a, var)
         if av == 0:
             return a
-        g2 = g.drop(var).scaled(c) + t.scaled(av)
-        return Atom(a.kind, g2, ZERO)
+        return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
+                    None if a.modulus is None else a.modulus * c)
 
     rest_parts = [
         _rewrite_atoms(p, rewrite)
@@ -638,25 +624,18 @@ def _equality_shortcut(var: str, body: Formula
     return c, t, mk_and([Atom(DIV, t, ZERO, c)] + rest_parts)
 
 
-def _solved_form(a: Atom, var: str, delta: int):
-    """Normalize a var-atom after scaling the var coefficient to delta.
+def _solved_form(a: Atom, reading: tuple[int, LinearTerm], delta: int):
+    """Normalize a var-atom read as (c, rest) after scaling c to delta.
 
     Returns ('lower', s) for s < delta*var, ('upper', s) for
     delta*var < s, or ('div', m, t) for m | delta*var + t.
     """
+    c, rest = reading
+    scale = delta // c  # exact, and negative with c
     if a.kind == DIV:
-        c = a.left.coeff(var)
-        t = a.left.drop(var)
-        fac = delta // abs(c)
-        sign = 1 if c > 0 else -1
-        return ("div", a.modulus * fac, t.scaled(sign * fac))
-    # LT only, by NNF
-    g = a.right - a.left  # atom  <=>  0 < g
-    c = g.coeff(var)
-    t = g.drop(var)
-    if c > 0:
-        return ("lower", t.scaled(-(delta // c)))
-    return ("upper", t.scaled(delta // (-c)))
+        return ("div", a.modulus * abs(scale), rest.scaled(scale))
+    # LT only, by NNF: c*var + rest < 0
+    return ("lower" if c < 0 else "upper", rest.scaled(-scale))
 
 
 def _template(f: Formula, slot: Mapping[Atom, int]):
@@ -704,18 +683,12 @@ def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
         return simplify(shortcut[2])
 
     nnf_body = _nnf(body, var)
-    var_atoms = [a for a in dict.fromkeys(atoms_of(nnf_body))
-                 if (a.left.coeff(var) if a.kind == DIV
-                     else (a.right - a.left).coeff(var)) != 0]
-    if not var_atoms:
+    readings = {a: r for a in atoms_of(nnf_body) if (r := _linear(a, var))[0]}
+    if not readings:
         return simplify(nnf_body)
 
-    delta = 1
-    for a in var_atoms:
-        g = a.left if a.kind == DIV else a.right - a.left
-        delta = lcm(delta, abs(g.coeff(var)))
-
-    solved = [_solved_form(a, var, delta) for a in var_atoms]
+    delta = lcm(*(abs(c) for c, _ in readings.values()))
+    solved = [_solved_form(a, r, delta) for a, r in readings.items()]
     period = delta
     lowers: dict[LinearTerm, None] = {}
     uppers: dict[LinearTerm, None] = {}
@@ -732,7 +705,7 @@ def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
     sign = -1 if use_uppers else 1
     # delta | w and the top-level divs hold in every disjunct that can be T
     top = set(_conjuncts(nnf_body))
-    necessary = [(delta, ZERO)] + [form[1:] for a, form in zip(var_atoms, solved)
+    necessary = [(delta, ZERO)] + [form[1:] for a, form in zip(readings, solved)
                                    if form[0] == "div" and a in top]
     plan = [(witness, _offsets(witness, necessary, sign, period))
             for witness in (None, *(uppers if use_uppers else lowers))]
@@ -740,7 +713,7 @@ def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
     offsets = sum(-((s.start - s.stop) // s.step) for _, s in plan)
     _enforce("output atoms", atoms_cap, offsets * (count_atoms(nnf_body) + 1))
 
-    template = _template(nnf_body, {a: i for i, a in enumerate(var_atoms)})
+    template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
     dropped = "upper" if use_uppers else "lower"
 
     def instantiate(witness: LinearTerm | None, offset: int) -> Formula:

@@ -31,6 +31,7 @@ is implemented and tested independently.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping
@@ -448,14 +449,22 @@ def meta_to_json(meta: GeneratorMeta) -> dict:
 
 
 def meta_from_json(data: Mapping) -> GeneratorMeta:
-    """GeneratorError when d is out of range or a pair is not [lo, hi]."""
+    """GeneratorError when d is out of range, a pair is not [lo, hi] or a
+    number is neither a JSON integer nor a decimal string, the forms that
+    meta_to_json writes."""
+    def num(x) -> int:
+        if isinstance(x, int) and not isinstance(x, bool) \
+                or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+            return int(x)
+        raise GeneratorError(f"expected an integer, got {x!r}")
+
     def pair(xs) -> tuple[int, int]:
         if not isinstance(xs, list) or len(xs) != 2:
             raise GeneratorError(f"expected a [lo, hi] pair, got {xs!r}")
-        return (int(xs[0]), int(xs[1]))
+        return (num(xs[0]), num(xs[1]))
 
     return GeneratorMeta(
-        d=_check_d(int(data["d"])),
+        d=_check_d(num(data["d"])),
         encoder=data["encoder"],
         object_var=data["object_var"],
         param_var=data["param_var"],
@@ -464,8 +473,8 @@ def meta_from_json(data: Mapping) -> GeneratorMeta:
         t_window=pair(data["t_window"]),
         hints=tuple(sorted(
             (v, pair(w)) for v, w in data["hints"].items())),
-        aps=tuple(AP(int(ap["start"]), int(ap["step"]), int(ap["count"]))
+        aps=tuple(AP(num(ap["start"]), num(ap["step"]), num(ap["count"]))
                   for ap in data["aps"]),
-        modulus=None if data["modulus"] is None else int(data["modulus"]),
+        modulus=None if data["modulus"] is None else num(data["modulus"]),
         modulus_mode=data["modulus_mode"],
     )

@@ -176,8 +176,12 @@ class TestGenVerify:
         assert rc == 1
         got = checks_by_name(rep)
         assert got["extensional_membership"] is False
+        assert got["family_is_lexicographic"] is False
         detail = {c["name"]: c.get("detail", "") for c in rep["checks"]}
-        assert "first mismatch at t=" in detail["extensional_membership"]
+        assert detail["extensional_membership"].startswith("first mismatch at t=")
+        t = int(detail["extensional_membership"].rsplit("=", 1)[1])
+        assert detail["family_is_lexicographic"] == \
+            f"block y={(t - 1) // 2} selects the wrong subset"
 
     def test_unreadable_meta_is_operational_error(self, capsys, outdir):
         f = str(outdir / "x2.pa")
@@ -198,8 +202,17 @@ class TestGenVerify:
         {"d": 17, "ground_window": ["1", "17"],
          "param_window": ["0", str((1 << 17) - 1)],
          "t_window": ["1", str(17 << 17)]},
+        # numbers that int() would truncate or coerce instead of refusing
+        {"d": 2.5},
+        {"d": True},
+        {"d": " 2 "},
+        {"hints": {"xh": ["0", "1"], "yh": ["0", "2_0"]}},
+        {"aps": [{"start": "1", "step": "4", "count": "2"},
+                 {"start": "2", "step": 2.9, "count": "2"}]},
+        {"modulus": 7.5},
     ], ids=["one-entry-window", "one-entry-hint", "hint-list", "three-entry-window",
-            "negative-d", "d-over-the-cap"])
+            "negative-d", "d-over-the-cap", "float-d", "bool-d", "padded-d",
+            "underscore-hint", "float-step", "float-modulus"])
     def test_malformed_meta_is_unreadable(self, capsys, outdir, edit):
         f = str(outdir / "e2.pa")
         m = outdir / "e2.json"

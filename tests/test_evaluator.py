@@ -219,6 +219,25 @@ class TestCompiledPlanDifferential:
                 assert eval_bounded(f, point, self.HINTS) == \
                     reference_eval(f, point, self.HINTS), (to_text(f), xv)
 
+    def test_universals_through_the_dual(self):
+        # forall v F is planned as not exists v not F: over an empty hint,
+        # with a bounds-only body inside an exists, and under a forall
+        x, u, v, e = (LinearTerm.var(n) for n in ("x", "u", "v", "e"))
+        hints = {**self.HINTS, "e": (1, 0)}
+        empty = Forall("e", Atom(LT, e, x))
+        inside = Exists("u", mk_and([
+            Atom(LE, x, u),
+            Forall("v", mk_and([Atom(LE, v, u + x), Atom(LE, -u, v)])),
+        ]))
+        nested = Forall("u", Forall("v", mk_or([
+            Atom(LE, u + v, x), Atom(DIV, u + v.scaled(2) + x, ZERO, 3)])))
+        for f in (empty, inside, nested):
+            got = {xv: eval_bounded(f, {"x": xv}, hints) for xv in range(-8, 9)}
+            assert got == {xv: reference_eval(f, {"x": xv}, hints)
+                           for xv in got}, to_text(f)
+            # true over the empty hint; true and false elsewhere
+            assert any(got.values()) and all(got.values()) == (f is empty)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_encoders_on_every_grid_point(self, d):
         # the plain reference is too slow for the bridged encoder past

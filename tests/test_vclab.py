@@ -240,9 +240,16 @@ class TestSauerShelah:
         assert sauer_shelah_bound(5, 3) == 8  # d beyond n saturates at 2^n
 
     def test_bound_holds_on_random_families(self):
-        for i in range(300):
-            rng = random.Random(40_000 + i)
-            fam = random_family(rng, max_ground=8)
+        fams = [random_family(random.Random(40_000 + i), max_ground=8)
+                for i in range(300)]
+        # the encoders' families, over a ground window wider than 1..d
+        for encode in (encode_naive, encode_bridged):
+            for d in range(1, 5):
+                pf, meta = encode(d)
+                fams.append(family_from_formula(
+                    pf, (-1, d + 2), {meta.param_var: meta.param_window},
+                    hints=meta.hint_map()))
+        for fam in fams:
             rep = vc_dimension(fam)
             assert not rep.capped
             for n in range(len(fam.ground) + 1):
