@@ -138,8 +138,12 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def _read_partitioned(path: str, allow_div: bool) -> PartitionedFormula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_partitioned(fh.read(), allow_div=allow_div)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormulaError(f"unreadable formula file {path}: {exc}")
+    return parse_partitioned(text, allow_div=allow_div)
 
 
 def _shape_dict(pf: PartitionedFormula) -> dict:
@@ -182,11 +186,10 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
 
 def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=False)
-    with open(args.meta, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
-        meta = meta_from_json(raw)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        with open(args.meta, "r", encoding="utf-8") as fh:
+            meta = meta_from_json(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormulaError(f"unreadable meta file {args.meta}: {exc!r}")
     d = meta.d
     if pf.object_vars != (meta.object_var,) or pf.param_vars != (meta.param_var,):
@@ -266,16 +269,19 @@ def _family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("bounded", "qe"), default="bounded")
 
 
-def _build_family(args) -> tuple[PartitionedFormula, SetFamily]:
-    pf = _read_partitioned(args.formula, allow_div=True)
-    fam = family_from_formula(
-        pf, args.ground, dict(args.param), mode=args.mode,
-        hints=dict(args.hint))
-    return pf, fam
+def _build_family(args) -> SetFamily:
+    for flag, bindings in (("--param", args.param), ("--hint", args.hint)):
+        names = [name for name, _ in bindings]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise VcLabError(f"{flag} given more than once for {repeated}")
+    return family_from_formula(
+        _read_partitioned(args.formula, allow_div=True), args.ground,
+        dict(args.param), mode=args.mode, hints=dict(args.hint))
 
 
 def _cmd_vc(args) -> tuple[dict, dict, list[dict]]:
-    pf, fam = _build_family(args)
+    fam = _build_family(args)
     rep = vc_dimension(fam, cap=args.cap)
     checks = []
     if args.expect_vc is not None:
@@ -289,7 +295,7 @@ def _cmd_vc(args) -> tuple[dict, dict, list[dict]]:
 
 
 def _cmd_shatter(args) -> tuple[dict, dict, list[dict]]:
-    pf, fam = _build_family(args)
+    fam = _build_family(args)
     checks = []
     outputs: dict = {"family_size": len(fam.members)}
     if args.points is not None:
@@ -361,7 +367,7 @@ def _cmd_upperbound(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=True)
     cert, inv, stats = upper_bound_via_qe(pf)
     outputs = certificate_report(cert, inv, stats)
-    checks = [_check("certificate_valid", cert.check(),
+    checks = [_check("certificate_valid", outputs["certificate_valid"],
                      f"ell={cert.ell}, bound={cert.bound}")]
     inputs = {"formula": _file_input(args.formula)}
     return inputs, outputs, checks
@@ -473,7 +479,6 @@ _OPERATIONAL_ERRORS = (
     GadgetUnavailableError,
     contfrac.ContinuedFractionError,
     OSError,
-    json.JSONDecodeError,
 )
 
 

@@ -33,21 +33,22 @@ saves.
 eliminate_quantifiers / decide: exact semantics over all of Z, by
 innermost-first elimination.  Both engines read each atom as c*x + rest
 through one reader, _linear, and take universals through the dual
-(forall x F == not exists x not F; _presolve does it for plans).  Each
-existential is removed either by the same equality-substitution shortcut
-(when a conjunct pins c*x to a term) or by the classic
-divisibility-aware case split: scale the variable's coefficients to a
-common delta, add (div delta x), then cover the solution space with
-boundary terms plus a periodic tail, instantiating those offsets in 1..D
-(D the lcm of all div moduli) that (div delta x) and the top-level div
-conjuncts allow, one residue class per boundary term by CRT.  The
-boundary set is taken from whichever side (lower or upper bounds) is
-smaller.  The body is compiled once into a template: subtrees without
-the variable are simplified once and shared; each disjunct rebuilds only
-the paths to the variable's atoms, simplified as built by the and/or
-join that simplify uses, and the split stops at the first disjunct that
-is T.  div atoms appear in the output; the result keeps the input's free
-variables, is quantifier-free and is simplified.
+(forall x F == not exists x not F; _presolve does it for plans).  QE is
+simplify's rewriter, _rewrite, with an elimination hook at each
+quantifier; and/or parts are drawn lazily, so none after the first
+absorbing constant is eliminated.  An existential is removed either by
+the same equality-substitution shortcut (when a conjunct pins c*x to a
+term) or by the classic divisibility-aware case split: scale the
+variable's coefficients to a common delta, add (div delta x), then cover
+the solution space with boundary terms plus a periodic tail,
+instantiating those offsets in 1..D (D the lcm of all div moduli) that
+(div delta x) and the top-level div conjuncts allow, one residue class
+per boundary term by CRT, from whichever side (lower or upper bounds) is
+smaller.  The body becomes a template: subtrees without the variable
+are simplified once and shared, each disjunct rebuilds only the paths
+to the variable's atoms, and the split stops at the first disjunct that
+is T.  div atoms appear in the output; the result keeps the input's
+free variables, is quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
@@ -67,7 +68,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
     And, Atom, Bool, Exists, Forall, Formula, FormulaError, LinearTerm, Not, Or,
-    atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, mk_and, mk_or,
+    atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, map_atoms,
+    mk_and, mk_or,
 )
 
 DEFAULT_MAX_ATOMS = 10 ** 6
@@ -508,21 +510,31 @@ def _join(is_and: bool, parts: Iterable[Formula]) -> Formula:
     return kind(tuple(flat))
 
 
+def _rewrite(f: Formula, quantifier: Callable[[Formula, Formula], Formula]
+             ) -> Formula:
+    """simplify(f) with each quantifier node g replaced by quantifier(g, b),
+    b the rewritten body.  And/or parts are rewritten lazily, so none after
+    the first absorbing constant is."""
+    def walk(g: Formula) -> Formula:
+        if isinstance(g, Bool):
+            return g
+        if isinstance(g, Atom):
+            return _atom_simplified(g)
+        if isinstance(g, Not):
+            return _negate(walk(g.body))
+        if isinstance(g, (And, Or)):
+            return _join(isinstance(g, And), map(walk, g.parts))
+        if isinstance(g, (Exists, Forall)):
+            return quantifier(g, walk(g.body))
+        raise EvalError(f"not a formula: {g!r}")
+    return walk(f)
+
+
 def simplify(f: Formula) -> Formula:
     """Equivalence-preserving cleanup: constant folding, flattening,
     deduplication, double-negation and complementary-literal removal."""
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        return _atom_simplified(f)
-    if isinstance(f, Not):
-        return _negate(simplify(f.body))
-    if isinstance(f, (And, Or)):
-        return _join(isinstance(f, And), map(simplify, f.parts))
-    if isinstance(f, (Exists, Forall)):
-        b = simplify(f.body)
-        return b if f.var not in free_vars(b) else type(f)(f.var, b)
-    raise EvalError(f"not a formula: {f!r}")
+    return _rewrite(f, lambda g, b: b if g.var not in free_vars(b)
+                    else type(g)(g.var, b))
 
 
 # ---------------------------------------------------------------------------
@@ -570,22 +582,6 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
                     f"unexpected node {type(f).__name__}")
 
 
-def _rewrite_atoms(f: Formula, fn) -> Formula:
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        return fn(f)
-    if isinstance(f, Not):
-        return Not(_rewrite_atoms(f.body, fn))
-    if isinstance(f, And):
-        return And(tuple(_rewrite_atoms(p, fn) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_rewrite_atoms(p, fn) for p in f.parts))
-    if isinstance(f, Exists):  # _presolve has taken universals to the dual
-        return Exists(f.var, _rewrite_atoms(f.body, fn))
-    raise EvalError(f"unexpected node under rewrite: {type(f).__name__}")
-
-
 def _equality_shortcut(var: str, body: Formula
                        ) -> tuple[int, LinearTerm, Formula] | None:
     """exists var (c*var = t and R)  ==  (div c t) and R[c*var := t].
@@ -617,10 +613,8 @@ def _equality_shortcut(var: str, body: Formula
         return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
                     None if a.modulus is None else a.modulus * c)
 
-    rest_parts = [
-        _rewrite_atoms(p, rewrite)
-        for i, p in enumerate(conjuncts) if i != chosen
-    ]
+    rest_parts = [map_atoms(p, var, rewrite)
+                  for i, p in enumerate(conjuncts) if i != chosen]
     return c, t, mk_and([Atom(DIV, t, ZERO, c)] + rest_parts)
 
 
@@ -745,25 +739,16 @@ def eliminate_quantifiers(f: Formula) -> Formula:
     """
     atoms_cap = resolve_max_atoms()
 
-    def walk(g: Formula) -> Formula:
-        """simplify of g with its quantifiers eliminated."""
-        if isinstance(g, (Bool, Atom)):
-            return simplify(g)
-        if isinstance(g, Not):
-            return _negate(walk(g.body))
-        if isinstance(g, (And, Or)):
-            return _join(isinstance(g, And), [walk(p) for p in g.parts])
+    def eliminate(g: Formula, body: Formula) -> Formula:
         if isinstance(g, Exists):
-            out = _eliminate_exists(g.var, walk(g.body), atoms_cap)
-        elif isinstance(g, Forall):  # forall x F == not exists x not F
-            out = _negate(_eliminate_exists(g.var, _negate(walk(g.body)), atoms_cap))
-        else:
-            raise EvalError(f"not a formula: {g!r}")
+            out = _eliminate_exists(g.var, body, atoms_cap)
+        else:  # forall x F == not exists x not F
+            out = _negate(_eliminate_exists(g.var, _negate(body), atoms_cap))
         _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
                  max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
         return out
 
-    result = walk(f)
+    result = _rewrite(f, eliminate)
     _enforce("output atoms", atoms_cap, count_atoms(result))
     return result
 

@@ -22,7 +22,7 @@ and bound; sibling quantifier scopes may reuse a name.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 LE = "<="
 LT = "<"
@@ -334,13 +334,23 @@ def bound_vars(f: Formula) -> frozenset[str]:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Bool, Atom)):
-        return True
+    return not bound_vars(f)  # every quantifier binds a variable
+
+
+def map_atoms(f: Formula, var: str, fn: Callable[[Atom], Formula]) -> Formula:
+    """`f` with each atom a replaced by fn(a), except under a quantifier
+    that binds `var`, which is left as it is."""
+    if isinstance(f, Bool):
+        return f
+    if isinstance(f, Atom):
+        return fn(f)
     if isinstance(f, Not):
-        return is_quantifier_free(f.body)
+        return Not(map_atoms(f.body, var, fn))
     if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(p) for p in f.parts)
-    return False
+        return type(f)(tuple(map_atoms(p, var, fn) for p in f.parts))
+    if isinstance(f, (Exists, Forall)):
+        return f if f.var == var else type(f)(f.var, map_atoms(f.body, var, fn))
+    raise FormulaError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +373,15 @@ def substitute(f: Formula, bindings: Mapping[str, int]) -> Formula:
 
 
 def subst_term(f: Formula, var: str, replacement: LinearTerm) -> Formula:
-    """Replace the free variable `var` by a linear term, atom by atom.
-
-    Assumes no quantifier in f binds `var` (guaranteed for well-scoped
-    formulas where `var` is free).
-    """
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        left = f.left.substitute(var, replacement)
-        right = f.right.substitute(var, replacement)
-        if left == f.left and right == f.right:
-            return f
-        return Atom(f.kind, left, right, f.modulus)
-    if isinstance(f, Not):
-        return Not(subst_term(f.body, var, replacement))
-    if isinstance(f, And):
-        return And(tuple(subst_term(p, var, replacement) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(subst_term(p, var, replacement) for p in f.parts))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == var:
-            return f
-        return type(f)(f.var, subst_term(f.body, var, replacement))
-    raise FormulaError(f"not a formula: {f!r}")
+    """Replace the free variable `var` by a linear term, atom by atom; a
+    quantifier that binds `var` is left as it is."""
+    def rewrite(a: Atom) -> Atom:
+        left = a.left.substitute(var, replacement)
+        right = a.right.substitute(var, replacement)
+        if left == a.left and right == a.right:
+            return a
+        return Atom(a.kind, left, right, a.modulus)
+    return map_atoms(f, var, rewrite)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from .formula import (
     to_text,
 )
 
-# exact big-int scan beyond this gets slow; floats are confirmed exactly
-# at the boundary up to _CONFIRM_LIMIT
-_EXACT_LIMIT = 4096
+# the float search's answer is confirmed exactly up to this ell
 _CONFIRM_LIMIT = 65536
 
 MAX_LISTED_ATOMS = 100  # certificate_report lists at most this many atoms
@@ -81,29 +79,27 @@ def capacity_bound(ell: int) -> int:
     """Largest n with 2^n <= (n+1)^ell; 0 when ell is 0.
 
     The predicate is monotone (true up to the answer, false after), so a
-    doubling scan plus binary search finds the edge.  Floats are safe for
-    large ell: near the edge the defect changes by about 1 per step while
-    rounding error stays far below that, and for moderate ell the float
-    answer is reconfirmed with exact arithmetic anyway.
+    doubling scan plus binary search over its float form finds the edge.
+    Floats are safe: near the edge the defect changes by about 1 per step
+    while rounding error stays far below that, and up to _CONFIRM_LIMIT
+    the answer is reconfirmed with exact arithmetic anyway.
     """
     if ell < 0:
         raise UpperBoundError("ell must be nonnegative")
     if ell == 0:
         return 0
-    test = _holds_exact if ell <= _EXACT_LIMIT else _holds_float
-
     hi = 1
-    while test(hi, ell):
+    while _holds_float(hi, ell):
         hi <<= 1
     lo = hi >> 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if test(mid, ell):
+        if _holds_float(mid, ell):
             lo = mid
         else:
             hi = mid
 
-    if test is _holds_float and ell <= _CONFIRM_LIMIT:
+    if ell <= _CONFIRM_LIMIT:
         while _holds_exact(lo + 1, ell):
             lo += 1
         while not _holds_exact(lo, ell):

@@ -226,6 +226,9 @@ def family_from_formula(pf: PartitionedFormula,
     missing = set(pf.param_vars) - set(param_windows)
     if missing:
         raise VcLabError(f"missing parameter windows: {sorted(missing)}")
+    extra = set(param_windows) - set(pf.param_vars)
+    if extra:
+        raise VcLabError(f"windows for names that are not parameters: {sorted(extra)}")
 
     if mode not in ("qe", "bounded"):
         raise VcLabError(f"unknown mode {mode!r}")

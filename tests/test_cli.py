@@ -223,6 +223,52 @@ class TestGenVerify:
         assert "unreadable meta file" in err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("args", [
+        ["analyze"], ["qe"], ["upperbound"],
+        ["vc", "--ground", "0..3", "--param", "y=0..3"],
+        ["shatter", "--ground", "0..3", "--param", "y=0..3", "--n", "1"],
+        ["verify", "--meta", "META"],
+    ], ids=lambda args: args[0])
+    def test_non_utf8_formula_exits_3(self, capsys, outdir, args):
+        f, m = outdir / "bad.pa", outdir / "m.json"
+        run(capsys, "gen", "--d", "2", "--out", str(f), "--meta", str(m))
+        f.write_bytes(b"#objects: x\n#params: y\n(<= x \xffy)\n")
+        args = [str(m) if a == "META" else a for a in args]
+        rc, err = refused(capsys, args[0], "--formula", str(f), *args[1:])
+        assert rc == 3
+        assert f"unreadable formula file {f}" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"d": "2\xff"}', b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["non-utf8", "nested-100000-deep"])
+    def test_undecodable_meta_is_unreadable(self, capsys, outdir, content):
+        f, m = outdir / "u2.pa", outdir / "u2.json"
+        run(capsys, "gen", "--d", "2", "--out", str(f), "--meta", str(m))
+        m.write_bytes(content)
+        rc, err = refused(capsys, "verify", "--formula", str(f), "--meta", str(m))
+        assert rc == 3
+        assert "unreadable meta file" in err
+
+
+class TestFamilyWindows:
+    @pytest.mark.parametrize("windows, message", [
+        (["--param", "y=0..3", "--param", "q=0..1"], "not parameters: ['q']"),
+        (["--param", "y=0..3", "--param", "y=0..5"],
+         "--param given more than once for ['y']"),
+        (["--param", "y=0..3", "--hint", "z=0..1", "--hint", "z=0..2"],
+         "--hint given more than once for ['z']"),
+    ], ids=["not-a-parameter", "repeated-param", "repeated-hint"])
+    def test_bad_windows_exit_3(self, capsys, outdir, windows, message):
+        f = outdir / "thz.pa"
+        f.write_text("#objects: x\n#params: y\n(exists z (and (<= x z) (<= z y)))\n")
+        for command in (["vc"], ["shatter", "--n", "1"]):
+            rc, err = refused(capsys, *command, "--formula", str(f),
+                              "--ground", "0..3", *windows)
+            assert rc == 3
+            assert message in err
+
+
 class TestUsageErrors:
     def test_d_zero_is_usage_error(self, capsys, outdir):
         with pytest.raises(SystemExit) as err:

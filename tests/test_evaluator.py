@@ -397,6 +397,15 @@ class TestMaskDifferential:
                                 mode="qe")
 
 
+def deep_alternation(levels):
+    """exists x over `levels` alternating and/or levels, each in a not."""
+    y = LinearTerm.var("y")
+    g = Atom(LT, LinearTerm.var("x"), y)
+    for i in range(levels):
+        g = Not((Or if i % 2 else And)((g, Atom(LE, y, LinearTerm.num(i)))))
+    return Exists("x", g)
+
+
 class TestSimplify:
     def test_ground_folding(self):
         assert simplify(parse("(and (< 1 2) (< x 5))")) == parse("(< x 5)")
@@ -416,6 +425,16 @@ class TestSimplify:
     def test_unused_quantifier_dropped(self):
         assert simplify(parse("(exists z (< x 1))")) == parse("(< x 1)")
         assert simplify(parse("(forall z T)")) is TRUE
+
+    def test_rewriter_stack_per_level(self):
+        # 250 levels, about 500 nodes: under pytest this fits the default
+        # recursion limit at three frames per level (rewrite, join,
+        # rewrite) but not at four, as with a generator over the parts.
+        # The results are not compared: == on them recurses deeper still.
+        f = deep_alternation(250)
+        assert free_vars(simplify(f)) == {"y"}
+        qf = eliminate_quantifiers(f)
+        assert is_quantifier_free(qf) and free_vars(qf) == {"y"}
 
     def test_soundness_and_idempotence_fuzz(self):
         for i in range(300):
@@ -531,6 +550,18 @@ class TestResourceCaps:
             eliminate_quantifiers(f)
         assert err.value.kind == "output atoms"
         assert err.value.needed > 1 << 63
+
+    @pytest.mark.parametrize("join, constant, want", [
+        ("or", "(<= x x)", TRUE), ("and", "(< x x)", FALSE)])
+    def test_no_part_after_an_absorbing_constant_is_eliminated(
+            self, monkeypatch, join, constant, want):
+        # alone, `over` needs 3 offsets x (4 atoms + 1) = 15 atoms
+        over = "(exists y (and (< a y) (< b y) (< y c) (< y d)))"
+        monkeypatch.setenv("PAVC_MAX_ATOMS", "5")
+        f = parse(f"({join} (exists x {constant}) {over})")
+        assert eliminate_quantifiers(f) is want
+        with pytest.raises(ResourceCapError):
+            eliminate_quantifiers(parse(f"({join} {over} (exists x {constant}))"))
 
     def test_env_var_overrides_cap(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")

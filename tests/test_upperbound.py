@@ -68,7 +68,7 @@ class TestCapacityBound:
             prev = b
 
     def test_float_path_matches_exact(self):
-        # straddle the exact/float switchover
+        # straddle 4096, where an exact search used to hand over to floats
         for ell in (4090, 4096, 4100, 5000):
             b = capacity_bound(ell)
             assert 2 ** b <= (b + 1) ** ell

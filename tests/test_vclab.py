@@ -343,6 +343,8 @@ class TestFamilyFromFormula:
         # a bare (lo, hi) is not a mapping of windows
         with pytest.raises(VcLabError, match="missing parameter windows"):
             family_from_formula(pf, (0, 1), (0, 1))
+        with pytest.raises(VcLabError, match=r"not parameters: \['q'\]"):
+            family_from_formula(pf, (0, 1), {"y": (0, 1), "q": (0, 1)})
         two_obj = PartitionedFormula(parse("(< x y)"), ("x", "y"), ())
         with pytest.raises(VcLabError):
             family_from_formula(two_obj, (0, 1), {})
