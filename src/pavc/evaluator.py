@@ -1,5 +1,17 @@
 """Evaluation and quantifier elimination for linear integer formulas.
 
+simplify, QE and the bounded plans are one rewriter, _rewrite: it folds
+atoms, negations and and/or bottom-up, drawing and/or parts lazily (none
+after the first absorbing constant is rewritten), and hands each
+quantifier with its rewritten body to a hook.  QE and the plans build
+that hook with _dual from an existential step, taking each universal as
+forall x F == not exists x not F.  Both steps read each atom as
+c*x + rest through one reader, _linear, and both remove an existential
+whose body pins c*x to a term t by one equality shortcut (Cooper 1972):
+exists x (c*x = t and R) == (div c t) and R[c*x := t], also through
+quantifiers over other variables, skipped when a quantifier in the body
+rebinds x or a variable of t.
+
 Evaluation compiles a formula once, by one builder that reads each atom
 as a linear form and gives an int over a window of one variable: bit j
 is the truth of the formula with that variable at window[j] (intervals,
@@ -10,37 +22,27 @@ cap at compile time; eval_point, eval_ground, eval_bounded and the other
 families use it.  compile_masks takes a quantifier-free formula over a
 window of its last variable; vclab.family_from_formula uses it for
 quantifier-free bodies with parameters: O(atoms x |ground|) big-int
-operations instead of O(atoms x |ground| x window) point tests.  Under
-bounded semantics (each quantified variable ranges over its hint
-interval) two rules keep the work per point small:
+operations instead of O(atoms x |ground| x window) point tests.
 
-* Equality substitution, at compile time, innermost first (Cooper
-  1972): exists v (c*v = t and R) over [lo, hi] becomes
-  (div c t) and c*lo <= t <= c*hi and R[c*v := t], also through
-  quantifiers over other variables, and skipped when a quantifier in
-  the body rebinds v or a variable of t.
-* CRT decision, at each point: the conjuncts of an existential that
-  are bounds on v narrow its interval, and its div conjuncts meet in
-  one residue class by the Chinese remainder theorem (as in Pugh's
-  Omega test).  When nothing else mentions v, the first member of that
-  progression decides existence in O(atoms); otherwise only the
-  progression is scanned.
-
-The point cap refuses upfront when the worst-case nesting product of
-interval sizes in the input formula exceeds it, whatever the plan then
-saves.
+Bounded semantics is exact semantics over the hints: exists v over its
+hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
+conjoins those two atoms, then takes the equality shortcut (its atom map
+turns them into c*lo <= t <= c*hi) or moves every conjunct that does
+not mention v out of the existential.  Each existential left is decided
+at each point by CRT: its constant bounds, the hint among them, fold
+into its interval at compile time, its other bounds narrow that interval
+and its div conjuncts meet in one residue class by the Chinese remainder
+theorem (as in Pugh's Omega test).  When nothing else mentions v, the
+first member of that progression decides existence in O(atoms);
+otherwise only the progression is scanned.  The point cap refuses
+upfront when the worst-case nesting product of interval sizes in the
+input formula exceeds it, whatever the plan then saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
-innermost-first elimination.  Both engines read each atom as c*x + rest
-through one reader, _linear, and take universals through the dual
-(forall x F == not exists x not F; _presolve does it for plans).  QE is
-simplify's rewriter, _rewrite, with an elimination hook at each
-quantifier; and/or parts are drawn lazily, so none after the first
-absorbing constant is eliminated.  An existential is removed either by
-the same equality-substitution shortcut (when a conjunct pins c*x to a
-term) or by the classic divisibility-aware case split: scale the
-variable's coefficients to a common delta, add (div delta x), then cover
-the solution space with boundary terms plus a periodic tail,
+innermost-first elimination.  An existential is removed either by the
+equality shortcut or by the classic divisibility-aware case split: scale
+the variable's coefficients to a common delta, add (div delta x), then
+cover the solution space with boundary terms plus a periodic tail,
 instantiating those offsets in 1..D (D the lcm of all div moduli) that
 (div delta x) and the top-level div conjuncts allow, one residue class
 per boundary term by CRT, from whichever side (lower or upper bounds) is
@@ -67,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
-    And, Atom, Bool, Exists, Forall, Formula, FormulaError, LinearTerm, Not, Or,
+    And, Atom, Bool, Exists, Forall, Formula, LinearTerm, Not, Or,
     atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, map_atoms,
     mk_and, mk_or,
 )
@@ -154,40 +156,31 @@ def _worst_case_points(f: Formula, hints: Mapping[str, tuple[int, int]]) -> int:
     raise EvalError(f"not a formula: {f!r}")
 
 
-def _presolve(f: Formula, hints: Mapping[str, tuple[int, int]]) -> Formula:
-    """Innermost-first rewrite, exact when every quantified variable ranges
-    over its hint interval.
+def _bounded_step(hints: Mapping[str, tuple[int, int]]
+                  ) -> Callable[[str, Formula], Formula]:
+    """The plans' existential step, exact over the hints.
 
-    exists v (c*v = t and R) with hint [lo, hi] becomes
-    (div c t) and c*lo <= t <= c*hi and R[c*v := t].  Any other
-    existential keeps only the conjuncts that mention v; the rest move
-    out of it, where an enclosing existential can use them.  Both steps
-    need a nonempty hint; over an empty one the existential is false.
-    A universal goes through the dual, forall v F == not exists v not F.
+    exists v over its hint [lo, hi] is exists v (lo <= v and v <= hi and F).
+    With an equality on v in F that is QE's equality shortcut, whose atom
+    map turns the two hint atoms into c*lo <= t <= c*hi.  Otherwise every
+    conjunct that does not mention v (an atom with coefficient 0 on v)
+    moves out, where an enclosing existential can use it.
     """
-    if isinstance(f, (Bool, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(_presolve(f.body, hints))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_presolve(p, hints) for p in f.parts))
-    if isinstance(f, Forall):
-        return Not(_presolve(Exists(f.var, Not(f.body)), hints))
-    body = _presolve(f.body, hints)
-    lo, hi = hints[f.var]
-    if lo > hi:
-        return FALSE
-    shortcut = _equality_shortcut(f.var, body)
-    if shortcut is not None:
-        c, t, pinned = shortcut
-        return mk_and([Atom(LE, LinearTerm.num(c * lo), t),
-                       Atom(LE, t, LinearTerm.num(c * hi)), pinned])
-    parts = list(_conjuncts(body))
-    outside = [p for p in parts if f.var not in free_vars(p)]
-    inside = [p for p in parts if f.var in free_vars(p)]
-    if not inside:
-        return mk_and(outside)
-    return mk_and(outside + [Exists(f.var, mk_and(inside))])
+    def step(var: str, body: Formula) -> Formula:
+        lo, hi = hints[var]
+        v = LinearTerm.var(var)
+        body = _join(True, (Atom(LE, LinearTerm.num(lo), v),
+                            Atom(LE, v, LinearTerm.num(hi)), body))
+        shortcut = _equality_shortcut(var, body)
+        if shortcut is not None:
+            return shortcut
+        outside, inside = [], []
+        for p in _conjuncts(body):
+            mentions = _linear(p, var)[0] if isinstance(p, Atom) \
+                else var in free_vars(p)
+            (inside if mentions else outside).append(p)
+        return _join(True, (*outside, Exists(var, mk_and(inside))))
+    return step
 
 
 _Env = list[int]
@@ -231,22 +224,18 @@ def _crt(res: int, mod: int, r: int, m: int) -> tuple[int, int] | None:
                         % step), mod * step
 
 
-def _exists_test(slot: int, lo: int, hi: int, fixed: tuple[_Test, ...],
-                 bounds: tuple, divs: tuple, others: tuple[_Test, ...]) -> _Test:
-    """exists v in [lo, hi] of (fixed and bounds and divs and others).
+def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
+                 others: tuple[_Test, ...]) -> _Test:
+    """exists v in [lo, hi] of (bounds and divs and others).
 
-    `fixed` does not depend on v.  Each bound (a, pairs, k) reads
-    a*v + k <= 0 and each div (g, m, inv, pairs, k) reads
-    g | k and v = (k/g)*inv mod m, with k completed from `pairs` at the
-    point.  The bounds narrow [lo, hi] and the divs meet in one residue
-    class by CRT, so only that progression is scanned, and only when
-    `others` (the conjuncts that mention v in any other way) is nonempty;
-    without them the first value of the progression decides.
+    Each bound (a, pairs, k) reads a*v + k <= 0 and each div
+    (g, m, inv, pairs, k) reads g | k and v = (k/g)*inv mod m, with k
+    completed from `pairs` at the point.  The bounds narrow [lo, hi] and
+    the divs meet in one residue class by CRT, so only that progression
+    is scanned, and only when `others` (every other conjunct) is
+    nonempty; without them the first value of the progression decides.
     """
     def test(env: _Env) -> bool:
-        for p in fixed:
-            if not p(env):
-                return False
         low, high = lo, hi
         for a, pairs, k in bounds:
             for i, c in pairs:
@@ -293,21 +282,20 @@ def _checked_vars(f: Formula, variables: Iterable[str]) -> tuple[str, ...]:
     return variables
 
 
-def _compile(f: Formula, scope: Mapping[str, int],
-             hints: Mapping[str, tuple[int, int]], slots: Iterator[int],
+def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
              last: str | None = None, window: range = range(1)) -> _Test:
     """Compile `f` into a test of environments, which hold each variable
     at its slot in `scope`.
 
     The test gives an int whose bit j is the truth of `f` with `last` at
     window[j]; a point is a one-bit window and no `last`.  Existentials
-    (the only quantifier left by _presolve) are compiled only for points:
-    each takes a fresh slot from `slots` and ranges over its hint interval.
+    (the only quantifier that _bounded_step leaves, each with its hint
+    among its constant bounds) are compiled only for points: each takes a
+    fresh slot from `slots`, and its constant bounds fold into its
+    interval here, once.
     """
     width = len(window)
     full = (1 << width) - 1
-    if isinstance(f, Atom):
-        f = _atom_simplified(f)
     if isinstance(f, Bool):
         value = full if f.value else 0
         return lambda env: value
@@ -344,10 +332,10 @@ def _compile(f: Formula, scope: Mapping[str, int],
             return full ^ full >> width - min(width, max(0, -(t // c)))  # j >= -(t // c)
         return mask
     if isinstance(f, Not):
-        body = _compile(f.body, scope, hints, slots, last, window)
+        body = _compile(f.body, scope, slots, last, window)
         return lambda env: full ^ body(env)
     if isinstance(f, And):
-        parts = tuple(_compile(p, scope, hints, slots, last, window) for p in f.parts)
+        parts = tuple(_compile(p, scope, slots, last, window) for p in f.parts)
 
         def test(env: _Env) -> int:  # stops at 0
             out = full
@@ -358,7 +346,7 @@ def _compile(f: Formula, scope: Mapping[str, int],
             return out
         return test
     if isinstance(f, Or):
-        parts = tuple(_compile(p, scope, hints, slots, last, window) for p in f.parts)
+        parts = tuple(_compile(p, scope, slots, last, window) for p in f.parts)
 
         def test(env: _Env) -> int:  # stops at full
             out = 0
@@ -373,26 +361,21 @@ def _compile(f: Formula, scope: Mapping[str, int],
     # every binder gets its own slot, so shadowing needs no restore
     slot = next(slots)
     inner = {**scope, f.var: slot}
-    lo, hi = hints[f.var]
-    fixed, bounds, divs, others = [], [], [], []
+    bounds, divs, others = [], [], []
     for part in _conjuncts(f.body):
-        if isinstance(part, Atom):
-            part = _atom_simplified(part)
-        if not isinstance(part, Atom):
-            (others if f.var in free_vars(part) else fixed).append(
-                _compile(part, inner, hints, slots))
-            continue
-        a, pairs, k = _slotted(part, f.var, inner)
-        if a == 0:
-            fixed.append(_compile(part, inner, hints, slots))
+        a, pairs, k = _slotted(part, f.var, inner) if isinstance(part, Atom) \
+            else (0, (), 0)
+        if a == 0:  # not an atom on v
+            others.append(_compile(part, inner, slots))
         elif part.kind == DIV:
             divs.append((*_div_solver(a, part.modulus), pairs, k))
-        elif part.kind == EQ:
-            bounds.append((a, pairs, k))
-            bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
         else:
             bounds.append((a, pairs, k))
-    return _exists_test(slot, lo, hi, tuple(fixed), tuple(bounds),
+            if part.kind == EQ:
+                bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
+    lo = max(-(k // a) for a, pairs, k in bounds if a < 0 and not pairs)
+    hi = min(-k // a for a, pairs, k in bounds if a > 0 and not pairs)
+    return _exists_test(slot, lo, hi, tuple(b for b in bounds if b[1]),
                         tuple(divs), tuple(others))
 
 
@@ -412,8 +395,8 @@ def compile_plan(f: Formula, variables: Iterable[str],
     hints = {} if hints is None else hints
     check_points(_worst_case_points(f, hints))
     slots = count(len(variables))
-    test = _compile(_presolve(f, hints), {v: i for i, v in enumerate(variables)},
-                    hints, slots)
+    test = _compile(_rewrite(f, _dual(_bounded_step(hints))),
+                    {v: i for i, v in enumerate(variables)}, slots)
     pad = [0] * (next(slots) - len(variables))
 
     def plan(values: Iterable[int]) -> bool:
@@ -427,8 +410,7 @@ def compile_masks(f: Formula, variables: Iterable[str],
     all but the last of `variables` to an int whose bit k is the truth of
     `f` with the last variable at window[k] (a range of step 1)."""
     *lead, last = _checked_vars(f, variables)
-    test = _compile(f, {v: i for i, v in enumerate(lead)}, {}, count(),
-                    last, window)
+    test = _compile(f, {v: i for i, v in enumerate(lead)}, count(), last, window)
     return lambda values: test(list(values))
 
 
@@ -530,6 +512,18 @@ def _rewrite(f: Formula, quantifier: Callable[[Formula, Formula], Formula]
     return walk(f)
 
 
+def _dual(step: Callable[[str, Formula], Formula]
+          ) -> Callable[[Formula, Formula], Formula]:
+    """The _rewrite hook that takes each existential through `step` (its
+    variable and rewritten body) and each universal through the dual,
+    forall x F == not exists x not F."""
+    def quantifier(g: Formula, body: Formula) -> Formula:
+        if isinstance(g, Exists):
+            return step(g.var, body)
+        return _negate(step(g.var, _negate(body)))
+    return quantifier
+
+
 def simplify(f: Formula) -> Formula:
     """Equivalence-preserving cleanup: constant folding, flattening,
     deduplication, double-negation and complementary-literal removal."""
@@ -582,15 +576,14 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
                     f"unexpected node {type(f).__name__}")
 
 
-def _equality_shortcut(var: str, body: Formula
-                       ) -> tuple[int, LinearTerm, Formula] | None:
+def _equality_shortcut(var: str, body: Formula) -> Formula | None:
     """exists var (c*var = t and R)  ==  (div c t) and R[c*var := t].
 
     Applies when some top-level conjunct is an equality containing var;
     every other atom is scaled by c (positive, so inequality directions
     survive) and the pinned value substituted, under quantifiers over
-    other variables too.  Returns (c, t, right-hand side), or None when
-    there is no such equality or a quantifier in body binds var
+    other variables too.  Returns the right-hand side, simplified, or
+    None when there is no such equality or a quantifier in body binds var
     (shadowing) or a variable of t (capture).
     """
     conjuncts = list(_conjuncts(body))
@@ -615,7 +608,7 @@ def _equality_shortcut(var: str, body: Formula
 
     rest_parts = [map_atoms(p, var, rewrite)
                   for i, p in enumerate(conjuncts) if i != chosen]
-    return c, t, mk_and([Atom(DIV, t, ZERO, c)] + rest_parts)
+    return simplify(mk_and([Atom(DIV, t, ZERO, c)] + rest_parts))
 
 
 def _solved_form(a: Atom, reading: tuple[int, LinearTerm], delta: int):
@@ -674,7 +667,7 @@ def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
 
     shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
-        return simplify(shortcut[2])
+        return shortcut
 
     nnf_body = _nnf(body, var)
     readings = {a: r for a in atoms_of(nnf_body) if (r := _linear(a, var))[0]}
@@ -739,16 +732,13 @@ def eliminate_quantifiers(f: Formula) -> Formula:
     """
     atoms_cap = resolve_max_atoms()
 
-    def eliminate(g: Formula, body: Formula) -> Formula:
-        if isinstance(g, Exists):
-            out = _eliminate_exists(g.var, body, atoms_cap)
-        else:  # forall x F == not exists x not F
-            out = _negate(_eliminate_exists(g.var, _negate(body), atoms_cap))
+    def eliminate(var: str, body: Formula) -> Formula:
+        out = _eliminate_exists(var, body, atoms_cap)
         _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
                  max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
         return out
 
-    result = _rewrite(f, eliminate)
+    result = _rewrite(f, _dual(eliminate))
     _enforce("output atoms", atoms_cap, count_atoms(result))
     return result
 

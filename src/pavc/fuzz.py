@@ -36,14 +36,12 @@ from .formula import (
     LT,
     TRUE,
     ZERO,
-    And,
     Atom,
     Exists,
     Forall,
     Formula,
     LinearTerm,
     Not,
-    Or,
     PartitionedFormula,
     free_vars,
     mk_and,

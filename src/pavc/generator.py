@@ -38,7 +38,7 @@ from typing import Mapping
 
 from .formula import (
     EQ, LE, LT,
-    And, Atom, Exists, Formula, LinearTerm, Or, PartitionedFormula,
+    And, Atom, Exists, Formula, LinearTerm, PartitionedFormula,
     free_vars, mk_and, mk_or, subst_term,
 )
 

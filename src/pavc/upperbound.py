@@ -10,6 +10,7 @@ ell and the largest n satisfying that inequality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .evaluator import eliminate_quantifiers
@@ -22,9 +23,6 @@ from .formula import (
     is_quantifier_free,
     to_text,
 )
-
-# the float search's answer is confirmed exactly up to this ell
-_CONFIRM_LIMIT = 65536
 
 MAX_LISTED_ATOMS = 100  # certificate_report lists at most this many atoms
 
@@ -67,44 +65,33 @@ def inventory(f: Formula) -> AtomInventory:
     return AtomInventory(entries, len(distinct) - cong, cong)
 
 
-def _holds_exact(n: int, ell: int) -> bool:
+def _holds(n: int, ell: int) -> bool:
+    """2^n <= (n+1)^ell, decided on the float gap ell*log2(n+1) - n.
+
+    The gap's rounding error is a few parts in 10^16 of ell*log2(n+1),
+    which is near n wherever the gap is small, so a gap farther from 0 than
+    1e-9*(n+1) has the right sign; only closer ones are settled with
+    integer powers.
+    """
+    gap = ell * math.log2(n + 1) - n
+    if abs(gap) > 1e-9 * (n + 1):
+        return gap > 0
     return 2 ** n <= (n + 1) ** ell
-
-
-def _holds_float(n: int, ell: int) -> bool:
-    return float(n) <= ell * math.log2(n + 1.0)
 
 
 def capacity_bound(ell: int) -> int:
     """Largest n with 2^n <= (n+1)^ell; 0 when ell is 0.
 
-    The predicate is monotone (true up to the answer, false after), so a
-    doubling scan plus binary search over its float form finds the edge.
-    Floats are safe: near the edge the defect changes by about 1 per step
-    while rounding error stays far below that, and up to _CONFIRM_LIMIT
-    the answer is reconfirmed with exact arithmetic anyway.
+    ell*log2(n+1) - n is concave in n and 0 at n = 0, so the predicate
+    holds up to the answer and fails after it: a doubling scan finds an
+    n where it fails and a binary search below that finds the edge.
     """
     if ell < 0:
         raise UpperBoundError("ell must be nonnegative")
-    if ell == 0:
-        return 0
     hi = 1
-    while _holds_float(hi, ell):
+    while _holds(hi, ell):
         hi <<= 1
-    lo = hi >> 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _holds_float(mid, ell):
-            lo = mid
-        else:
-            hi = mid
-
-    if ell <= _CONFIRM_LIMIT:
-        while _holds_exact(lo + 1, ell):
-            lo += 1
-        while not _holds_exact(lo, ell):
-            lo -= 1
-    return lo
+    return bisect_left(range(hi), True, key=lambda n: not _holds(n, ell)) - 1
 
 
 @dataclass(frozen=True)
@@ -114,12 +101,8 @@ class UpperBoundCertificate:
 
     def check(self) -> bool:
         """Re-verify the defining inequalities of the stored bound."""
-        if self.ell == 0:
-            return self.bound == 0
-        if self.ell > _CONFIRM_LIMIT:
-            return self.bound == capacity_bound(self.ell)
-        return (_holds_exact(self.bound, self.ell)
-                and not _holds_exact(self.bound + 1, self.ell))
+        return (self.bound >= 0 and _holds(self.bound, self.ell)
+                and not _holds(self.bound + 1, self.ell))
 
 
 def certificate(inv: AtomInventory) -> UpperBoundCertificate:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .evaluator import (check_points, compile_masks, compile_plan,
                         eliminate_quantifiers)
-from .formula import PartitionedFormula, is_quantifier_free
+from .formula import PartitionedFormula, bound_vars, is_quantifier_free
 
 DEFAULT_VC_CAP = 20
 DEFAULT_MAX_SUBSETS = 200_000
@@ -229,6 +229,9 @@ def family_from_formula(pf: PartitionedFormula,
     extra = set(param_windows) - set(pf.param_vars)
     if extra:
         raise VcLabError(f"windows for names that are not parameters: {sorted(extra)}")
+    unbound = set(hints or ()) - bound_vars(pf.formula)
+    if unbound:
+        raise VcLabError(f"hints for names that no quantifier binds: {sorted(unbound)}")
 
     if mode not in ("qe", "bounded"):
         raise VcLabError(f"unknown mode {mode!r}")

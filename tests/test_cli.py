@@ -258,7 +258,9 @@ class TestFamilyWindows:
          "--param given more than once for ['y']"),
         (["--param", "y=0..3", "--hint", "z=0..1", "--hint", "z=0..2"],
          "--hint given more than once for ['z']"),
-    ], ids=["not-a-parameter", "repeated-param", "repeated-hint"])
+        (["--param", "y=0..3", "--hint", "q=0..1"],
+         "hints for names that no quantifier binds: ['q']"),
+    ], ids=["not-a-parameter", "repeated-param", "repeated-hint", "unbound-hint"])
     def test_bad_windows_exit_3(self, capsys, outdir, windows, message):
         f = outdir / "thz.pa"
         f.write_text("#objects: x\n#params: y\n(exists z (and (<= x z) (<= z y)))\n")

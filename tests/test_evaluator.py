@@ -199,7 +199,9 @@ class TestCompiledPlanDifferential:
 
     def test_shadowing_and_capture(self):
         # inner u shadows the outer one; v's equality mentions x and u,
-        # and u is bound again under it (capture), so v is not substituted
+        # and u is bound again under it (capture), so v is not substituted.
+        # The last three hold atoms with v on both sides at equal
+        # coefficients, which do not mention v and move out of its scope
         x, u, v = (LinearTerm.var(n) for n in ("x", "u", "v"))
         cases = [
             Exists("u", mk_and([
@@ -212,12 +214,43 @@ class TestCompiledPlanDifferential:
                 Forall("u", Atom(LE, u, v.shifted(2))),
                 Exists("u", mk_and([Atom(EQ, u, v), Atom(DIV, u + x, ZERO, 3)])),
             ]))),
+            # the inner v blocks substituting v = 2, so the constant
+            # equality folds into both ends of the outer v's interval
+            Exists("v", mk_and([
+                Atom(EQ, v, LinearTerm.num(2)),
+                Exists("v", mk_and([Atom(LT, v, x), Atom(DIV, v + x, ZERO, 2)])),
+                Atom(LE, v.scaled(3), x),
+            ])),
+            Exists("v", mk_and([Atom(LE, x + v, v.shifted(2)),
+                                Atom(LT, v.scaled(2), x)])),
+            Exists("u", mk_and([
+                Atom(EQ, u.scaled(2), x.shifted(1)),
+                Exists("v", mk_and([Atom(LE, u + v.scaled(3), v.scaled(3) + x),
+                                    Atom(DIV, v + u, ZERO, 3)])),
+            ])),
+            Forall("v", mk_or([Atom(LT, v.scaled(2) + x, v.scaled(2)),
+                               Atom(LE, v, x)])),
         ]
         for f in cases:
             for xv in range(-8, 9):
                 point = {"x": xv}
                 assert eval_bounded(f, point, self.HINTS) == \
                     reference_eval(f, point, self.HINTS), (to_text(f), xv)
+
+    def test_existential_over_constant_bounds(self):
+        # the atoms allow v in [0, 2]; the hint is wider, narrower,
+        # disjoint from them or empty, and folds with them at compile time
+        x, v = LinearTerm.var("x"), LinearTerm.var("v")
+        f = Exists("v", mk_and([Atom(LE, ZERO, v),
+                                Atom(LE, v.scaled(2), LinearTerm.num(5)),
+                                Atom(LT, x, LinearTerm.num(3))]))
+        for hint, some in (((-5, 10), True), ((1, 1), True), ((3, 4), False),
+                           ((1, 0), False)):
+            got = {xv: eval_bounded(f, {"x": xv}, {"v": hint})
+                   for xv in range(-2, 6)}
+            assert got == {xv: reference_eval(f, {"x": xv}, {"v": hint})
+                           for xv in got}, hint
+            assert got == {xv: some and xv < 3 for xv in got}, hint
 
     def test_universals_through_the_dual(self):
         # forall v F is planned as not exists v not F: over an empty hint,

@@ -68,8 +68,9 @@ class TestCapacityBound:
             prev = b
 
     def test_float_path_matches_exact(self):
-        # straddle 4096, where an exact search used to hand over to floats
-        for ell in (4090, 4096, 4100, 5000):
+        # straddle 4096, where an exact search used to hand over to floats,
+        # and 65,536, and go well past both
+        for ell in (4090, 4096, 4100, 5000, 65_535, 65_536, 65_537, 100_000):
             b = capacity_bound(ell)
             assert 2 ** b <= (b + 1) ** ell
             assert 2 ** (b + 1) > (b + 2) ** ell
