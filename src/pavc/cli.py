@@ -40,8 +40,8 @@ from .generator import (
     DEFAULT_D_CAP,
     GadgetUnavailableError,
     GeneratorError,
+    block_mask,
     build_code_set,
-    code_set_contains,
     collapse_image,
     encode_bridged,
     encode_cf_short,
@@ -213,11 +213,10 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
                               mode=args.mode, hints=meta.hint_map())
 
     mismatch = None
-    for t in range(meta.t_window[0], meta.t_window[1] + 1):
-        x = (t - 1) % d + 1
-        y = (t - x) // d
-        if bool(fam.members[y][1] >> (x - 1) & 1) != code_set_contains(d, t):
-            mismatch = t
+    for y, (_, member) in enumerate(fam.members):
+        diff = member ^ block_mask(d, y)
+        if diff:  # its lowest bit x - 1 gives the first bad t = x + d*y
+            mismatch = (diff & -diff).bit_length() + d * y
             break
     # member y is block y, so the first mismatch also names the first bad block
     checks = [win_check, _check(

@@ -16,27 +16,29 @@ Evaluation compiles a formula once, by one builder that reads each atom
 as a linear form and gives an int over a window of one variable: bit j
 is the truth of the formula with that variable at window[j] (intervals,
 bits and periodic masks for atoms, bit operations for connectives).  A
-point is the one-bit window.  compile_plan makes a test of points over
-a fixed variable order, checking free variables, hints and the point
-cap at compile time; eval_point, eval_ground, eval_bounded and the other
-families use it.  compile_masks takes a quantifier-free formula over a
-window of its last variable; vclab.family_from_formula uses it for
-quantifier-free bodies with parameters: O(atoms x |ground|) big-int
-operations instead of O(atoms x |ground| x window) point tests.
+point is the one-bit window.  compile_plan tests points, compile_masks
+gives masks over a window of its last variable; both check free
+variables, hints and the point cap at compile time, and compile a
+quantified formula through the bounded plan below.  eval_point,
+eval_ground and eval_bounded use compile_plan, and vclab's families
+compile_masks (per parameter point over the ground window, or for a
+quantifier-free body per object over its last parameter's window).
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
 conjoins those two atoms, then takes the equality shortcut (its atom map
 turns them into c*lo <= t <= c*hi) or moves every conjunct that does
 not mention v out of the existential.  Each existential left is decided
-at each point by CRT: its constant bounds, the hint among them, fold
-into its interval at compile time, its other bounds narrow that interval
-and its div conjuncts meet in one residue class by the Chinese remainder
-theorem (as in Pugh's Omega test).  When nothing else mentions v, the
-first member of that progression decides existence in O(atoms);
-otherwise only the progression is scanned.  The point cap refuses
-upfront when the worst-case nesting product of interval sizes in the
-input formula exceeds it, whatever the plan then saves.
+at each point: its div conjuncts meet in one residue class by the
+Chinese remainder theorem (as in Pugh's Omega test), its constant
+bounds, the hint among them, fold into its interval at compile time and
+its other bounds narrow it.  When nothing else mentions v, the first
+member of that progression decides existence in O(atoms); otherwise
+only the progression is scanned.  Over a window, that test runs only
+where g | t, g = gcd(a, m), holds for each div m | a*v + t (the Omega
+test's normalization): one ground point per naive disjunct.  The point
+cap refuses upfront when the worst-case nesting product of interval
+sizes in the input formula exceeds it, whatever the plan then saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
 innermost-first elimination.  An existential is removed either by the
@@ -216,6 +218,8 @@ def _div_solver(a: int, m: int) -> tuple[int, int, int]:
 def _crt(res: int, mod: int, r: int, m: int) -> tuple[int, int] | None:
     """The class v = res (mod mod) met with v = r (mod m) by the Chinese
     remainder theorem, as (residue, modulus); None when they are disjoint."""
+    if mod == 1:
+        return r % m, m
     common = gcd(mod, m)
     if (r - res) % common:
         return None
@@ -228,14 +232,24 @@ def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
                  others: tuple[_Test, ...]) -> _Test:
     """exists v in [lo, hi] of (bounds and divs and others).
 
-    Each bound (a, pairs, k) reads a*v + k <= 0 and each div
-    (g, m, inv, pairs, k) reads g | k and v = (k/g)*inv mod m, with k
-    completed from `pairs` at the point.  The bounds narrow [lo, hi] and
-    the divs meet in one residue class by CRT, so only that progression
-    is scanned, and only when `others` (every other conjunct) is
-    nonempty; without them the first value of the progression decides.
+    Each div (g, m, inv, pairs, k) reads g | k and v = (k/g)*inv mod m and
+    each bound (a, pairs, k) reads a*v + k <= 0, with k completed from
+    `pairs` at the point.  The divs meet first in one residue class by
+    CRT, the bounds then narrow [lo, hi], and only that progression is
+    scanned, only when `others` (every other conjunct) is nonempty;
+    without them the first value of the progression decides.
     """
     def test(env: _Env) -> bool:
+        res, mod = 0, 1
+        for g, m, inv, pairs, k in divs:
+            for i, c in pairs:
+                k += c * env[i]
+            if k % g:
+                return False
+            merged = _crt(res, mod, k // g * inv % m, m)
+            if merged is None:
+                return False
+            res, mod = merged
         low, high = lo, hi
         for a, pairs, k in bounds:
             for i, c in pairs:
@@ -250,16 +264,6 @@ def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
                     low = cut
             if low > high:
                 return False
-        res, mod = 0, 1
-        for g, m, inv, pairs, k in divs:
-            for i, c in pairs:
-                k += c * env[i]
-            if k % g:
-                return False
-            merged = _crt(res, mod, k // g * inv % m, m)
-            if merged is None:
-                return False
-            res, mod = merged
         first = low + (res - low) % mod
         if not others:
             return first <= high
@@ -274,25 +278,18 @@ def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
     return test
 
 
-def _checked_vars(f: Formula, variables: Iterable[str]) -> tuple[str, ...]:
-    variables = tuple(variables)
-    missing = free_vars(f) - set(variables)
-    if missing:
-        raise EvalError(f"point missing variables: {sorted(missing)}")
-    return variables
-
-
 def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
              last: str | None = None, window: range = range(1)) -> _Test:
     """Compile `f` into a test of environments, which hold each variable
     at its slot in `scope`.
 
     The test gives an int whose bit j is the truth of `f` with `last` at
-    window[j]; a point is a one-bit window and no `last`.  Existentials
-    (the only quantifier that _bounded_step leaves, each with its hint
-    among its constant bounds) are compiled only for points: each takes a
-    fresh slot from `slots`, and its constant bounds fold into its
-    interval here, once.
+    window[j]; a point is a one-bit window and no `last`.  Existentials,
+    the only quantifier _bounded_step leaves, take fresh slots from
+    `slots` and fold their constant bounds into their interval here.
+    Over a window each runs its point test, `last` in its own slot, where
+    g | t holds for its divs m | a*v + t, g = gcd(a, m); once if `last`
+    is not free in it.
     """
     width = len(window)
     full = (1 << width) - 1
@@ -356,27 +353,67 @@ def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
                     return full
             return out
         return test
-    if last is not None:
-        raise EvalError("mask evaluation needs a quantifier-free formula")
     # every binder gets its own slot, so shadowing needs no restore
     slot = next(slots)
     inner = {**scope, f.var: slot}
-    bounds, divs, others = [], [], []
+    bounds, divs, others, residues = [], [], [], []
     for part in _conjuncts(f.body):
         a, pairs, k = _slotted(part, f.var, inner) if isinstance(part, Atom) \
             else (0, (), 0)
         if a == 0:  # not an atom on v
             others.append(_compile(part, inner, slots))
         elif part.kind == DIV:
-            divs.append((*_div_solver(a, part.modulus), pairs, k))
+            g, n, inv = _div_solver(a, part.modulus)
+            divs.append((g, n, inv, pairs, k))
+            if g > 1:  # m | a*v + t needs g | t
+                residues.append(Atom(DIV, _linear(part, f.var)[1], ZERO, g))
         else:
             bounds.append((a, pairs, k))
             if part.kind == EQ:
                 bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
     lo = max(-(k // a) for a, pairs, k in bounds if a < 0 and not pairs)
     hi = min(-k // a for a, pairs, k in bounds if a > 0 and not pairs)
-    return _exists_test(slot, lo, hi, tuple(b for b in bounds if b[1]),
+    test = _exists_test(slot, lo, hi, tuple(b for b in bounds if b[1]),
                         tuple(divs), tuple(others))
+    if last is None:
+        return test
+    if last not in free_vars(f):  # one truth over the window, `last` rebound say
+        return lambda env: full if test(env) else 0
+    candidates = _compile(mk_and(residues), scope, slots, last, window)
+    at = scope[last]
+
+    def over_window(env: _Env) -> int:  # the point test where every g | t holds
+        hits = candidates(env)
+        if not hits & hits - 1:  # none or one bit
+            env[at] = window.start + hits.bit_length() - 1
+            return hits if hits and test(env) else 0
+        bits = bytearray(format(hits, f"0{width}b"), "ascii")  # bit j at width-1-j
+        i = bits.find(b"1")
+        while i >= 0:
+            env[at] = window[width - 1 - i]
+            if not test(env):
+                bits[i] = 48  # "0"
+            i = bits.find(b"1", i + 1)
+        return int(bits, 2)
+    return over_window
+
+
+def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
+              window: range | None = None) -> Callable[[Iterable[int]], int]:
+    """compile_plan, or compile_masks when `window` is given."""
+    variables = tuple(variables)
+    missing = free_vars(f) - set(variables)
+    if missing:
+        raise EvalError(f"point missing variables: {sorted(missing)}")
+    if not is_quantifier_free(f):  # the plan rewrite would only re-simplify a QF f
+        check_points(_worst_case_points(f, hints or {}))
+        f = _rewrite(f, _dual(_bounded_step(hints or {})))
+    slots = count(len(variables))
+    last = None if window is None else variables[-1]
+    test = _compile(f, {v: i for i, v in enumerate(variables)}, slots, last,
+                    range(1) if window is None else window)
+    pad = [0] * (next(slots) - len(variables) + (last is not None))
+    return lambda values: test([*values, *pad])
 
 
 def compile_plan(f: Formula, variables: Iterable[str],
@@ -391,27 +428,18 @@ def compile_plan(f: Formula, variables: Iterable[str],
     has no hint, and ResourceCapError when the worst root-to-leaf product
     of interval sizes in f exceeds DEFAULT_MAX_POINTS.
     """
-    variables = _checked_vars(f, variables)
-    hints = {} if hints is None else hints
-    check_points(_worst_case_points(f, hints))
-    slots = count(len(variables))
-    test = _compile(_rewrite(f, _dual(_bounded_step(hints))),
-                    {v: i for i, v in enumerate(variables)}, slots)
-    pad = [0] * (next(slots) - len(variables))
-
-    def plan(values: Iterable[int]) -> bool:
-        return bool(test([*values, *pad]))
-    return plan
+    test = _compiled(f, variables, hints)
+    return lambda values: bool(test(values))
 
 
-def compile_masks(f: Formula, variables: Iterable[str],
-                  window: range) -> Callable[[Iterable[int]], int]:
-    """Compile a quantifier-free `f` once into a function from values of
-    all but the last of `variables` to an int whose bit k is the truth of
-    `f` with the last variable at window[k] (a range of step 1)."""
-    *lead, last = _checked_vars(f, variables)
-    test = _compile(f, {v: i for i, v in enumerate(lead)}, count(), last, window)
-    return lambda values: test(list(values))
+def compile_masks(f: Formula, variables: Iterable[str], window: range,
+                  hints: Mapping[str, tuple[int, int]] | None = None
+                  ) -> Callable[[Iterable[int]], int]:
+    """Compile `f` once into a function from values of all but the last
+    of `variables` to an int whose bit k is the truth of `f` with the last
+    variable at window[k] (a range of step 1).  Quantifiers range over
+    `hints`, with the errors and point cap of compile_plan."""
+    return _compiled(f, variables, hints, window)
 
 
 def eval_point(f: Formula, env: Mapping[str, int]) -> bool:

@@ -63,13 +63,18 @@ def _check_d(d: int) -> int:
 # The code set and its two presentations
 
 
-def lex_subset(d: int, j: int) -> frozenset[int]:
-    """The j-th subset of {1..d} when subsets are ordered by descending
-    sum of 2^i over members: j=0 gives {1..d}, j=2^d-1 gives the empty set."""
+def block_mask(d: int, j: int) -> int:
+    """lex_subset(d, j) as a mask: bit i-1 is set iff i + d*j is a code."""
     _check_d(d)
     if not 0 <= j < (1 << d):
         raise GeneratorError(f"j must be in [0, 2^{d}), got {j}")
-    code = (1 << d) - 1 - j
+    return (1 << d) - 1 - j
+
+
+def lex_subset(d: int, j: int) -> frozenset[int]:
+    """The j-th subset of {1..d} when subsets are ordered by descending
+    sum of 2^i over members: j=0 gives {1..d}, j=2^d-1 gives the empty set."""
+    code = block_mask(d, j)
     return frozenset(i for i in range(1, d + 1) if code >> (i - 1) & 1)
 
 

@@ -13,8 +13,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import (check_points, compile_masks, compile_plan,
-                        eliminate_quantifiers)
+from .evaluator import check_points, compile_masks, eliminate_quantifiers
 from .formula import PartitionedFormula, bound_vars, is_quantifier_free
 
 DEFAULT_VC_CAP = 20
@@ -214,9 +213,9 @@ def family_from_formula(pf: PartitionedFormula,
 
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
-    eliminates quantifiers once first.  A quantifier-free body with
-    parameters goes through compile_masks, one mask over the last
-    parameter's window per ground object; any other through compile_plan.
+    eliminates quantifiers once first.  Members come from compile_masks,
+    over the ground window per parameter point (per object over the last
+    parameter's window for a quantifier-free body with parameters).
     Refuses (ResourceCapError) before any evaluation when |ground| times
     the parameter box exceeds DEFAULT_MAX_POINTS.
     """
@@ -248,11 +247,10 @@ def family_from_formula(pf: PartitionedFormula,
                     for x in reversed(ground)]
             members += ((",".join(map(str, (*combo, y))), int("".join(bits), 2))
                         for y, bits in zip(window, zip(*rows)))
-    else:
-        holds = compile_plan(body, (obj,) + pf.param_vars, hints)
-        for combo in product(*param_ranges):
-            members.append((",".join(map(str, combo)), sum(
-                1 << i for i, x in enumerate(ground) if holds((x, *combo)))))
+    else:  # one mask over the ground window per parameter point
+        member = compile_masks(body, pf.param_vars + (obj,), ground, hints)
+        members += ((",".join(map(str, combo)), member(combo))
+                    for combo in product(*param_ranges))
     return SetFamily(tuple(ground), tuple(members))
 
 

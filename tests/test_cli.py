@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -519,3 +523,28 @@ class TestDeepNesting:
             captured = capsys.readouterr()
             assert rc == 3
             assert f"nesting deeper than {MAX_NESTING}" in captured.err
+
+
+class TestModuleEntryPoint:
+    """`python -m pavc` runs the same command line from a checkout."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "pavc", *args],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_help(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: pavc")
+        assert "convergents" in proc.stdout
+
+    def test_convergents(self):
+        proc = self.run_module("convergents", "--p", "45", "--q", "16")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == "convergents"
+        assert report["outputs"]["convergents"][-1] == ["45", "16"]

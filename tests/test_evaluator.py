@@ -51,6 +51,7 @@ from pavc.formula import (
 )
 from pavc.fuzz import SOUND_BOX, random_partitioned, random_qf, random_sentence
 from pavc.generator import (
+    block_mask,
     build_code_set,
     code_set_contains,
     encode_bridged,
@@ -428,6 +429,135 @@ class TestMaskDifferential:
         with pytest.raises(ResourceCapError):
             family_from_formula(pf, (0, 9), {"a": (0, 3162), "b": (0, 3162)},
                                 mode="qe")
+
+
+def windowed_body(rng):
+    """A fuzz.random_partitioned body under one or two quantifiers, each
+    over u, v or the object variable x (rebinding it), with a div whose
+    coefficient on the bound variable shares a factor with its modulus.
+    A forall goes through the dual; x stays free."""
+    f = random_partitioned(rng).formula
+    for var in rng.sample(("u", "v", "x"), rng.randint(1, 2)):
+        names = (var, *sorted(free_vars(f) - {var}))
+        coeffs = {n: rng.randint(-3, 3) for n in names}
+        coeffs[var] = rng.choice((2, 3, 4, -4, 6))
+        div = Atom(DIV, LinearTerm.of(coeffs).shifted(rng.randint(-5, 5)),
+                   ZERO, rng.choice((4, 6, 8, 9, 12)))
+        parts = [f, div, random_qf(rng, names, atom_bound=2)]
+        rng.shuffle(parts)
+        f = (Forall if rng.random() < 0.25 else Exists)(var, mk_and(parts))
+    if "x" not in free_vars(f):
+        f = mk_and([f, Atom(LE, LinearTerm.var("x"),
+                            LinearTerm.num(rng.randint(-2, 4)))])
+    return PartitionedFormula(f, ("x",), tuple(sorted(free_vars(f) - {"x"})))
+
+
+def counting_point_tests(monkeypatch):
+    """Patch the evaluator so each run of an existential's point test is
+    appended to the returned list."""
+    calls, made = [], evaluator._exists_test
+
+    def counting(*args):
+        test = made(*args)
+
+        def counted(env):
+            calls.append(1)
+            return test(env)
+        return counted
+    monkeypatch.setattr(evaluator, "_exists_test", counting)
+    return calls
+
+
+class TestWindowDifferential:
+    """Bounded families over the ground window (compile_masks with
+    quantifiers) against the same family built point by point with
+    compile_plan."""
+
+    @pytest.mark.parametrize("encode, d", [(encode_naive, d) for d in range(1, 7)]
+                             + [(encode_bridged, d) for d in range(1, 6)])
+    def test_encoders(self, encode, d):
+        pf, meta = encode(d)
+        windows = {meta.param_var: meta.param_window}
+        fam = family_from_formula(pf, meta.ground_window, windows,
+                                  hints=meta.hint_map())
+        assert fam == point_family(pf, meta.ground_window, windows,
+                                   meta.hint_map())
+        assert [m for _, m in fam.members] == \
+            [block_mask(d, y) for y in range(1 << d)]
+
+    def test_fuzz_bodies_under_quantifiers(self):
+        seen = {"forall": 0, "nested": 0, "rebinds x": 0, "empty hint": 0}
+        for i in range(120):
+            rng = random.Random(8_800_000 + i)
+            pf = windowed_body(rng)
+            bound = bound_vars(pf.formula)
+            hints = {n: h for n, h in (("u", (-3, 3)), ("x", (-4, 4)),
+                                       ("v", (1, 0) if i % 5 == 0 else (-2, 4)))
+                     if n in bound}
+            windows = dict.fromkeys(pf.param_vars, (-2, 2))
+            assert family_from_formula(pf, (-4, 5), windows, hints=hints) == \
+                point_family(pf, (-4, 5), windows, hints), \
+                (to_text(pf.formula), hints)
+            text = to_text(pf.formula)
+            seen["forall"] += "forall" in text
+            seen["nested"] += len(bound) > 1
+            seen["rebinds x"] += "x" in bound
+            seen["empty hint"] += hints.get("v") == (1, 0)
+        assert all(seen.values()), seen
+
+    def test_residue_masks_leave_one_point_test_per_disjunct(self,
+                                                             monkeypatch):
+        # disjunct i of the naive encoder holds only where d | x + d*y - i,
+        # at x = i of the ground window 1..d
+        calls = counting_point_tests(monkeypatch)
+        for d in (3, 6):
+            pf, meta = encode_naive(d)
+            calls.clear()
+            family_from_formula(pf, meta.ground_window,
+                                {meta.param_var: meta.param_window},
+                                hints=meta.hint_map())
+            assert len(calls) == d << d
+
+    def test_existential_without_the_window_variable_runs_once(self,
+                                                             monkeypatch):
+        # the inner x is bound, so one point test serves the whole window
+        x, y = LinearTerm.var("x"), LinearTerm.var("y")
+        pf = PartitionedFormula(mk_and([
+            Atom(LE, ZERO, x),
+            Exists("x", mk_and([Atom(DIV, x.scaled(2) + y, ZERO, 4),
+                                Atom(LE, x, y)]))]), ("x",), ("y",))
+        hints, windows = {"x": (-5, 5)}, {"y": (-3, 3)}
+        calls = counting_point_tests(monkeypatch)
+        fam = family_from_formula(pf, (0, 999), windows, hints=hints)
+        assert len(calls) == 7
+        assert fam == point_family(pf, (0, 999), windows, hints)
+        assert {m for _, m in fam.members} == {0, (1 << 1000) - 1}
+
+    def test_wide_ground_window(self):
+        # 10^5 ground points x 5 parameter values, under the point cap:
+        # half the window passes 2 | x + y, and each of those scans u
+        pf = PartitionedFormula(parse(
+            "(exists u (and (div 6 (+ (* 4 u) x y))"
+            " (or (< u -2) (div 7 (+ x u y)))))", allow_div=True),
+            ("x",), ("y",))
+        hints, ground = {"u": (-3, 3)}, range(0, 100_000)
+        fam = family_from_formula(pf, (ground[0], ground[-1]), {"y": (-2, 2)},
+                                  hints=hints)
+        holds = compile_plan(pf.formula, ("x", "y"), hints)
+        rng = random.Random(100_000)
+        for _ in range(400):
+            row = rng.randrange(5)
+            label, mask = fam.members[row]
+            i = rng.randrange(len(ground))
+            assert bool(mask >> i & 1) == holds((ground[i], int(label)))
+        assert 10_000 < fam.members[0][1].bit_count() < 50_000
+
+    def test_quantified_masks_need_hints(self):
+        f = parse("(exists z (and (<= x z) (div 4 (* 2 z))))", allow_div=True)
+        with pytest.raises(MissingHintError):
+            compile_masks(f, ("x",), range(4))
+        masks = compile_masks(f, ("x",), range(-2, 3), {"z": (0, 1)})
+        assert masks(()) == 0b00111  # x <= 0: z = 0 is even
 
 
 def deep_alternation(levels):

@@ -13,6 +13,7 @@ from pavc.generator import (
     DEFAULT_D_CAP,
     GadgetUnavailableError,
     GeneratorError,
+    block_mask,
     build_code_set,
     code_set_contains,
     collapse_formula,
@@ -86,6 +87,19 @@ class TestCodeSet:
             assert max(explicit) <= top
             for t in range(-3, top + 5):
                 assert code_set_contains(d, t) == (t in explicit), (d, t)
+
+    def test_block_mask_is_membership_bit_by_bit(self):
+        # verify compares each member with its block's mask, in place of
+        # a code_set_contains call per t
+        for d in range(1, 11):
+            for j in range(1 << d):
+                mask = block_mask(d, j)
+                assert mask >> d == 0, (d, j)
+                for i in range(1, d + 1):
+                    assert bool(mask >> (i - 1) & 1) == \
+                        code_set_contains(d, i + d * j), (d, j, i)
+        with pytest.raises(GeneratorError):
+            block_mask(3, 8)
 
     def test_size_counts_subset_memberships(self):
         # each of the 2^d blocks contributes its subset's size
