@@ -41,8 +41,8 @@ from .generator import (
     GadgetUnavailableError,
     GeneratorError,
     block_mask,
-    build_code_set,
-    collapse_image,
+    code_set_bitmap,
+    collapse_image_bitmap,
     encode_bridged,
     encode_cf_short,
     encode_naive,
@@ -171,12 +171,13 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
                 json.dumps(meta_to_json(meta), indent=2, sort_keys=True) + "\n")
 
     d = args.d
-    code = build_code_set(d)
-    checks = [_check("collapse_image_matches", collapse_image(d) == code)]
+    code = code_set_bitmap(d)
+    checks = [_check("collapse_image_matches",
+                     collapse_image_bitmap(d) == code)]
     outputs = {
         "formula_file": _file_input(args.out),
         "meta_file": _file_input(args.meta),
-        "code_set_size": len(code),
+        "code_set_size": code.count(1),
         "t_window": [str(v) for v in meta.t_window],
         "shape": _shape_dict(pf),
     }

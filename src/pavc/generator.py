@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from math import prod
 from typing import Mapping
 
@@ -54,7 +55,7 @@ class GadgetUnavailableError(NotImplementedError):
 
 
 def _check_d(d: int) -> int:
-    if not 1 <= d <= DEFAULT_D_CAP:
+    if type(d) is not int or not 1 <= d <= DEFAULT_D_CAP:
         raise GeneratorError(f"d must be in [1, {DEFAULT_D_CAP}], got {d}")
     return d
 
@@ -91,12 +92,33 @@ def code_set_contains(d: int, t: int) -> bool:
     return bool(((1 << d) - 1 - j) >> (i - 1) & 1)
 
 
+def _mark(buf: bytearray, base: int, p: int, m: int, q: int,
+          n: int) -> bytearray:
+    """Set byte base + a*p + b*q of buf for a < m, b < n (base >= 0 and
+    p, q >= 1), growing buf as needed: one strided slice per step of the
+    shorter side, so the inner loop runs in C."""
+    if m > n:
+        p, m, q, n = q, n, p, m
+    buf.extend(bytes(max(0, base + p * (m - 1) + q * (n - 1) + 1 - len(buf))))
+    ones = b"\x01" * n
+    for a in range(base, base + p * m, p):
+        buf[a:a + q * (n - 1) + 1:q] = ones
+    return buf
+
+
+def code_set_bitmap(d: int) -> bytearray:
+    """Byte t is 1 iff t is a code, for t in [0, d*2^d]."""
+    _check_d(d)
+    buf = bytearray(d * (1 << d) + 1)
+    # residue i holds t = i + d*(a + 2^i*b) for a < 2^(i-1), b < 2^(d-i)
+    for i in range(1, d + 1):
+        _mark(buf, i, d, 1 << (i - 1), d << i, 1 << (d - i))
+    return buf
+
+
 def build_code_set(d: int) -> tuple[int, ...]:
     """All code-set elements, sorted.  The largest is at most d*2^d."""
-    _check_d(d)
-    # block j holds i iff bit i-1 of j is clear; it spans t = d*j + 1 .. d*j + d
-    return tuple(i + d * j for j in range(1 << d) for i in range(1, d + 1)
-                 if not j >> (i - 1) & 1)
+    return tuple(compress(count(), code_set_bitmap(d)))
 
 
 def index_block_values(i: int, d: int) -> tuple[int, ...]:
@@ -105,11 +127,8 @@ def index_block_values(i: int, d: int) -> tuple[int, ...]:
     _check_d(d)
     if not 1 <= i <= d:
         raise GeneratorError(f"i must be in [1, {d}], got {i}")
-    return tuple(sorted(
-        x + (1 << i) * y
-        for x in range(1 << (i - 1))
-        for y in range(1 << (d - i))
-    ))
+    return tuple(compress(count(), _mark(
+        bytearray(), 0, 1, 1 << (i - 1), 1 << i, 1 << (d - i))))
 
 
 @dataclass(frozen=True)
@@ -189,18 +208,35 @@ def collapse_witness(d: int, t: int) -> tuple[int, int, int, int] | None:
     return (tp, i, rp, s)
 
 
+def _collapse(d: int, tp: int) -> int:
+    """The t that the collapse system pairs with tp."""
+    r = (tp - 1) % d + 1
+    s, rp = divmod((tp - r) // d, 1 << d)
+    return r + d * (s + rp)
+
+
+def collapse_image_bitmap(d: int) -> bytearray:
+    """Byte t >= 0 is 1 iff t is the collapse of a spread element.
+    The map is a translation on each run of terms with one s = (tp-1) div
+    (d*2^d), so equal runs map onto a lattice."""
+    _check_d(d)
+    period = d << d
+    buf = bytearray(period + 1)
+    for ap in spread_aps(d):
+        # the terms before s first steps up, a ceiling division
+        run = min(ap.count, -(((ap.start - 1) % period - period) // ap.step))
+        if ap.count % run or run < ap.count and run * ap.step != period:
+            raise GeneratorError(f"unequal collapse runs in {ap}")
+        base = _collapse(d, ap.start)
+        _mark(buf, base, _collapse(d, ap.start + period) - base,
+              ap.count // run, ap.step, run)
+    return buf
+
+
 def collapse_image(d: int) -> tuple[int, ...]:
     """Map every spread element through the collapse system; equals the
     code set."""
-    _check_d(d)
-    out = set()
-    for ap in spread_aps(d):
-        for tp in ap.values():
-            r = (tp - 1) % d + 1
-            u = (tp - r) // d
-            s, rp = divmod(u, 1 << d)
-            out.add(r + d * (s + rp))
-    return tuple(sorted(out))
+    return tuple(compress(count(), collapse_image_bitmap(d)))
 
 
 def collapse_formula(d: int, spread_member: Formula, spread_var: str,

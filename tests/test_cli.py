@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from pavc import generator
 from pavc.cli import main
 from pavc.formula import MAX_NESTING
+from pavc.generator import AP
 
 
 def run(capsys, *args):
@@ -108,6 +110,30 @@ class TestGenVerify:
         data = json.loads(m.read_text())
         assert "witnesses" not in data and "largest" not in data
         assert m.stat().st_size < 4096
+
+    @pytest.mark.parametrize("encoder", ["naive", "bridged"])
+    def test_gen_at_the_cap(self, capsys, outdir, encoder):
+        rc, rep = run(capsys, "gen", "--d", "16", "--encoder", encoder,
+                      "--out", str(outdir / "g.pa"),
+                      "--meta", str(outdir / "g.json"))
+        assert rc == 0
+        assert checks_by_name(rep) == {"collapse_image_matches": True}
+        assert rep["outputs"]["code_set_size"] == 16 << 15
+
+    @pytest.mark.parametrize("perturb", [
+        lambda aps: aps[:-1],  # a progression dropped
+        lambda aps: aps[:-1] + (AP(aps[-1].start, aps[-1].step,
+                                   aps[-1].count - 1),),  # one shortened
+    ], ids=["dropped", "shortened"])
+    def test_gen_check_fails_on_a_perturbed_spread(self, capsys, outdir,
+                                                   monkeypatch, perturb):
+        spread_aps = generator.spread_aps
+        monkeypatch.setattr(generator, "spread_aps",
+                            lambda d: perturb(spread_aps(d)))
+        rc, rep = run(capsys, "gen", "--d", "6", "--out",
+                      str(outdir / "p.pa"), "--meta", str(outdir / "p.json"))
+        assert rc == 1
+        assert checks_by_name(rep) == {"collapse_image_matches": False}
 
     def test_corrupted_witness_fails_named_check(self, capsys, outdir):
         f = str(outdir / "c2.pa")

@@ -37,6 +37,31 @@ from pavc.generator import (
 )
 
 
+# The per-element constructions that the bitmap kernel replaced, kept as
+# references for the differential tests.
+
+def reference_code_set(d):
+    # block j holds i iff bit i-1 of j is clear
+    return tuple(i + d * j for j in range(1 << d) for i in range(1, d + 1)
+                 if not j >> (i - 1) & 1)
+
+
+def reference_index_block_values(i, d):
+    return tuple(sorted(x + (1 << i) * y for x in range(1 << (i - 1))
+                        for y in range(1 << (d - i))))
+
+
+def reference_collapse_image(d):
+    out = set()
+    for ap in spread_aps(d):
+        for tp in ap.values():
+            r = (tp - 1) % d + 1
+            u = (tp - r) // d
+            s, rp = divmod(u, 1 << d)
+            out.add(r + d * (s + rp))
+    return tuple(sorted(out))
+
+
 class TestLexSubsets:
     def test_anchors_d2(self):
         assert lex_subset(2, 0) == {1, 2}
@@ -73,6 +98,21 @@ class TestCodeSet:
     def test_anchor_values(self):
         assert build_code_set(1) == (1,)
         assert build_code_set(2) == (1, 2, 4, 5)
+
+    def test_bitmaps_match_per_element_references(self):
+        for d in range(1, 13):
+            assert build_code_set(d) == reference_code_set(d), d
+            assert collapse_image(d) == reference_collapse_image(d), d
+            for i in range(1, d + 1):
+                assert index_block_values(i, d) == \
+                    reference_index_block_values(i, d), (d, i)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+    def test_d_must_be_a_plain_int(self, bad):
+        for fn in (build_code_set, collapse_image, encode_naive,
+                   encode_bridged):
+            with pytest.raises(GeneratorError, match="d must be"):
+                fn(bad)
 
     def test_matches_lex_subset_definition(self):
         for d in range(1, 13):
@@ -213,8 +253,18 @@ class TestCollapse:
                 assert found == [collapse_witness(d, t)], (d, t)
 
     def test_image_equals_code_set(self):
-        for d in range(1, 9):
+        for d in range(1, DEFAULT_D_CAP + 1):
             assert collapse_image(d) == build_code_set(d)
+
+    def test_progression_off_the_collapse_runs_is_refused(self, monkeypatch):
+        # progression 2 of d = 4 has runs of 4 terms; 7 terms leave a
+        # partial run, whose image is not a lattice
+        import pavc.generator as gen
+        aps = list(spread_aps(4))
+        aps[1] = AP(aps[1].start, aps[1].step, aps[1].count - 1)
+        monkeypatch.setattr(gen, "spread_aps", lambda d: tuple(aps))
+        with pytest.raises(GeneratorError, match="unequal collapse runs"):
+            collapse_image(4)
 
     def test_collapse_formula_counts_eight_inequalities(self):
         from pavc.formula import LinearTerm
