@@ -302,7 +302,7 @@ def _cmd_shatter(args) -> tuple[dict, dict, list[dict]]:
         ok, witness = is_shattered(args.points, fam, cap=args.cap)
         checks.append(_check(
             "points_shattered", ok,
-            f"{len(args.points)} points, "
+            f"{len(set(args.points))} points, "
             + ("witness labels found" if ok else "some subset is missed")))
         if ok and witness is not None:
             outputs["witness"] = {

@@ -9,9 +9,10 @@ deduplicated wherever only distinct traces matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import product
 from math import comb, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .evaluator import check_points, compile_masks, eliminate_quantifiers
 from .formula import PartitionedFormula, bound_vars, is_quantifier_free
@@ -119,33 +120,79 @@ class ShatterReport:
         return f">= {self.vc_dim}" if self.capped else str(self.vc_dim)
 
 
-def _distinct_traces(masks: Sequence[int], subset_mask: int) -> int:
-    return len({m & subset_mask for m in masks})
+def _columns(masks: Sequence[int], size: int) -> list[int]:
+    """The family by ground index: bit r of cols[i] is set when masks[r]
+    holds ground index i."""
+    rows = [format(m, f"0{size}b") for m in reversed(masks)]
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
-def _most_traces(masks: Sequence[int], size: int, k: int
+def _most_traces(masks: Sequence[int], size: int, k: int,
+                 columns: Callable[[], list[int]] | None = None
                  ) -> tuple[int, tuple[int, ...]]:
     """The most distinct traces on any k of `size` ground indices, and the
     first index combination (in lexicographic order) that reaches it.
 
-    The scan stops at the first combination with all 2^k traces.  Refuses
-    when C(size, k) exceeds DEFAULT_MAX_SUBSETS.
+    The first combination is tested directly.  Otherwise a depth-first
+    walk over the combinations in lexicographic order carries the members
+    grouped by their trace on the indices chosen so far: each group of
+    two or more members is a bitset over members, and groups of one are
+    only counted, since they never split again.  Adding index i splits
+    each group g into g & cols[i] and the rest (see _columns, built on
+    first need; `columns` gives them when the caller shares one build
+    between several k), so a leaf's count is its number of nonempty
+    parts, at one AND per group (at most min(2^(k-1), len(masks)) of
+    them).  A subtree is skipped when its bound, min(2^k, len(masks),
+    ones + groups * 2^(indices left)), cannot beat the best count so far,
+    and the walk stops at the first combination with min(2^k, len(masks))
+    traces, which nothing can beat.  Refuses, before any work, when
+    C(size, k) exceeds DEFAULT_MAX_SUBSETS.
     """
     if comb(size, k) > DEFAULT_MAX_SUBSETS:
         raise VcLabError(f"C({size},{k}) subsets exceed the cap {DEFAULT_MAX_SUBSETS}")
-    best, first = 0, ()
-    if not masks:
+    if not masks or k > size:
+        return 0, ()
+    first, low = tuple(range(k)), (1 << k) - 1
+    best = len({m & low for m in masks})
+    top = min(1 << k, len(masks))
+    if best == top:
         return best, first
-    limit = 1 << k
-    for idx_combo in combinations(range(size), k):
-        sub = 0
-        for i in idx_combo:
-            sub |= 1 << i
-        count = _distinct_traces(masks, sub)
-        if count > best:
-            best, first = count, idx_combo
-            if best == limit:
-                break
+    cols = columns() if columns else _columns(masks, size)
+    chosen: list[int] = []
+
+    def walk(groups: list[int], ones: int, start: int, left: int) -> bool:
+        nonlocal best, first
+        for i in range(start, size - left + 1):
+            if ones + (len(groups) << left) <= best:
+                return False
+            col = cols[i]
+            if left == 1:
+                split = [g for g in groups if 0 != g & col != g]
+                count = ones + len(groups) + len(split)
+                if count > best:
+                    best, first = count, (*chosen, i)
+                    if best == top:
+                        return True
+                continue
+            parts, alone = [], ones
+            for g in groups:
+                part = g & col
+                if part == 0 or part == g:
+                    parts.append(g)
+                    continue
+                for piece in (part, g ^ part):
+                    if piece & (piece - 1):
+                        parts.append(piece)
+                    else:
+                        alone += 1
+            if alone + (len(parts) << left - 1) > best:
+                chosen.append(i)
+                if walk(parts, alone, i + 1, left - 1):
+                    return True
+                chosen.pop()
+        return False
+
+    walk([(1 << len(masks)) - 1], 0, 0, k)
     return best, first
 
 
@@ -157,14 +204,19 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP) -> ShatterReport:
     Shattering is hereditary, so pi_table stops after the first k with
     pi(k) < 2^k (k = vc_dim + 1), at k = cap, or at k = n; no later entry
     could change the dimension.  A k in the table with more than
-    DEFAULT_MAX_SUBSETS k-subsets raises VcLabError.
+    DEFAULT_MAX_SUBSETS k-subsets raises VcLabError: the budget counts the
+    k-subsets C(n, k), not the ones the search visits.  Each entry is
+    _most_traces' refinement search, which splits the members' trace
+    classes one ground index at a time (one AND per class and k-subset)
+    with member bitsets built once per family, on first need.
     """
     masks = fam.distinct_masks()
     n = len(fam.ground)
+    columns = cache(lambda: _columns(masks, n))
     table = []
     dim, witness = 0, ()
     for k in range(n + 1):
-        count, first = _most_traces(masks, n, k)
+        count, first = _most_traces(masks, n, k, columns)
         table.append((k, count))
         if count == 1 << k and k <= cap:
             dim, witness = k, tuple(fam.ground[i] for i in first)

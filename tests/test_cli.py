@@ -462,6 +462,14 @@ class TestAnalysisCommands:
                       "--param", "b=0..5", "--points", "1,2,3")
         assert rc == 1  # intervals cannot shatter three points
 
+        # a repeated point is one point: 2,3,2 is the shattered pair 2,3
+        rc, rep = run(capsys, "shatter", "--formula", str(f),
+                      "--ground", "0..5", "--param", "a=0..5",
+                      "--param", "b=0..5", "--points", "2,3,2")
+        assert rc == 0
+        assert rep["checks"][0]["detail"] == "2 points, witness labels found"
+        assert sorted(rep["outputs"]["witness"]) == ["{2,3}", "{2}", "{3}", "{}"]
+
     def test_shatter_function_value(self, capsys, outdir):
         f = outdir / "in.pa"
         f.write_text("#objects: x\n#params: a b\n"

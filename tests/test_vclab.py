@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -203,6 +204,116 @@ class TestSubsetBudget:
         monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 100)
         with pytest.raises(VcLabError, match=r"C\(21,2\) subsets exceed the cap 100"):
             vc_dimension(thresholds(list(range(21))))
+
+
+def reference_most_traces(masks, size, k):
+    """The combination scan that _most_traces replaced: every k-subset of
+    ground indices in lexicographic order, its traces counted in a set,
+    stopping at the first with all 2^k traces."""
+    if comb(size, k) > vclab.DEFAULT_MAX_SUBSETS:
+        raise VcLabError(f"C({size},{k}) subsets exceed the cap {vclab.DEFAULT_MAX_SUBSETS}")
+    best, first = 0, ()
+    if not masks:
+        return best, first
+    limit = 1 << k
+    for idx_combo in combinations(range(size), k):
+        sub = 0
+        for i in idx_combo:
+            sub |= 1 << i
+        count = len({m & sub for m in masks})
+        if count > best:
+            best, first = count, idx_combo
+            if best == limit:
+                break
+    return best, first
+
+
+def intervals(ground):
+    """All nonempty runs [a, b] of the ground set: VC-dimension 2."""
+    return SetFamily.from_sets(ground, [
+        (f"{a},{b}", ground[a:b + 1])
+        for a in range(len(ground)) for b in range(a, len(ground))])
+
+
+class TestMostTracesDifferential:
+    """The refinement search gives the reference scan's (best, first) for
+    every k <= n, k = 0 and k = n included."""
+
+    @staticmethod
+    def assert_every_k_matches(masks, size):
+        for k in range(size + 1):
+            assert vclab._most_traces(masks, size, k) == \
+                reference_most_traces(masks, size, k), (masks, size, k)
+
+    def test_random_families_at_workload_scale(self):
+        # 12..14 points and up to 291 members; every k (C(14,7) = 3432)
+        for seed in (70_000, 70_002, 70_006, 70_010, 70_011):
+            fam = random_family(random.Random(seed), max_ground=16,
+                                max_members=300)
+            assert len(fam.ground) >= 12
+            self.assert_every_k_matches(fam.distinct_masks(), len(fam.ground))
+
+    def test_sparse_random_families(self):
+        # few members over many points: the walk's skip rule does the work
+        rng = random.Random(71_000)
+        for _ in range(30):
+            size = rng.randint(8, 14)
+            masks = list(dict.fromkeys(
+                rng.getrandbits(size) for _ in range(rng.randint(2, 12))))
+            self.assert_every_k_matches(masks, size)
+
+    def test_power_sets(self):
+        for d in range(11):
+            self.assert_every_k_matches(list(range(1 << d)), d)
+
+    def test_power_sets_missing_members(self):
+        # the first combination misses a trace at some k, so the walk runs
+        rng = random.Random(72_000)
+        for d in range(2, 9):
+            masks = [m for m in range(1 << d) if rng.random() < 0.7]
+            self.assert_every_k_matches(masks, d)
+
+    def test_threshold_and_interval_families(self):
+        for n in (1, 2, 5, 12):
+            for fam in (thresholds(list(range(n))), intervals(list(range(n)))):
+                self.assert_every_k_matches(fam.distinct_masks(), n)
+
+    def test_empty_and_one_member_families(self):
+        for size in range(6):
+            self.assert_every_k_matches([], size)
+            self.assert_every_k_matches([(1 << size) - 1], size)
+            self.assert_every_k_matches([0b101 & ((1 << size) - 1)], size)
+        assert vclab._most_traces([], 4, 0) == (0, ())
+        assert vclab._most_traces([0b0110], 4, 0) == (1, ())
+        assert vclab._most_traces([0b0110], 4, 4) == (1, (0, 1, 2, 3))
+        assert vclab._most_traces([0b01, 0b10], 2, 3) == \
+            reference_most_traces([0b01, 0b10], 2, 3) == (0, ())
+
+    def test_refuses_before_any_work(self, monkeypatch):
+        def unbuilt():
+            raise AssertionError("columns built before the subset cap check")
+
+        monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 10)
+        with pytest.raises(VcLabError, match=r"C\(6,3\) subsets exceed the cap 10"):
+            vclab._most_traces([1, 2, 4], 6, 3, unbuilt)
+
+    def test_columns_hold_member_bits(self):
+        masks = [0b011, 0b110, 0b000, 0b101]
+        cols = vclab._columns(masks, 3)
+        assert cols == [0b1001, 0b0011, 0b1010]
+        assert vclab._columns([], 3) == []
+
+    def test_columns_built_once_per_family(self, monkeypatch):
+        built = []
+        columns = vclab._columns
+        monkeypatch.setattr(vclab, "_columns",
+                            lambda masks, size: built.append(size) or columns(masks, size))
+        # verify's power sets never leave the first-combination test
+        assert vc_dimension(power_set_family(list(range(8)))).vc_dim == 8
+        assert built == []
+        rep = vc_dimension(intervals(list(range(9))))
+        assert (rep.vc_dim, rep.pi_table) == (2, ((0, 1), (1, 2), (2, 4), (3, 7)))
+        assert built == [9]
 
 
 class TestShatterFunction:
