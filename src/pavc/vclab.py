@@ -9,10 +9,9 @@ deduplicated wherever only distinct traces matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from math import comb, prod
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .evaluator import check_points, compile_masks, eliminate_quantifiers
 from .formula import PartitionedFormula, bound_vars, is_quantifier_free
@@ -128,7 +127,7 @@ def _columns(masks: Sequence[int], size: int) -> list[int]:
 
 
 def _most_traces(masks: Sequence[int], size: int, k: int,
-                 columns: Callable[[], list[int]] | None = None
+                 cols: list[int] | None = None
                  ) -> tuple[int, tuple[int, ...]]:
     """The most distinct traces on any k of `size` ground indices, and the
     first index combination (in lexicographic order) that reaches it.
@@ -138,15 +137,16 @@ def _most_traces(masks: Sequence[int], size: int, k: int,
     grouped by their trace on the indices chosen so far: each group of
     two or more members is a bitset over members, and groups of one are
     only counted, since they never split again.  Adding index i splits
-    each group g into g & cols[i] and the rest (see _columns, built on
-    first need; `columns` gives them when the caller shares one build
-    between several k), so a leaf's count is its number of nonempty
-    parts, at one AND per group (at most min(2^(k-1), len(masks)) of
-    them).  A subtree is skipped when its bound, min(2^k, len(masks),
-    ones + groups * 2^(indices left)), cannot beat the best count so far,
-    and the walk stops at the first combination with min(2^k, len(masks))
-    traces, which nothing can beat.  Refuses, before any work, when
-    C(size, k) exceeds DEFAULT_MAX_SUBSETS.
+    each group g into g & cols[i] and the rest (see _columns; `cols`, when
+    given, is filled on first need, so that the caller's later k reuse
+    it), so a leaf's count is its number of nonempty parts, at one AND
+    per group (at most min(2^(k-1), len(masks)) of them).  The walk keeps
+    its own stack, one frame per chosen index, so k is not bounded by
+    Python's recursion limit.  A subtree is skipped when its bound,
+    min(2^k, len(masks), ones + groups * 2^(indices left)), cannot beat
+    the best count so far, and the walk stops at the first combination
+    with min(2^k, len(masks)) traces, which nothing can beat.  Refuses,
+    before any work, when C(size, k) exceeds DEFAULT_MAX_SUBSETS.
     """
     if comb(size, k) > DEFAULT_MAX_SUBSETS:
         raise VcLabError(f"C({size},{k}) subsets exceed the cap {DEFAULT_MAX_SUBSETS}")
@@ -157,42 +157,48 @@ def _most_traces(masks: Sequence[int], size: int, k: int,
     top = min(1 << k, len(masks))
     if best == top:
         return best, first
-    cols = columns() if columns else _columns(masks, size)
-    chosen: list[int] = []
-
-    def walk(groups: list[int], ones: int, start: int, left: int) -> bool:
-        nonlocal best, first
-        for i in range(start, size - left + 1):
-            if ones + (len(groups) << left) <= best:
-                return False
-            col = cols[i]
-            if left == 1:
-                split = [g for g in groups if 0 != g & col != g]
-                count = ones + len(groups) + len(split)
+    if cols is None:
+        cols = []
+    if not cols:
+        cols += _columns(masks, size)
+    # frame d: the groups and one-member count on the indices chosen at
+    # depths < d, and the next index to choose at depth d (so the index
+    # chosen at depth d is that frame's next index - 1)
+    stack = [([(1 << len(masks)) - 1], 0, 0)]
+    while stack:
+        groups, ones, start = stack[-1]
+        left = k + 1 - len(stack)
+        if left == 1:
+            base = ones + len(groups)
+            for i in range(start, size):
+                if base + len(groups) <= best:
+                    break
+                col = cols[i]
+                count = base + len([g for g in groups if 0 != g & col != g])
                 if count > best:
-                    best, first = count, (*chosen, i)
+                    best, first = count, (*(f[2] - 1 for f in stack[:-1]), i)
                     if best == top:
-                        return True
+                        return best, first
+            stack.pop()
+            continue
+        if start > size - left or ones + (len(groups) << left) <= best:
+            stack.pop()
+            continue
+        stack[-1] = (groups, ones, start + 1)
+        col = cols[start]
+        parts, alone = [], ones
+        for g in groups:
+            part = g & col
+            if part == 0 or part == g:
+                parts.append(g)
                 continue
-            parts, alone = [], ones
-            for g in groups:
-                part = g & col
-                if part == 0 or part == g:
-                    parts.append(g)
-                    continue
-                for piece in (part, g ^ part):
-                    if piece & (piece - 1):
-                        parts.append(piece)
-                    else:
-                        alone += 1
-            if alone + (len(parts) << left - 1) > best:
-                chosen.append(i)
-                if walk(parts, alone, i + 1, left - 1):
-                    return True
-                chosen.pop()
-        return False
-
-    walk([(1 << len(masks)) - 1], 0, 0, k)
+            for piece in (part, g ^ part):
+                if piece & (piece - 1):
+                    parts.append(piece)
+                else:
+                    alone += 1
+        if alone + (len(parts) << left - 1) > best:
+            stack.append((parts, alone, start + 1))
     return best, first
 
 
@@ -212,11 +218,11 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP) -> ShatterReport:
     """
     masks = fam.distinct_masks()
     n = len(fam.ground)
-    columns = cache(lambda: _columns(masks, n))
+    cols: list[int] = []
     table = []
     dim, witness = 0, ()
     for k in range(n + 1):
-        count, first = _most_traces(masks, n, k, columns)
+        count, first = _most_traces(masks, n, k, cols)
         table.append((k, count))
         if count == 1 << k and k <= cap:
             dim, witness = k, tuple(fam.ground[i] for i in first)

@@ -289,13 +289,23 @@ class TestMostTracesDifferential:
         assert vclab._most_traces([0b01, 0b10], 2, 3) == \
             reference_most_traces([0b01, 0b10], 2, 3) == (0, ())
 
+    def test_deep_walk_past_the_recursion_limit(self):
+        # k = n - 1 = 1099 passes the budget (C(1100, 1099) = 1100), and the
+        # first combination misses one trace, so the walk goes about 1,100
+        # levels deep, past Python's default recursion limit of 1,000
+        fam = thresholds(list(range(1100)))
+        masks = fam.distinct_masks()
+        assert vclab._most_traces(masks, 1100, 1099) == \
+            reference_most_traces(masks, 1100, 1099) == (1100, tuple(range(1, 1100)))
+
     def test_refuses_before_any_work(self, monkeypatch):
-        def unbuilt():
+        def unbuilt(masks, size):
             raise AssertionError("columns built before the subset cap check")
 
+        monkeypatch.setattr(vclab, "_columns", unbuilt)
         monkeypatch.setattr(vclab, "DEFAULT_MAX_SUBSETS", 10)
         with pytest.raises(VcLabError, match=r"C\(6,3\) subsets exceed the cap 10"):
-            vclab._most_traces([1, 2, 4], 6, 3, unbuilt)
+            vclab._most_traces([1, 2, 4], 6, 3)
 
     def test_columns_hold_member_bits(self):
         masks = [0b011, 0b110, 0b000, 0b101]
@@ -314,6 +324,10 @@ class TestMostTracesDifferential:
         rep = vc_dimension(intervals(list(range(9))))
         assert (rep.vc_dim, rep.pi_table) == (2, ((0, 1), (1, 2), (2, 4), (3, 7)))
         assert built == [9]
+        # k = 1 and k = 2 both leave the first-combination test here
+        rep = vc_dimension(thresholds(list(range(7))))
+        assert (rep.vc_dim, rep.pi_table) == (1, ((0, 1), (1, 2), (2, 3)))
+        assert built == [9, 7]
 
 
 class TestShatterFunction:
