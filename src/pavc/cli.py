@@ -40,7 +40,6 @@ from .generator import (
     DEFAULT_D_CAP,
     GadgetUnavailableError,
     GeneratorError,
-    block_mask,
     code_set_bitmap,
     collapse_image_bitmap,
     encode_bridged,
@@ -49,7 +48,7 @@ from .generator import (
     meta_from_json,
     meta_to_json,
     select_modulus,
-    spread_aps,
+    verify_encoding,
 )
 from .upperbound import certificate_report, upper_bound_via_qe
 from .vclab import (
@@ -192,69 +191,12 @@ def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
             meta = meta_from_json(json.load(fh))
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormulaError(f"unreadable meta file {args.meta}: {exc!r}")
-    d = meta.d
-    if pf.object_vars != (meta.object_var,) or pf.param_vars != (meta.param_var,):
-        raise FormulaError("formula partition does not match the meta file")
+    outputs, checks = verify_encoding(pf, meta, args.mode)
     inputs = {"formula": _file_input(args.formula),
               "meta": _file_input(args.meta)}
-
-    windows_ok = (
-        meta.ground_window == (1, d)
-        and meta.param_window == (0, (1 << d) - 1)
-        and meta.t_window == (1, d * (1 << d))
-    )
-    win_check = _check(
-        "windows_consistent", windows_ok,
-        "" if windows_ok else "meta windows disagree with d")
-    if not windows_ok:
-        return inputs, {"d": d, "mode": args.mode}, [win_check]
-
-    fam = family_from_formula(pf, meta.ground_window,
-                              {meta.param_var: meta.param_window},
-                              mode=args.mode, hints=meta.hint_map())
-
-    mismatch = None
-    for y, (_, member) in enumerate(fam.members):
-        diff = member ^ block_mask(d, y)
-        if diff:  # its lowest bit x - 1 gives the first bad t = x + d*y
-            mismatch = (diff & -diff).bit_length() + d * y
-            break
-    # member y is block y, so the first mismatch also names the first bad block
-    checks = [win_check, _check(
-        "extensional_membership",
-        mismatch is None,
-        "all t agree" if mismatch is None else f"first mismatch at t={mismatch}",
-    ), _check(
-        "family_is_lexicographic",
-        mismatch is None,
-        "all blocks agree" if mismatch is None
-        else f"block y={(mismatch - 1) // d} selects the wrong subset",
-    )]
-
-    # d <= DEFAULT_D_CAP < DEFAULT_VC_CAP, so the dimension is never capped
-    rep = vc_dimension(fam)
-    checks.append(_check("ground_window_shattered", rep.vc_dim == len(fam.ground)))
-    checks.append(_check("vc_dimension_exact", rep.vc_dim == d,
-                         f"measured {rep.vc_display()}, expected {d}"))
-
-    # each code t's witness, derived from d, lies in the spread
-    # progression that starts at its r (tests/test_generator.py proves
-    # it for every d the generator accepts), so the meta file passes when
-    # its progressions are d's
-    aps_ok = meta.aps == spread_aps(d)
-    checks.append(_check(
-        "witnesses_check_out", aps_ok,
-        "all witnesses solve the collapse system" if aps_ok
-        else "spread progressions differ from those of d"))
-
-    outputs = {
-        "d": d,
-        "mode": args.mode,
-        "shape": _shape_dict(pf),
-        "vc": report_json(rep, fam, meta.ground_window,
-                          {meta.param_var: meta.param_window}),
-    }
-    return inputs, outputs, checks
+    if "vc" in outputs:  # the family was built
+        outputs["shape"] = _shape_dict(pf)
+    return inputs, outputs, [_check(*c) for c in checks]
 
 
 def _family_args(parser: argparse.ArgumentParser) -> None:
@@ -320,6 +262,7 @@ def _cmd_shatter(args) -> tuple[dict, dict, list[dict]]:
 
 
 def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
+    inputs = {"formula": _file_input(args.formula)}  # before --out may overwrite it
     pf = _read_partitioned(args.formula, allow_div=True)
     before = len(set(atoms_of(pf.formula)))
     qf = eliminate_quantifiers(pf.formula)
@@ -340,7 +283,6 @@ def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
     }
     if args.out:
         outputs["out_file"] = _file_input(args.out)
-    inputs = {"formula": _file_input(args.formula)}
     return inputs, outputs, []
 
 

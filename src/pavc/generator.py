@@ -39,9 +39,10 @@ from typing import Mapping
 
 from .formula import (
     EQ, LE, LT,
-    And, Atom, Exists, Formula, LinearTerm, PartitionedFormula,
+    And, Atom, Exists, Formula, FormulaError, LinearTerm, PartitionedFormula,
     free_vars, mk_and, mk_or, subst_term,
 )
+from .vclab import family_from_formula, report_json, vc_dimension
 
 DEFAULT_D_CAP = 16
 
@@ -407,6 +408,62 @@ def select_modulus(d: int, mode: str, seed: int = 0) -> int:
     if mode == "product":
         return 1 + prod(terms)
     raise GeneratorError(f"unknown modulus mode {mode!r}")
+
+
+def verify_encoding(pf: PartitionedFormula, meta: GeneratorMeta, mode: str
+                    ) -> tuple[dict, list[tuple[str, bool, str]]]:
+    """Check an emitted formula against its meta file: member y of its
+    family on meta's windows must be block_mask(d, y), its VC-dimension d,
+    and meta's progressions d's.  Returns the outputs and the checks as
+    (name, passed, detail); only windows_consistent when the windows
+    disagree with d.  FormulaError when pf's partition is not meta's."""
+    d = meta.d
+    if pf.object_vars != (meta.object_var,) or pf.param_vars != (meta.param_var,):
+        raise FormulaError("formula partition does not match the meta file")
+    derived = _meta(d, meta.encoder, {})  # the windows and progressions of d
+    windows_ok = (meta.ground_window, meta.param_window, meta.t_window) == (
+        derived.ground_window, derived.param_window, derived.t_window)
+    outputs = {"d": d, "mode": mode}
+    checks = [("windows_consistent", windows_ok,
+               "" if windows_ok else "meta windows disagree with d")]
+    if not windows_ok:
+        return outputs, checks
+
+    params = {meta.param_var: meta.param_window}
+    fam = family_from_formula(pf, meta.ground_window, params, mode=mode,
+                              hints=meta.hint_map())
+    mismatch = None
+    for y, (_, member) in enumerate(fam.members):
+        diff = member ^ block_mask(d, y)
+        if diff:  # its lowest bit x - 1 gives the first bad t = x + d*y
+            mismatch = (diff & -diff).bit_length() + d * y
+            break
+    # member y is block y, so the first mismatch also names the first bad block
+    checks += [(
+        "extensional_membership", mismatch is None,
+        "all t agree" if mismatch is None else f"first mismatch at t={mismatch}",
+    ), (
+        "family_is_lexicographic", mismatch is None,
+        "all blocks agree" if mismatch is None
+        else f"block y={(mismatch - 1) // d} selects the wrong subset",
+    )]
+
+    # d <= DEFAULT_D_CAP < DEFAULT_VC_CAP, so the dimension is never capped
+    rep = vc_dimension(fam)
+    checks += [("ground_window_shattered", rep.vc_dim == len(fam.ground), ""),
+               ("vc_dimension_exact", rep.vc_dim == d,
+                f"measured {rep.vc_display()}, expected {d}")]
+
+    # each code's witness, derived from d, lies in the spread progression
+    # of its r (tests/test_generator.py proves it for every d the generator
+    # accepts), so the meta file passes when its progressions are d's
+    aps_ok = meta.aps == derived.aps
+    checks.append((
+        "witnesses_check_out", aps_ok,
+        "all witnesses solve the collapse system" if aps_ok
+        else "spread progressions differ from those of d"))
+    outputs["vc"] = report_json(rep, fam, meta.ground_window, params)
+    return outputs, checks
 
 
 # ---------------------------------------------------------------------------

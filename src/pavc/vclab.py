@@ -271,9 +271,10 @@ def family_from_formula(pf: PartitionedFormula,
 
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
-    eliminates quantifiers once first.  Members come from compile_masks,
-    over the ground window per parameter point (per object over the last
-    parameter's window for a quantifier-free body with parameters).
+    eliminates quantifiers once first.  Members come from compile_masks:
+    one mask over the ground window per parameter point, or, for a
+    quantifier-free body whose last parameter's window is longer, one over
+    that window per object, read off by ground index (_columns).
     Refuses (ResourceCapError) before any evaluation when |ground| times
     the parameter box exceeds DEFAULT_MAX_POINTS.
     """
@@ -296,20 +297,19 @@ def family_from_formula(pf: PartitionedFormula,
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
     check_points(prod(r.stop - r.start for r in (ground, *param_ranges)))
     body = pf.formula if mode == "bounded" else eliminate_quantifiers(pf.formula)
-    members = []
-    if pf.param_vars and is_quantifier_free(body):
+    if pf.param_vars and is_quantifier_free(body) \
+            and len(param_ranges[-1]) > len(ground):
+        # the longer window is the faster one to mask over; quantified
+        # bodies measured mixed on it and keep the ground window (CHANGES.md)
         *outer, window = param_ranges
-        masks = compile_masks(body, (obj,) + pf.param_vars, window)
-        for combo in product(*outer):  # one row per ground object, last first
-            rows = [format(masks((x, *combo)), f"0{len(window)}b")[::-1]
-                    for x in reversed(ground)]
-            members += ((",".join(map(str, (*combo, y))), int("".join(bits), 2))
-                        for y, bits in zip(window, zip(*rows)))
+        row = compile_masks(body, (obj,) + pf.param_vars, window)
+        masks = [member for combo in product(*outer) for member in
+                 _columns([row((x, *combo)) for x in ground], len(window))]
     else:  # one mask over the ground window per parameter point
         member = compile_masks(body, pf.param_vars + (obj,), ground, hints)
-        members += ((",".join(map(str, combo)), member(combo))
-                    for combo in product(*param_ranges))
-    return SetFamily(tuple(ground), tuple(members))
+        masks = [member(combo) for combo in product(*param_ranges)]
+    labels = (",".join(map(str, combo)) for combo in product(*param_ranges))
+    return SetFamily(tuple(ground), tuple(zip(labels, masks)))
 
 
 def report_json(report: ShatterReport, fam: SetFamily,

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -409,6 +410,17 @@ class TestAnalysisCommands:
         assert rep["outputs"]["formula_text"] == "(and (div 2 x) (<= x y))"
         text = out.read_text()
         assert "#objects: x" in text and "(div 2 x)" in text
+
+    def test_qe_digests_its_input_before_overwriting_it(self, capsys, outdir):
+        f = outdir / "in.pa"
+        f.write_text("#objects: x\n#params: y\n"
+                     "(exists z (and (= x (* 2 z)) (<= x y)))\n")
+        before = hashlib.sha256(f.read_bytes()).hexdigest()
+        rc, rep = run(capsys, "qe", "--formula", str(f), "--out", str(f))
+        assert rc == 0
+        assert rep["inputs"]["formula"]["sha256"] == before
+        after = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert rep["outputs"]["out_file"]["sha256"] == after != before
 
     def test_analyze_reports_shape(self, capsys, outdir):
         f = outdir / "in.pa"

@@ -2,12 +2,14 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 import sympy
 
+from pavc.cli import main
 from pavc.evaluator import eval_bounded, eval_ground
-from pavc.formula import free_vars, shape, substitute
+from pavc.formula import FormulaError, free_vars, shape, substitute
 from pavc.generator import (
     AP,
     DEFAULT_D_CAP,
@@ -33,6 +35,7 @@ from pavc.generator import (
     spread_aps,
     spread_block,
     spread_values,
+    verify_encoding,
     _spread_membership,
 )
 
@@ -361,6 +364,40 @@ class TestEncoders:
                 encode_naive(bad)
             with pytest.raises(GeneratorError):
                 encode_bridged(bad)
+
+
+class TestVerifyEncoding:
+    def test_checks_are_the_cli_report(self, capsys, tmp_path):
+        f, m = str(tmp_path / "f3.pa"), str(tmp_path / "f3.json")
+        assert main(["gen", "--d", "3", "--out", f, "--meta", m]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--formula", f, "--meta", m]) == 0
+        report = json.loads(capsys.readouterr().out)
+        pf, meta = encode_naive(3)
+        outputs, checks = verify_encoding(pf, meta, "bounded")
+        assert [{"name": name, "pass": ok, **({"detail": detail} if detail else {})}
+                for name, ok, detail in checks] == report["checks"]
+        assert [name for name, ok, _ in checks if ok] == [
+            "windows_consistent", "extensional_membership",
+            "family_is_lexicographic", "ground_window_shattered",
+            "vc_dimension_exact", "witnesses_check_out"]
+        assert {**outputs, "shape": report["outputs"]["shape"]} == report["outputs"]
+
+    def test_corrupted_window_builds_no_family(self):
+        pf, meta = encode_naive(3)
+        outputs, checks = verify_encoding(
+            pf, replace(meta, param_window=(0, 6)), "qe")
+        assert outputs == {"d": 3, "mode": "qe"}
+        assert checks == [("windows_consistent", False,
+                           "meta windows disagree with d")]
+
+    def test_mismatched_partition_raises(self):
+        pf, meta = encode_naive(2)
+        with pytest.raises(FormulaError, match="partition does not match"):
+            verify_encoding(pf, replace(meta, param_var="z"), "bounded")
+        with pytest.raises(FormulaError, match="partition does not match"):
+            verify_encoding(replace(pf, object_vars=("y",), param_vars=("x",)),
+                            meta, "bounded")
 
 
 class TestCompressedEncoderStub:

@@ -1,13 +1,14 @@
 """Set families, shattering, VC-dimension, and the shatter function."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from pavc import vclab
-from pavc.fuzz import random_family
+from pavc.evaluator import eval_point
+from pavc.fuzz import random_family, random_partitioned
 from pavc.generator import encode_bridged, encode_naive, lex_subset
 from pavc.vclab import (
     SetFamily,
@@ -473,6 +474,52 @@ class TestFamilyFromFormula:
         two_obj = PartitionedFormula(parse("(< x y)"), ("x", "y"), ())
         with pytest.raises(VcLabError):
             family_from_formula(two_obj, (0, 1), {})
+
+
+def eval_point_family(pf, ground_window, windows):
+    """family_from_formula's family built one point at a time with eval_point."""
+    ground = range(ground_window[0], ground_window[1] + 1)
+    members = []
+    for combo in product(*(range(windows[p][0], windows[p][1] + 1)
+                           for p in pf.param_vars)):
+        env = dict(zip(pf.param_vars, combo))
+        mask = sum(1 << i for i, x in enumerate(ground)
+                   if eval_point(pf.formula, {**env, "x": x}))
+        members.append((",".join(map(str, combo)), mask))
+    return SetFamily(tuple(ground), tuple(members))
+
+
+class TestFamilyPaths:
+    """Both of family_from_formula's paths against eval_point: the mask
+    runs over the last parameter's window only when that window is the
+    longer one."""
+
+    @pytest.mark.parametrize("ground, last, transposed", [
+        ((-4, 4), (-1, 2), False),
+        ((-2, 1), (-5, 6), True),
+        ((-3, 3), (4, 10), False),
+    ], ids=["ground-longer", "param-longer", "equal"])
+    def test_fuzz_bodies(self, monkeypatch, ground, last, transposed):
+        built = []
+        columns = vclab._columns
+        monkeypatch.setattr(vclab, "_columns",
+                            lambda masks, size: built.append(size) or columns(masks, size))
+        by_params = {1: 0, 2: 0}
+        seed = 9_100_000
+        while min(by_params.values()) < 6:
+            pf = random_partitioned(random.Random(seed))
+            seed += 1
+            if by_params.get(len(pf.param_vars), 6) >= 6:
+                continue
+            by_params[len(pf.param_vars)] += 1
+            windows = {**dict.fromkeys(pf.param_vars, (-1, 1)),
+                       pf.param_vars[-1]: last}
+            assert family_from_formula(pf, ground, windows) == \
+                eval_point_family(pf, ground, windows), (pf, windows)
+        # one transpose per point of the other parameters: 1 for each
+        # one-parameter body, 3 for each two-parameter body
+        width = last[1] - last[0] + 1
+        assert built == ([width] * (6 + 6 * 3) if transposed else [])
 
 
 def test_report_json_shape():
