@@ -89,14 +89,25 @@ def _binding(text: str) -> tuple[str, tuple[int, int]]:
     return (name, _window(win))
 
 
-def _dimension(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _dimension(text: str) -> int:
+    v = _integer(text)
     if not 1 <= v <= DEFAULT_D_CAP:
         raise argparse.ArgumentTypeError(
             f"d must be in 1..{DEFAULT_D_CAP}, got {v}")
+    return v
+
+
+def _cap(text: str) -> int:
+    v = _integer(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"cap must be at least 0, got {v}")
     return v
 
 
@@ -372,14 +383,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vc", help="measure the VC-dimension of a family")
     _family_args(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_VC_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_VC_CAP)
     p.add_argument("--expect-vc", type=int, default=None)
     p.set_defaults(fn=_cmd_vc)
 
     p = sub.add_parser("shatter",
                        help="check shattering or evaluate the shatter function")
     _family_args(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_VC_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_VC_CAP)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", type=_int_list,
                        help="comma-separated ground points")

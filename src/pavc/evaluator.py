@@ -23,6 +23,13 @@ quantified formula through the bounded plan below.  eval_point,
 eval_ground and eval_bounded use compile_plan, and vclab's families
 compile_masks (per parameter point over the ground window, or for a
 quantifier-free body per object over its last parameter's window).
+A quantifier-free body whose atoms all read through one linear form u,
+as both encoders' eliminated bodies do, is a finite union of intervals
+met with residue classes of u (the one-variable semilinear sets of
+Ginsburg and Spanier 1966): one_form_line folds it into those pieces in
+one walk and marks each on a byte line over u with one strided slice
+(mark_lattice, the lattice kernel the generator's bitmaps share), and a
+family reads its members off that line, with no mask per point.
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
@@ -65,9 +72,9 @@ module-level constant, read when it is enforced.
 from __future__ import annotations
 
 import os
-from itertools import count
-from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import count, islice
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
@@ -220,6 +227,8 @@ def _crt(res: int, mod: int, r: int, m: int) -> tuple[int, int] | None:
     remainder theorem, as (residue, modulus); None when they are disjoint."""
     if mod == 1:
         return r % m, m
+    if m == 1:
+        return res, mod
     common = gcd(mod, m)
     if (r - res) % common:
         return None
@@ -440,6 +449,135 @@ def compile_masks(f: Formula, variables: Iterable[str], window: range,
     variable at window[k] (a range of step 1).  Quantifiers range over
     `hints`, with the errors and point cap of compile_plan."""
     return _compiled(f, variables, hints, window)
+
+
+class NotOneForm(EvalError):
+    """one_form_line leaves this body to compile_masks; the message says why."""
+
+
+def mark_lattice(buf: bytearray, base: int, p: int, m: int, q: int,
+                 n: int) -> bytearray:
+    """Set byte base + a*p + b*q of buf for a < m, b < n (base >= 0 and
+    p, q >= 1), growing buf as needed: one strided slice per step of the
+    shorter side, so the inner loop runs in C."""
+    if m > n:
+        p, m, q, n = q, n, p, m
+    buf.extend(bytes(max(0, base + p * (m - 1) + q * (n - 1) + 1 - len(buf))))
+    ones = b"\x01" * n
+    for a in range(base, base + p * m, p):
+        buf[a:a + q * (n - 1) + 1:q] = ones
+    return buf
+
+
+def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
+                  ) -> tuple[tuple[int, ...], int, bytearray]:
+    """A quantifier-free `f` decided once, on a byte line over one linear
+    form u = sum of form[i]*variables[i], with each variable over its range.
+
+    Returns (form, start, line): line[j] is 1 iff f holds where u is
+    start + j, for u over the box's range.  The form is primitive and
+    positive on variables[0]; every atom's coefficient vector must be a
+    multiple k*form.  Such an f is a union of pieces, each an interval of
+    u met with a residue class: an order atom gives a half-line (negated,
+    the other one), an equality a point (negated, two half-lines), a div
+    a class by _div_solver.  An or joins its parts' pieces, an and meets
+    them pairwise (intervals intersect, classes meet by _crt), and each
+    piece is marked with one strided slice (mark_lattice).
+
+    Raises NotOneForm, before building the line, when an atom has
+    coefficient 0 on variables[0] or reads through a second form, a div
+    is negated, the pieces outnumber f's atoms, or the u-range is longer
+    than the box.
+    """
+    first = next(atoms_of(f), None)
+    form = () if first is None else (first.left - first.right).coeffs
+    coeffs = dict(form)
+    if coeffs.get(variables[0], 0) == 0:
+        raise NotOneForm("an atom has object coefficient 0")
+    missing = coeffs.keys() - set(variables)
+    if missing:
+        raise EvalError(f"point missing variables: {sorted(missing)}")
+    k = gcd(*coeffs.values()) * (1 if coeffs[variables[0]] > 0 else -1)
+    form = tuple((v, c // k) for v, c in form)
+    form_vec = tuple(coeffs.get(v, 0) // k for v in variables)
+    start = sum(min(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges))
+    stop = sum(max(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges)) + 1
+    if stop - start > prod(map(len, ranges)):
+        raise NotOneForm("the u-range is longer than the box")
+    limit = count_atoms(f)
+    scales: dict[tuple, int] = {}
+
+    def scale(a: Atom) -> int:  # k such that a's coefficient vector is k*form
+        key = a.left.coeffs, a.right.coeffs
+        k = scales.get(key)
+        if k is None:
+            vector = (a.left - a.right).coeffs
+            k = dict(vector).get(variables[0], 0)
+            if k == 0:
+                raise NotOneForm("an atom has object coefficient 0")
+            k //= form_vec[0]
+            if vector != tuple((v, k * c) for v, c in form):
+                raise NotOneForm("atoms read through a second form")
+            scales[key] = k
+        return k
+
+    def half(k: int, c: int) -> list[tuple[int, int, int]]:  # k*u + c <= 0
+        lo, hi = (start, min(stop - 1, -c // k)) if k > 0 \
+            else (max(start, -(c // k)), stop - 1)
+        return [(lo, hi, 1)] if lo <= hi else []
+
+    def meet(p: tuple[int, int, int], q: tuple[int, int, int]):
+        lo, hi = max(p[0], q[0]), min(p[1], q[1])
+        cls = _crt(p[0], p[2], q[0], q[2])
+        if cls is None:
+            return None
+        lo += (cls[0] - lo) % cls[1]
+        return (lo, hi, cls[1]) if lo <= hi else None
+
+    def walk(g: Formula, neg: bool) -> list[tuple[int, int, int]]:
+        """g's pieces (lo, hi, mod), lo the first member; `not g` if neg."""
+        if isinstance(g, Atom):
+            k, c = scale(g), g.left.const - g.right.const
+            if g.kind == DIV:
+                if neg:
+                    raise NotOneForm("a negated div")
+                common, n, inv = _div_solver(k, g.modulus)
+                lo = start + (c // common * inv - start) % n
+                return [(lo, stop - 1, n)] if c % common == 0 and lo < stop else []
+            if g.kind == EQ:
+                if neg:
+                    return half(k, c + 1) + half(-k, 1 - c)
+                u = -c // k
+                return [(u, u, 1)] if c % k == 0 and start <= u < stop else []
+            c += g.kind == LT
+            return half(-k, 1 - c) if neg else half(k, c)
+        if isinstance(g, (And, Or)):
+            out = walk(g.parts[0], neg)
+            join = isinstance(g, Or) != neg
+            for part in g.parts[1:]:
+                if join:
+                    out += walk(part, neg)
+                elif out:
+                    pieces = walk(part, neg)
+                    if len(out) == len(pieces) == 1:
+                        m = meet(out[0], pieces[0])
+                        out = [m] if m else []
+                    else:
+                        out = list(islice((m for p in out for q in pieces
+                                           if (m := meet(p, q))), limit + 1))
+                if len(out) > limit:
+                    raise NotOneForm("more pieces than atoms")
+            return out
+        if isinstance(g, Not):
+            return walk(g.body, not neg)
+        if isinstance(g, Bool):
+            return [(start, stop - 1, 1)] if g.value != neg else []
+        raise EvalError(f"not a quantifier-free formula: {g!r}")
+
+    line = bytearray(stop - start)
+    for lo, hi, mod in walk(f, False):
+        mark_lattice(line, lo - start, 1, 1, mod, (hi - lo) // mod + 1)
+    return form_vec, start, line
 
 
 def eval_point(f: Formula, env: Mapping[str, int]) -> bool:

@@ -37,6 +37,7 @@ from itertools import compress, count
 from math import prod
 from typing import Mapping
 
+from .evaluator import mark_lattice
 from .formula import (
     EQ, LE, LT,
     And, Atom, Exists, Formula, FormulaError, LinearTerm, PartitionedFormula,
@@ -93,27 +94,13 @@ def code_set_contains(d: int, t: int) -> bool:
     return bool(((1 << d) - 1 - j) >> (i - 1) & 1)
 
 
-def _mark(buf: bytearray, base: int, p: int, m: int, q: int,
-          n: int) -> bytearray:
-    """Set byte base + a*p + b*q of buf for a < m, b < n (base >= 0 and
-    p, q >= 1), growing buf as needed: one strided slice per step of the
-    shorter side, so the inner loop runs in C."""
-    if m > n:
-        p, m, q, n = q, n, p, m
-    buf.extend(bytes(max(0, base + p * (m - 1) + q * (n - 1) + 1 - len(buf))))
-    ones = b"\x01" * n
-    for a in range(base, base + p * m, p):
-        buf[a:a + q * (n - 1) + 1:q] = ones
-    return buf
-
-
 def code_set_bitmap(d: int) -> bytearray:
     """Byte t is 1 iff t is a code, for t in [0, d*2^d]."""
     _check_d(d)
     buf = bytearray(d * (1 << d) + 1)
     # residue i holds t = i + d*(a + 2^i*b) for a < 2^(i-1), b < 2^(d-i)
     for i in range(1, d + 1):
-        _mark(buf, i, d, 1 << (i - 1), d << i, 1 << (d - i))
+        mark_lattice(buf, i, d, 1 << (i - 1), d << i, 1 << (d - i))
     return buf
 
 
@@ -128,7 +115,7 @@ def index_block_values(i: int, d: int) -> tuple[int, ...]:
     _check_d(d)
     if not 1 <= i <= d:
         raise GeneratorError(f"i must be in [1, {d}], got {i}")
-    return tuple(compress(count(), _mark(
+    return tuple(compress(count(), mark_lattice(
         bytearray(), 0, 1, 1 << (i - 1), 1 << i, 1 << (d - i))))
 
 
@@ -229,8 +216,8 @@ def collapse_image_bitmap(d: int) -> bytearray:
         if ap.count % run or run < ap.count and run * ap.step != period:
             raise GeneratorError(f"unequal collapse runs in {ap}")
         base = _collapse(d, ap.start)
-        _mark(buf, base, _collapse(d, ap.start + period) - base,
-              ap.count // run, ap.step, run)
+        mark_lattice(buf, base, _collapse(d, ap.start + period) - base,
+                     ap.count // run, ap.step, run)
     return buf
 
 

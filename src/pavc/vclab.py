@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import check_points, compile_masks, eliminate_quantifiers
-from .formula import PartitionedFormula, bound_vars, is_quantifier_free
+from .evaluator import (
+    NotOneForm, check_points, compile_masks, eliminate_quantifiers, one_form_line,
+)
+from .formula import Formula, PartitionedFormula, bound_vars, is_quantifier_free
 
 DEFAULT_VC_CAP = 20
 DEFAULT_MAX_SUBSETS = 200_000
@@ -260,6 +263,28 @@ def _window_points(window: tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _one_form_masks(body: Formula, variables: tuple[str, ...], ground: range,
+                    param_ranges: list[range]) -> list[int] | None:
+    """The members of a one-form body, in parameter product order, read
+    off one_form_line's byte line over u; None when it refuses the body.
+    The objects of a parameter point sit at one strided slice of the line,
+    and on the reversed line that slice reads, largest object first, as
+    the member's base-2 digits."""
+    try:
+        (a, *coeffs), start, line = one_form_line(body, variables,
+                                                  (ground, *param_ranges))
+    except NotOneForm:
+        return None
+    digits = line[::-1].translate(_DIGITS)
+    top = start + len(line) - 1 - a * ground[-1]  # its index at parameters 0
+    span = a * (len(ground) - 1) + 1
+    return [int(digits[(i := top - sum(map(mul, coeffs, combo))):i + span:a], 2)
+            for combo in product(*param_ranges)]
+
+
 def family_from_formula(pf: PartitionedFormula,
                         ground_window: tuple[int, int],
                         param_windows: Mapping[str, tuple[int, int]],
@@ -271,8 +296,11 @@ def family_from_formula(pf: PartitionedFormula,
 
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
-    eliminates quantifiers once first.  Members come from compile_masks:
-    one mask over the ground window per parameter point, or, for a
+    eliminates quantifiers once first.  A quantifier-free body whose atoms
+    all read through one linear form u is decided once, on one_form_line's
+    byte line over u, and each member is a strided slice of that line.
+    Other bodies, and those one_form_line refuses, take compile_masks: one
+    mask over the ground window per parameter point, or, for a
     quantifier-free body whose last parameter's window is longer, one over
     that window per object, read off by ground index (_columns).
     Refuses (ResourceCapError) before any evaluation when |ground| times
@@ -297,7 +325,10 @@ def family_from_formula(pf: PartitionedFormula,
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
     check_points(prod(r.stop - r.start for r in (ground, *param_ranges)))
     body = pf.formula if mode == "bounded" else eliminate_quantifiers(pf.formula)
-    if pf.param_vars and is_quantifier_free(body) \
+    qf = mode == "qe" or is_quantifier_free(body)
+    masks = _one_form_masks(body, (obj,) + pf.param_vars, ground, param_ranges) \
+        if qf else None
+    if masks is None and qf and pf.param_vars \
             and len(param_ranges[-1]) > len(ground):
         # the longer window is the faster one to mask over; quantified
         # bodies measured mixed on it and keep the ground window (CHANGES.md)
@@ -305,7 +336,7 @@ def family_from_formula(pf: PartitionedFormula,
         row = compile_masks(body, (obj,) + pf.param_vars, window)
         masks = [member for combo in product(*outer) for member in
                  _columns([row((x, *combo)) for x in ground], len(window))]
-    else:  # one mask over the ground window per parameter point
+    elif masks is None:  # one mask over the ground window per parameter point
         member = compile_masks(body, pf.param_vars + (obj,), ground, hints)
         masks = [member(combo) for combo in product(*param_ranges)]
     labels = (",".join(map(str, combo)) for combo in product(*param_ranges))

@@ -76,6 +76,15 @@ class TestGenVerify:
                       "--mode", "qe")
         assert rc == 0 and rep["ok"]
 
+    @pytest.mark.parametrize("encoder, d", [("naive", 12), ("bridged", 4)])
+    def test_qe_mode_at_scale(self, capsys, outdir, encoder, d):
+        f = str(outdir / f"{encoder}{d}.pa")
+        m = str(outdir / f"{encoder}{d}.json")
+        run(capsys, "gen", "--d", str(d), "--encoder", encoder, "--out", f, "--meta", m)
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", m, "--mode", "qe")
+        assert rc == 0 and all(checks_by_name(rep).values())
+        assert rep["outputs"]["vc"]["vc_dim"] == d
+
     def test_fixed_seed_is_byte_identical(self, capsys, outdir):
         pairs = []
         for tag in ("one", "two"):
@@ -315,6 +324,16 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["vc"], ["shatter", "--n", "1"]])
+    def test_negative_cap(self, capsys, outdir, command):
+        f = outdir / "t.pa"
+        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--formula", str(f), "--ground", "0..3",
+                  "--param", "y=0..3", "--cap", "-1"])
+        assert err.value.code == 2
+        assert "cap must be at least 0, got -1" in capsys.readouterr().err
 
     def test_bad_window_syntax(self, capsys, outdir):
         f = str(outdir / "f.pa")

@@ -1,15 +1,19 @@
 """Set families, shattering, VC-dimension, and the shatter function."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from pavc import vclab
-from pavc.evaluator import eval_point
+from pavc import fuzz, vclab
+from pavc.evaluator import NotOneForm, eliminate_quantifiers, eval_point, one_form_line
+from pavc.formula import (
+    DIV, EQ, LE, LT, ZERO, Atom, LinearTerm, PartitionedFormula, free_vars,
+)
 from pavc.fuzz import random_family, random_partitioned
-from pavc.generator import encode_bridged, encode_naive, lex_subset
+from pavc.generator import block_mask, encode_bridged, encode_naive, lex_subset
 from pavc.vclab import (
     SetFamily,
     ShatterReport,
@@ -489,10 +493,16 @@ def eval_point_family(pf, ground_window, windows):
     return SetFamily(tuple(ground), tuple(members))
 
 
+def refuse_one_form(*args):
+    raise NotOneForm("refused by the test")
+
+
 class TestFamilyPaths:
-    """Both of family_from_formula's paths against eval_point: the mask
-    runs over the last parameter's window only when that window is the
-    longer one."""
+    """Both of family_from_formula's compile_masks paths against
+    eval_point: the mask runs over the last parameter's window only when
+    that window is the longer one.  one_form_line is made to refuse every
+    body, so that one-form bodies take these paths too
+    (TestOneFormDifferential covers its own path)."""
 
     @pytest.mark.parametrize("ground, last, transposed", [
         ((-4, 4), (-1, 2), False),
@@ -504,6 +514,7 @@ class TestFamilyPaths:
         columns = vclab._columns
         monkeypatch.setattr(vclab, "_columns",
                             lambda masks, size: built.append(size) or columns(masks, size))
+        monkeypatch.setattr(vclab, "one_form_line", refuse_one_form)
         by_params = {1: 0, 2: 0}
         seed = 9_100_000
         while min(by_params.values()) < 6:
@@ -520,6 +531,103 @@ class TestFamilyPaths:
         # one-parameter body, 3 for each two-parameter body
         width = last[1] - last[0] + 1
         assert built == ([width] * (6 + 6 * 3) if transposed else [])
+
+
+REASONS = ("an atom has object coefficient 0", "atoms read through a second form",
+           "a negated div", "more pieces than atoms",
+           "the u-range is longer than the box")
+
+
+def one_form_body(rng, names):
+    """A random quantifier-free body whose atoms read through one form
+    u = a*x + b*y (+ c*z): multiples k*u + const in order, equality and
+    div atoms under random and/or/not trees.  One atom in ten reads
+    another form or leaves x out, to reach one_form_line's refusals."""
+    form = {"x": rng.choice([1, 1, 2, 3])}
+    form.update((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in names[1:])
+    atoms = []
+    for _ in range(rng.randint(1, 6)):
+        vector = dict(form)
+        if rng.random() < 0.05:
+            vector["x"] = 0
+        elif rng.random() < 0.05:
+            vector["x"] += 1
+        k = rng.choice([-2, -1, 1, 2, 3])
+        u = LinearTerm.of({v: k * c for v, c in vector.items()})
+        const = LinearTerm.num(rng.randint(-12, 12))
+        roll = rng.random()
+        if roll < 0.3:
+            atoms.append(Atom(DIV, u + const, ZERO, rng.randint(2, 6)))
+        elif roll < 0.45:
+            atoms.append(Atom(EQ, u, const))
+        else:
+            atoms.append(Atom(rng.choice([LE, LT]), *rng.sample([u, const], 2)))
+    return fuzz._combine(rng, atoms)
+
+
+def one_form_paths(monkeypatch, pf, ground, windows):
+    """family_from_formula's family, the path it took ("one form" or the
+    NotOneForm message), and its family with one_form_line refusing."""
+    taken = []
+
+    def recorded(*args):
+        try:
+            line = one_form_line(*args)
+        except NotOneForm as exc:
+            taken.append(str(exc))
+            raise
+        taken.append("one form")
+        return line
+    with monkeypatch.context() as m:
+        m.setattr(vclab, "one_form_line", recorded)
+        fam = family_from_formula(pf, ground, windows)
+    with monkeypatch.context() as m:
+        m.setattr(vclab, "one_form_line", refuse_one_form)
+        masked = family_from_formula(pf, ground, windows)
+    return fam, taken, masked
+
+
+class TestOneFormDifferential:
+    """The one-form path (one_form_line's byte line over u) against the
+    compile_masks paths and, on fuzz bodies, against eval_point."""
+
+    def test_fuzz_bodies(self, monkeypatch):
+        paths = Counter()
+        for seed in range(9_200_000, 9_200_240):
+            rng = random.Random(seed)
+            names = ["x", "y"] if rng.random() < 0.6 else ["x", "y", "z"]
+            body = one_form_body(rng, names)
+            fv = free_vars(body)
+            if "x" not in fv:
+                continue
+            pf = PartitionedFormula(body, ("x",), tuple(sorted(fv - {"x"})))
+            lo = rng.randint(-6, 2)
+            ground = (lo, lo + rng.randint(1, 9))
+            windows = {}
+            for p in pf.param_vars:
+                lo = rng.randint(-4, 1)
+                windows[p] = (lo, lo + rng.randint(1, 6))
+            fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows)
+            paths.update(taken)
+            assert fam == masked == eval_point_family(pf, ground, windows), \
+                (pf, ground, windows)
+        # every refusal is reached, and most bodies take the byte line
+        assert set(paths) == {"one form", *REASONS}, paths
+        assert paths["one form"] > sum(paths.values()) // 2, paths
+
+    @pytest.mark.parametrize("encode, d",
+                             [(encode_naive, d) for d in range(1, 9)]
+                             + [(encode_bridged, d) for d in range(1, 5)])
+    def test_eliminated_encoders(self, monkeypatch, encode, d):
+        pf, meta = encode(d)
+        body = PartitionedFormula(eliminate_quantifiers(pf.formula),
+                                  pf.object_vars, pf.param_vars)
+        windows = {meta.param_var: meta.param_window}
+        fam, taken, masked = one_form_paths(monkeypatch, body,
+                                            meta.ground_window, windows)
+        assert taken == ["one form"]
+        assert fam == masked
+        assert [m for _, m in fam.members] == [block_mask(d, y) for y in range(1 << d)]
 
 
 def test_report_json_shape():
