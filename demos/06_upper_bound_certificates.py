@@ -28,13 +28,13 @@ for ell in (1, 2, 3, 10):
 f = parse("(and (div 2 x) (<= x y))", allow_div=True)
 inv = inventory(f)
 cert = certificate(inv)
-print(certificate_report(cert, inv))
+print(f"quantifier-free: ell = {cert.ell}, dimension bound {cert.bound}")
 
 # quantified: eliminate, then certify the quantifier-free equivalent
 pf = PartitionedFormula(
     parse("(exists z (and (= x (* 2 z)) (<= x y)))"), ("x",), ("y",))
-cert, _, stats = upper_bound_via_qe(pf)
-print("after elimination:", stats)
+cert, inv, stats = upper_bound_via_qe(pf)
+print("after elimination:", certificate_report(cert, inv, stats))
 print("certified dimension bound:", cert.bound)
 
 # the certificate must dominate anything we can measure on windows

@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import contfrac
 from .evaluator import (DEFAULT_MAX_ATOMS, EvalError, ResourceCapError,
@@ -104,11 +104,13 @@ def _dimension(text: str) -> int:
     return v
 
 
-def _cap(text: str) -> int:
-    v = _integer(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"cap must be at least 0, got {v}")
-    return v
+def _at_least_zero(name: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        v = _integer(text)
+        if v < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 0, got {v}")
+        return v
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -383,18 +385,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vc", help="measure the VC-dimension of a family")
     _family_args(p)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_VC_CAP)
+    p.add_argument("--cap", type=_at_least_zero("cap"), default=DEFAULT_VC_CAP)
     p.add_argument("--expect-vc", type=int, default=None)
     p.set_defaults(fn=_cmd_vc)
 
     p = sub.add_parser("shatter",
                        help="check shattering or evaluate the shatter function")
     _family_args(p)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_VC_CAP)
+    p.add_argument("--cap", type=_at_least_zero("cap"), default=DEFAULT_VC_CAP)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", type=_int_list,
                        help="comma-separated ground points")
-    group.add_argument("--n", type=int, help="shatter-function argument")
+    group.add_argument("--n", type=_at_least_zero("n"),
+                       help="shatter-function argument")
     p.set_defaults(fn=_cmd_shatter)
 
     p = sub.add_parser("qe", help="eliminate quantifiers")

@@ -36,9 +36,6 @@ class ContinuedFraction:
         if len(self.terms) > 1 and self.terms[-1] < 2:
             raise ContinuedFractionError("canonical form needs last term >= 2")
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def from_rational(p: int, q: int) -> ContinuedFraction:
     """Continued fraction of p/q, p >= 0, q >= 1, in canonical form."""

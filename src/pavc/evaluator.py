@@ -21,8 +21,9 @@ gives masks over a window of its last variable; both check free
 variables, hints and the point cap at compile time, and compile a
 quantified formula through the bounded plan below.  eval_point,
 eval_ground and eval_bounded use compile_plan, and vclab's families
-compile_masks (per parameter point over the ground window, or for a
-quantifier-free body per object over its last parameter's window).
+compile_masks (one mask over the ground window per parameter point)
+for every body that the one-form line below does not take.
+
 A quantifier-free body whose atoms all read through one linear form u,
 as both encoders' eliminated bodies do, is a finite union of intervals
 met with residue classes of u (the one-variable semilinear sets of

@@ -131,9 +131,9 @@ def upper_bound_via_qe(pf: PartitionedFormula
 
 
 def certificate_report(cert: UpperBoundCertificate, inv: AtomInventory,
-                       qe_stats: dict | None = None) -> dict:
+                       qe_stats: dict) -> dict:
     """JSON-ready summary; atom listing is truncated past MAX_LISTED_ATOMS."""
-    out: dict = {
+    return {
         "ell": cert.ell, "vc_upper_bound": cert.bound,
         "certificate_valid": cert.check(),
         "num_inequality": inv.num_inequality,
@@ -141,7 +141,5 @@ def certificate_report(cert: UpperBoundCertificate, inv: AtomInventory,
         "atoms": [{"atom": to_text(a), "capacity": b}
                   for a, b in inv.entries[:MAX_LISTED_ATOMS]],
         "atoms_truncated": len(inv.entries) > MAX_LISTED_ATOMS,
+        "qe_stats": dict(qe_stats),
     }
-    if qe_stats is not None:
-        out["qe_stats"] = dict(qe_stats)
-    return out

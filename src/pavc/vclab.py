@@ -300,9 +300,7 @@ def family_from_formula(pf: PartitionedFormula,
     all read through one linear form u is decided once, on one_form_line's
     byte line over u, and each member is a strided slice of that line.
     Other bodies, and those one_form_line refuses, take compile_masks: one
-    mask over the ground window per parameter point, or, for a
-    quantifier-free body whose last parameter's window is longer, one over
-    that window per object, read off by ground index (_columns).
+    mask over the ground window per parameter point.
     Refuses (ResourceCapError) before any evaluation when |ground| times
     the parameter box exceeds DEFAULT_MAX_POINTS.
     """
@@ -328,15 +326,7 @@ def family_from_formula(pf: PartitionedFormula,
     qf = mode == "qe" or is_quantifier_free(body)
     masks = _one_form_masks(body, (obj,) + pf.param_vars, ground, param_ranges) \
         if qf else None
-    if masks is None and qf and pf.param_vars \
-            and len(param_ranges[-1]) > len(ground):
-        # the longer window is the faster one to mask over; quantified
-        # bodies measured mixed on it and keep the ground window (CHANGES.md)
-        *outer, window = param_ranges
-        row = compile_masks(body, (obj,) + pf.param_vars, window)
-        masks = [member for combo in product(*outer) for member in
-                 _columns([row((x, *combo)) for x in ground], len(window))]
-    elif masks is None:  # one mask over the ground window per parameter point
+    if masks is None:
         member = compile_masks(body, pf.param_vars + (obj,), ground, hints)
         masks = [member(combo) for combo in product(*param_ranges)]
     labels = (",".join(map(str, combo)) for combo in product(*param_ranges))

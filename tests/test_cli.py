@@ -335,6 +335,15 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "cap must be at least 0, got -1" in capsys.readouterr().err
 
+    def test_negative_n(self, capsys, outdir):
+        f = outdir / "t.pa"
+        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        with pytest.raises(SystemExit) as err:
+            main(["shatter", "--formula", str(f), "--ground", "0..3",
+                  "--param", "y=0..3", "--n", "-1"])
+        assert err.value.code == 2
+        assert "n must be at least 0, got -1" in capsys.readouterr().err
+
     def test_bad_window_syntax(self, capsys, outdir):
         f = str(outdir / "f.pa")
         with pytest.raises(SystemExit) as err:
