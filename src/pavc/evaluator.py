@@ -16,21 +16,21 @@ Evaluation compiles a formula once, by one builder that reads each atom
 as a linear form and gives an int over a window of one variable: bit j
 is the truth of the formula with that variable at window[j] (intervals,
 bits and periodic masks for atoms, bit operations for connectives).  A
-point is the one-bit window.  compile_plan tests points, compile_masks
-gives masks over a window of its last variable; both check free
-variables, hints and the point cap at compile time, and compile a
-quantified formula through the bounded plan below.  eval_point,
-eval_ground and eval_bounded use compile_plan, and vclab's families
-compile_masks (one mask over the ground window per parameter point)
-for every body that the one-form line below does not take.
+point is the one-bit window.  compile_plan tests points; compile_masks
+takes one range per variable, the box, and gives masks over the last,
+the window.  Both check free variables, hints and the point cap at
+compile time, and compile a quantified formula through the bounded plan
+below.  eval_point, eval_ground and eval_bounded use compile_plan, and
+each vclab family one compile_masks call, which picks the route: the
+one-form line below when it takes the body, else the compiled masks.
 
 A quantifier-free body whose atoms all read through one linear form u,
 as both encoders' eliminated bodies do, is a finite union of intervals
 met with residue classes of u (the one-variable semilinear sets of
 Ginsburg and Spanier 1966): one_form_line folds it into those pieces in
 one walk and marks each on a byte line over u with one strided slice
-(mark_lattice, the lattice kernel the generator's bitmaps share), and a
-family reads its members off that line, with no mask per point.
+(mark_lattice, the lattice kernel the generator's bitmaps share), and
+each mask is one strided slice of that line, with no compile per point.
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
@@ -75,6 +75,7 @@ from __future__ import annotations
 import os
 from itertools import count, islice
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
@@ -409,9 +410,15 @@ def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
 
 
 def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
-              window: range | None = None) -> Callable[[Iterable[int]], int]:
-    """compile_plan, or compile_masks when `window` is given."""
+              ranges: Sequence[range] | None = None
+              ) -> Callable[[Iterable[int]], int]:
+    """compile_plan, or compile_masks when `ranges` is given."""
     variables = tuple(variables)
+    if ranges is not None:
+        try:
+            return one_form_line(f, variables, ranges)
+        except NotOneForm:
+            pass
     missing = free_vars(f) - set(variables)
     if missing:
         raise EvalError(f"point missing variables: {sorted(missing)}")
@@ -419,9 +426,9 @@ def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
         check_points(_worst_case_points(f, hints or {}))
         f = _rewrite(f, _dual(_bounded_step(hints or {})))
     slots = count(len(variables))
-    last = None if window is None else variables[-1]
+    last = None if ranges is None else variables[-1]
     test = _compile(f, {v: i for i, v in enumerate(variables)}, slots, last,
-                    range(1) if window is None else window)
+                    range(1) if ranges is None else ranges[-1])
     pad = [0] * (next(slots) - len(variables) + (last is not None))
     return lambda values: test([*values, *pad])
 
@@ -442,14 +449,17 @@ def compile_plan(f: Formula, variables: Iterable[str],
     return lambda values: bool(test(values))
 
 
-def compile_masks(f: Formula, variables: Iterable[str], window: range,
+def compile_masks(f: Formula, variables: Iterable[str], ranges: Sequence[range],
                   hints: Mapping[str, tuple[int, int]] | None = None
                   ) -> Callable[[Iterable[int]], int]:
     """Compile `f` once into a function from values of all but the last
     of `variables` to an int whose bit k is the truth of `f` with the last
-    variable at window[k] (a range of step 1).  Quantifiers range over
-    `hints`, with the errors and point cap of compile_plan."""
-    return _compiled(f, variables, hints, window)
+    variable at ranges[-1][k].  `ranges`, one range of step 1 per variable,
+    is the box the values come from.  It picks the route: a body that
+    one_form_line takes is read off its byte line over the box; any other
+    is compiled, quantifiers over `hints`, with compile_plan's errors and
+    point cap."""
+    return _compiled(f, variables, hints, ranges)
 
 
 class NotOneForm(EvalError):
@@ -470,42 +480,57 @@ def mark_lattice(buf: bytearray, base: int, p: int, m: int, q: int,
     return buf
 
 
-def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
-                  ) -> tuple[tuple[int, ...], int, bytearray]:
-    """A quantifier-free `f` decided once, on a byte line over one linear
-    form u = sum of form[i]*variables[i], with each variable over its range.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    Returns (form, start, line): line[j] is 1 iff f holds where u is
-    start + j, for u over the box's range.  The form is primitive and
-    positive on variables[0]; every atom's coefficient vector must be a
-    multiple k*form.  Such an f is a union of pieces, each an interval of
-    u met with a residue class: an order atom gives a half-line (negated,
-    the other one), an equality a point (negated, two half-lines), a div
-    a class by _div_solver.  An or joins its parts' pieces, an and meets
-    them pairwise (intervals intersect, classes meet by _crt), and each
-    piece is marked with one strided slice (mark_lattice).
+
+def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
+                  ) -> Callable[[Iterable[int]], int]:
+    """compile_masks' route for a quantifier-free `f`, decided once on a
+    byte line over one linear form u = sum of form[i]*variables[i], each
+    variable over its range; the last, the object, is the window.
+
+    The form is primitive and positive on the object; every atom's
+    coefficient vector must be a multiple k*form.  Such an f is a union of
+    pieces, each an interval of u met with a residue class: an order atom
+    gives a half-line (negated, the other one), an equality a point
+    (negated, two half-lines), a div a class by _div_solver.  An or joins
+    its parts' pieces, an and meets them pairwise (intervals intersect,
+    classes meet by _crt), and each piece is marked with one strided slice
+    (mark_lattice).  The member function returned is compile_masks': the
+    objects of a parameter point sit at one strided slice of the line, and
+    on the reversed line that slice reads, largest object first, as the
+    mask's base-2 digits.
 
     Raises NotOneForm, before building the line, when an atom has
-    coefficient 0 on variables[0] or reads through a second form, a div
-    is negated, the pieces outnumber f's atoms, or the u-range is longer
-    than the box.
+    coefficient 0 on the object, reads a variable outside `variables` or
+    through a second form, f has a quantifier, a div is negated, the
+    pieces outnumber f's atoms, or the u-range is longer than the box.
     """
+    obj = variables[-1]
     first = next(atoms_of(f), None)
     form = () if first is None else (first.left - first.right).coeffs
     coeffs = dict(form)
-    if coeffs.get(variables[0], 0) == 0:
+    if coeffs.get(obj, 0) == 0:
         raise NotOneForm("an atom has object coefficient 0")
-    missing = coeffs.keys() - set(variables)
-    if missing:
-        raise EvalError(f"point missing variables: {sorted(missing)}")
-    k = gcd(*coeffs.values()) * (1 if coeffs[variables[0]] > 0 else -1)
+    if coeffs.keys() - set(variables):
+        raise NotOneForm("an atom reads a variable outside the box")
+    k = gcd(*coeffs.values()) * (1 if coeffs[obj] > 0 else -1)
     form = tuple((v, c // k) for v, c in form)
     form_vec = tuple(coeffs.get(v, 0) // k for v in variables)
     start = sum(min(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges))
     stop = sum(max(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges)) + 1
     if stop - start > prod(map(len, ranges)):
         raise NotOneForm("the u-range is longer than the box")
-    limit = count_atoms(f)
+
+    # f's atoms; quantifiers are refused here, since walk skips an and's
+    # parts once it is empty
+    def size(g: Formula) -> int:
+        if isinstance(g, (Atom, Bool)):
+            return isinstance(g, Atom)
+        if isinstance(g, (Exists, Forall)):
+            raise NotOneForm("a quantifier")
+        return sum(map(size, (g.body,) if isinstance(g, Not) else g.parts))
+    limit = size(f)
     scales: dict[tuple, int] = {}
 
     def scale(a: Atom) -> int:  # k such that a's coefficient vector is k*form
@@ -513,10 +538,10 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
         k = scales.get(key)
         if k is None:
             vector = (a.left - a.right).coeffs
-            k = dict(vector).get(variables[0], 0)
+            k = dict(vector).get(obj, 0)
             if k == 0:
                 raise NotOneForm("an atom has object coefficient 0")
-            k //= form_vec[0]
+            k //= form_vec[-1]
             if vector != tuple((v, k * c) for v, c in form):
                 raise NotOneForm("atoms read through a second form")
             scales[key] = k
@@ -571,14 +596,20 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
             return out
         if isinstance(g, Not):
             return walk(g.body, not neg)
-        if isinstance(g, Bool):
-            return [(start, stop - 1, 1)] if g.value != neg else []
-        raise EvalError(f"not a quantifier-free formula: {g!r}")
+        return [(start, stop - 1, 1)] if g.value != neg else []  # a Bool
 
     line = bytearray(stop - start)
     for lo, hi, mod in walk(f, False):
         mark_lattice(line, lo - start, 1, 1, mod, (hi - lo) // mod + 1)
-    return form_vec, start, line
+    *params, a = form_vec
+    digits = line[::-1].translate(_DIGITS)
+    top = start + len(line) - 1 - a * ranges[-1][-1]  # its index at parameters 0
+    span = a * (len(ranges[-1]) - 1) + 1
+
+    def member(values: Iterable[int]) -> int:
+        i = top - sum(map(mul, params, values))
+        return int(digits[i:i + span:a], 2)
+    return member
 
 
 def eval_point(f: Formula, env: Mapping[str, int]) -> bool:
@@ -708,8 +739,6 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
     An atom with `var` on both sides at equal coefficients does not
     really mention it: its < atoms come out as 0 < right - left, so the
     case split sees only atoms with a nonzero effective coefficient."""
-    if isinstance(f, Bool):
-        return Bool(f.value != neg)
     if isinstance(f, Atom):
         has_var = var in (f.left.vars() | f.right.vars())
         if f.kind == DIV:

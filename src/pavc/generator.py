@@ -456,7 +456,7 @@ def verify_encoding(pf: PartitionedFormula, meta: GeneratorMeta, mode: str
 # ---------------------------------------------------------------------------
 # Prime search
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Witness set below is a correct deterministic test for n < 3.3 * 10^24.
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _EXTRA_ROUNDS = 48  # error probability under 4^-48 << 2^-80 beyond the limit

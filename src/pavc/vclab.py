@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import (
-    NotOneForm, check_points, compile_masks, eliminate_quantifiers, one_form_line,
-)
-from .formula import Formula, PartitionedFormula, bound_vars, is_quantifier_free
+from .evaluator import check_points, compile_masks, eliminate_quantifiers
+from .formula import PartitionedFormula, bound_vars
 
 DEFAULT_VC_CAP = 20
 DEFAULT_MAX_SUBSETS = 200_000
@@ -263,28 +260,6 @@ def _window_points(window: tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _one_form_masks(body: Formula, variables: tuple[str, ...], ground: range,
-                    param_ranges: list[range]) -> list[int] | None:
-    """The members of a one-form body, in parameter product order, read
-    off one_form_line's byte line over u; None when it refuses the body.
-    The objects of a parameter point sit at one strided slice of the line,
-    and on the reversed line that slice reads, largest object first, as
-    the member's base-2 digits."""
-    try:
-        (a, *coeffs), start, line = one_form_line(body, variables,
-                                                  (ground, *param_ranges))
-    except NotOneForm:
-        return None
-    digits = line[::-1].translate(_DIGITS)
-    top = start + len(line) - 1 - a * ground[-1]  # its index at parameters 0
-    span = a * (len(ground) - 1) + 1
-    return [int(digits[(i := top - sum(map(mul, coeffs, combo))):i + span:a], 2)
-            for combo in product(*param_ranges)]
-
-
 def family_from_formula(pf: PartitionedFormula,
                         ground_window: tuple[int, int],
                         param_windows: Mapping[str, tuple[int, int]],
@@ -296,17 +271,14 @@ def family_from_formula(pf: PartitionedFormula,
 
     The object side must be a single variable (ground sets are integer
     windows).  mode "bounded" evaluates with quantifier hints; mode "qe"
-    eliminates quantifiers once first.  A quantifier-free body whose atoms
-    all read through one linear form u is decided once, on one_form_line's
-    byte line over u, and each member is a strided slice of that line.
-    Other bodies, and those one_form_line refuses, take compile_masks: one
-    mask over the ground window per parameter point.
-    Refuses (ResourceCapError) before any evaluation when |ground| times
-    the parameter box exceeds DEFAULT_MAX_POINTS.
+    eliminates quantifiers once first.  The members come from one
+    compile_masks call over the parameter box and the ground window, which
+    picks the evaluator's route for the body.  Refuses (ResourceCapError)
+    before any evaluation when |ground| times the parameter box exceeds
+    DEFAULT_MAX_POINTS.
     """
     if len(pf.object_vars) != 1:
         raise VcLabError("families need exactly one object variable")
-    obj = pf.object_vars[0]
     missing = set(pf.param_vars) - set(param_windows)
     if missing:
         raise VcLabError(f"missing parameter windows: {sorted(missing)}")
@@ -323,13 +295,10 @@ def family_from_formula(pf: PartitionedFormula,
     param_ranges = [_window_points(param_windows[v]) for v in pf.param_vars]
     check_points(prod(r.stop - r.start for r in (ground, *param_ranges)))
     body = pf.formula if mode == "bounded" else eliminate_quantifiers(pf.formula)
-    qf = mode == "qe" or is_quantifier_free(body)
-    masks = _one_form_masks(body, (obj,) + pf.param_vars, ground, param_ranges) \
-        if qf else None
-    if masks is None:
-        member = compile_masks(body, pf.param_vars + (obj,), ground, hints)
-        masks = [member(combo) for combo in product(*param_ranges)]
+    member = compile_masks(body, pf.param_vars + pf.object_vars,
+                           (*param_ranges, ground), hints)
     labels = (",".join(map(str, combo)) for combo in product(*param_ranges))
+    masks = map(member, product(*param_ranges))
     return SetFamily(tuple(ground), tuple(zip(labels, masks)))
 
 

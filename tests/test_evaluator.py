@@ -345,9 +345,21 @@ qf_formulas = st.recursive(
     max_leaves=8)
 
 
+def refuse_one_form(*args):
+    raise evaluator.NotOneForm("refused by the test")
+
+
 class TestMaskDifferential:
     """family_from_formula's mask path for quantifier-free bodies against
-    the same family built point by point with compile_plan."""
+    the same family built point by point with compile_plan.  one_form_line
+    is made to refuse every body, so that one-form bodies take this path
+    too (test_vclab.TestOneFormDifferential covers the byte line)."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def compile_route(self):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(evaluator, "one_form_line", refuse_one_form)
+            yield
 
     def test_fuzz_families_with_divs(self):
         checked, seed = 0, 7_700_000
@@ -383,7 +395,8 @@ class TestMaskDifferential:
                     point_family(pf, (-6, 6), windows), (lo, width)
                 # no bit is set outside the window either
                 window = range(lo, lo + width)
-                masks = compile_masks(pf.formula, ("x", "y"), window)
+                masks = compile_masks(pf.formula, ("x", "y"),
+                                      (range(-6, 7), window))
                 for x in range(-6, 7):
                     assert masks((x,)) == sum(plan((x, y)) << k for k, y
                                               in enumerate(window)), (lo, width)
@@ -412,9 +425,9 @@ class TestMaskDifferential:
 
     def test_rejects_quantifiers_and_unknown_variables(self):
         with pytest.raises(EvalError):
-            compile_masks(parse("(exists z (< x z))"), ("x",), range(4))
-        with pytest.raises(EvalError):
-            compile_masks(parse("(< x y)"), ("y",), range(4))
+            compile_masks(parse("(exists z (< x z))"), ("x",), (range(4),))
+        with pytest.raises(EvalError, match=r"point missing variables: \['x'\]"):
+            compile_masks(parse("(< x y)"), ("y",), (range(4),))
 
     def test_grid_cap_refuses_before_evaluation(self):
         pf = PartitionedFormula(parse("(<= x y)"), ("x",), ("y",))
@@ -555,8 +568,8 @@ class TestWindowDifferential:
     def test_quantified_masks_need_hints(self):
         f = parse("(exists z (and (<= x z) (div 4 (* 2 z))))", allow_div=True)
         with pytest.raises(MissingHintError):
-            compile_masks(f, ("x",), range(4))
-        masks = compile_masks(f, ("x",), range(-2, 3), {"z": (0, 1)})
+            compile_masks(f, ("x",), (range(4),))
+        masks = compile_masks(f, ("x",), (range(-2, 3),), {"z": (0, 1)})
         assert masks(()) == 0b00111  # x <= 0: z = 0 is even
 
 
@@ -654,6 +667,8 @@ class TestEliminationAnchors:
          "(< 0 (+ (* -1 y) 3))"),
         ("(exists x (and (= (+ x y) (+ x 2)) (div 3 x)))",
          "(and (< 0 (+ (* -1 y) 3)) (< 0 (+ (* 1 y) -1)))"),
+        # no atom is left on x: the body comes back simplified, unsplit
+        ("(exists x (< (+ x 1) (+ x y)))", "(< 0 (+ (* 1 y) -1))"),
     ])
     def test_variable_cancelling_on_both_sides(self, text, want):
         # x + y < x + 3 does not mention x: the case split must not

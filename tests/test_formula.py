@@ -129,9 +129,26 @@ class TestParsing:
             Atom(DIV, LinearTerm.var("x"), ZERO, -3)
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(FormulaSyntaxError) as err:
-            parse("(and (< x 1)\n  (< y ))")
-        assert err.value.line == 2
+        for reader, text, message in [
+            (parse, "(and (< x 1)\n  (< y ))", "2:8: expected a term, found ')'"),
+            (parse, "(<= (+) 1)", "1:6: (+ ...) needs at least one term"),
+            (parse, "(<= (* x 3) 1)", "1:8: (* ...) needs an integer coefficient"),
+            (parse, "(<= (* 3 3x) 1)", "1:10: invalid variable '3x'"),
+            (parse, "(<= (- 1 2) 1)", "1:6: unknown term operator '-'"),
+            (parse, "x", "1:1: expected a formula, found 'x'"),
+            (parse, "(and)", "1:2: (and ...) needs at least one formula"),
+            (parse, "(exists 3x T)", "1:9: invalid variable '3x'"),
+            (parse, "(foo T)", "1:2: unknown formula head 'foo'"),
+            (parse, "(<= 1 2", "1:8: unexpected end of input"),
+            (parse, "(not T T)", "1:8: expected ')', found 'T'"),
+            (parse_partitioned, "#objects: 3x\n#params: y\n(< x y)",
+             "1:1: invalid header variable '3x'"),
+        ]:
+            with pytest.raises(FormulaSyntaxError) as err:
+                reader(text)
+            assert str(err.value) == message, text
+            line, col, _ = message.split(":", 2)
+            assert (err.value.line, err.value.column) == (int(line), int(col))
 
     def test_declared_free_enforced(self):
         with pytest.raises(UnboundVariableError):

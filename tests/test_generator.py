@@ -448,6 +448,21 @@ class TestPrimes:
             n = rng.getrandbits(rng.choice([10, 20, 40, 64]))
             assert is_probable_prime(n) == sympy.isprime(n), n
 
+    @pytest.mark.parametrize("n", [
+        # psi_12, the least strong pseudoprime to the bases 2..37
+        318_665_857_834_031_151_167_461,
+        # a prime between psi_12 and psi_13, decided by the fixed bases
+        318_665_857_834_031_151_167_483,
+        # psi_13, a strong pseudoprime to 2..41 as well: the seeded random
+        # rounds past the deterministic limit find it composite
+        3_317_044_064_679_887_385_961_981,
+        # a prime past the limit, which the random rounds pass
+        3_317_044_064_679_887_385_962_123,
+    ])
+    def test_strong_pseudoprimes_to_the_first_bases(self, n):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+        assert next_prime_above(n - 1) == sympy.nextprime(n - 1), n
+
     def test_mode_validated(self):
         with pytest.raises(GeneratorError):
             next_prime_above(-1)

@@ -24,3 +24,28 @@ def test_runtime_imports_are_stdlib_only():
                for name in imported(ast.parse(path.read_text()))
                if name != "pavc" and name not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def test_private_top_level_names_are_used():
+    """Every top-level private name (_x) of a module in src/pavc is read,
+    as a name or an attribute, somewhere in src/pavc: no dead helpers."""
+    defined, used = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((path.name, n) for n in names if n.startswith("_")
+                           and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined  # an empty scan would pass silently
+    assert {(m, n) for m, n in defined if n not in used} == set()

@@ -7,10 +7,13 @@ from math import comb
 
 import pytest
 
-from pavc import fuzz, vclab
-from pavc.evaluator import NotOneForm, eliminate_quantifiers, eval_point, one_form_line
+from pavc import evaluator, fuzz, vclab
+from pavc.evaluator import (
+    EvalError, MissingHintError, NotOneForm, compile_masks, eliminate_quantifiers,
+    eval_point, one_form_line,
+)
 from pavc.formula import (
-    DIV, EQ, LE, LT, ZERO, Atom, LinearTerm, PartitionedFormula, free_vars,
+    DIV, EQ, LE, LT, ZERO, Atom, LinearTerm, PartitionedFormula, free_vars, parse,
 )
 from pavc.fuzz import random_family, random_partitioned
 from pavc.generator import block_mask, encode_bridged, encode_naive, lex_subset
@@ -498,7 +501,7 @@ def refuse_one_form(*args):
 
 
 class TestFamilyPaths:
-    """family_from_formula's compile_masks path against eval_point, with
+    """family_from_formula's compiled masks against eval_point, with
     the ground window longer than, shorter than and as long as the last
     parameter's window.  one_form_line is made to refuse every body, so
     that one-form bodies take this path too (TestOneFormDifferential
@@ -510,7 +513,7 @@ class TestFamilyPaths:
         ((-3, 3), (4, 10)),
     ], ids=["ground-longer", "param-longer", "equal"])
     def test_fuzz_bodies(self, monkeypatch, ground, last):
-        monkeypatch.setattr(vclab, "one_form_line", refuse_one_form)
+        monkeypatch.setattr(evaluator, "one_form_line", refuse_one_form)
         by_params = {1: 0, 2: 0}
         seed = 9_100_000
         while min(by_params.values()) < 6:
@@ -571,17 +574,17 @@ def one_form_paths(monkeypatch, pf, ground, windows):
         taken.append("one form")
         return line
     with monkeypatch.context() as m:
-        m.setattr(vclab, "one_form_line", recorded)
+        m.setattr(evaluator, "one_form_line", recorded)
         fam = family_from_formula(pf, ground, windows)
     with monkeypatch.context() as m:
-        m.setattr(vclab, "one_form_line", refuse_one_form)
+        m.setattr(evaluator, "one_form_line", refuse_one_form)
         masked = family_from_formula(pf, ground, windows)
     return fam, taken, masked
 
 
 class TestOneFormDifferential:
-    """The one-form path (one_form_line's byte line over u) against the
-    compile_masks paths and, on fuzz bodies, against eval_point."""
+    """compile_masks' one-form route (one_form_line's byte line over u)
+    against its compiled masks and, on fuzz bodies, against eval_point."""
 
     def test_fuzz_bodies(self, monkeypatch):
         paths = Counter()
@@ -620,6 +623,25 @@ class TestOneFormDifferential:
         assert taken == ["one form"]
         assert fam == masked
         assert [m for _, m in fam.members] == [block_mask(d, y) for y in range(1 << d)]
+
+    def test_variable_outside_the_box_is_refused(self):
+        # the line refuses, and compile_masks' own check reports it
+        with pytest.raises(NotOneForm, match="outside the box"):
+            one_form_line(parse("(< x q)"), ("y", "x"), (range(2), range(3)))
+        with pytest.raises(EvalError, match=r"point missing variables: \['q'\]"):
+            compile_masks(parse("(< x q)"), ("y", "x"), (range(2), range(3)))
+
+    def test_quantifier_is_refused(self):
+        # the first part is empty over the box, so the walk would not reach
+        # the existential; the line still refuses it, and the compiled plan
+        # needs z's hint
+        f = parse("(and (< x -100) (exists z (< x (+ y z))))")
+        with pytest.raises(NotOneForm, match="a quantifier"):
+            one_form_line(f, ("y", "x"), (range(2), range(3)))
+        with pytest.raises(MissingHintError):
+            compile_masks(f, ("y", "x"), (range(2), range(3)))
+        assert compile_masks(f, ("y", "x"), (range(2), range(3)),
+                             {"z": (0, 1)})((1,)) == 0
 
 
 def test_report_json_shape():
