@@ -24,13 +24,18 @@ below.  eval_point, eval_ground and eval_bounded use compile_plan, and
 each vclab family one compile_masks call, which picks the route: the
 one-form line below when it takes the body, else the compiled masks.
 
-A quantifier-free body whose atoms all read through one linear form u,
-as both encoders' eliminated bodies do, is a finite union of intervals
-met with residue classes of u (the one-variable semilinear sets of
-Ginsburg and Spanier 1966): one_form_line folds it into those pieces in
-one walk and marks each on a byte line over u with one strided slice
-(mark_lattice, the lattice kernel the generator's bitmaps share), and
-each mask is one strided slice of that line, with no compile per point.
+A body whose atoms all read through one linear form u, as both
+encoders' eliminated bodies do, is a finite union of intervals met with
+residue classes of u (the one-variable semilinear sets of Ginsburg and
+Spanier 1966).  So is each bounded exists block of the naive encoder:
+exists xh yh (u = i + d*xh + d*2^i*yh and bounds) is a base plus
+bounded multiples of two periods, one piece per value of the shorter
+side.  one_form_line folds the body into those pieces in one walk and
+marks each on a byte line over u with one strided slice (mark_lattice,
+the lattice kernel the generator's bitmaps share), and each mask is one
+strided slice of that line, with no compile per point and without the
+compiled route's point cap below: its own cap is the line's marks
+against the box's points.
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
@@ -44,9 +49,10 @@ its other bounds narrow it.  When nothing else mentions v, the first
 member of that progression decides existence in O(atoms); otherwise
 only the progression is scanned.  Over a window, that test runs only
 where g | t, g = gcd(a, m), holds for each div m | a*v + t (the Omega
-test's normalization): one ground point per naive disjunct.  The point
-cap refuses upfront when the worst-case nesting product of interval
-sizes in the input formula exceeds it, whatever the plan then saves.
+test's normalization): one ground point per naive disjunct.  On this
+compiled route the point cap refuses upfront when the worst-case
+nesting product of interval sizes in the input formula exceeds it,
+whatever the plan then saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
 innermost-first elimination.  An existential is removed either by the
@@ -73,7 +79,7 @@ module-level constant, read when it is enforced.
 from __future__ import annotations
 
 import os
-from itertools import count, islice
+from itertools import count
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -416,7 +422,7 @@ def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
     variables = tuple(variables)
     if ranges is not None:
         try:
-            return one_form_line(f, variables, ranges)
+            return one_form_line(f, variables, ranges, hints)
         except NotOneForm:
             pass
     missing = free_vars(f) - set(variables)
@@ -456,9 +462,11 @@ def compile_masks(f: Formula, variables: Iterable[str], ranges: Sequence[range],
     of `variables` to an int whose bit k is the truth of `f` with the last
     variable at ranges[-1][k].  `ranges`, one range of step 1 per variable,
     is the box the values come from.  It picks the route: a body that
-    one_form_line takes is read off its byte line over the box; any other
-    is compiled, quantifiers over `hints`, with compile_plan's errors and
-    point cap."""
+    one_form_line takes, its bounded exists blocks over `hints`, is read
+    off its byte line over the box; any other is compiled, quantifiers
+    over `hints`, with compile_plan's errors and point cap.  Raises
+    MissingHintError from either route when a quantified variable that
+    the route reads has no hint."""
     return _compiled(f, variables, hints, ranges)
 
 
@@ -483,32 +491,109 @@ def mark_lattice(buf: bytearray, base: int, p: int, m: int, q: int,
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
+def _block(g: Formula, neg: bool, hints: Mapping[str, tuple[int, int]]
+           ) -> tuple[tuple, int, tuple[tuple[int, int, int], ...]]:
+    """(box, c, sides) of a positive exists block over one or two distinct
+    variables v whose body is box + c + sum a*v = 0, box its coefficients
+    on the other variables, and constant bounds on single v: one (a, lo,
+    hi) per v, [lo, hi] its bounds met with its hint.  NotOneForm names
+    the shape it is not; MissingHintError when only a hint is missing."""
+    if neg or isinstance(g, Forall):
+        raise NotOneForm("a forall or a negated exists")
+    names: list[str] = []
+    while isinstance(g, Exists) and g.var not in names:
+        if len(names) == 2:
+            raise NotOneForm("an exists block of more than two variables")
+        names.append(g.var)
+        g = g.body
+    shape = NotOneForm("a block body other than one equality and bounds")
+    equality, bounds = None, []
+    for part in _conjuncts(g):
+        kind = part.kind if isinstance(part, Atom) else None
+        vector = part.left - part.right if kind else ZERO
+        inner = [(v, a) for v, a in vector.coeffs if v in names]
+        if kind in (LE, LT) and len(inner) == len(vector.coeffs) == 1:
+            bounds.append((*inner[0], vector.const + (kind == LT)))
+        elif kind == EQ and equality is None and inner != list(vector.coeffs):
+            equality = vector
+        else:
+            raise shape
+    if equality is None:
+        raise shape
+    missing = [v for v in names if v not in hints]
+    if missing:
+        raise MissingHintError(f"no hint interval for {missing[0]!r}")
+    box = tuple((v, a) for v, a in equality.coeffs if v not in names)
+    sides = []
+    for v in names:
+        lo, hi = hints[v]
+        for u, a, k in bounds:  # a*v + k <= 0
+            if u == v and a > 0:
+                hi = min(hi, -k // a)
+            elif u == v:
+                lo = max(lo, -(k // a))
+        sides.append((equality.coeff(v), lo, hi))
+    return box, equality.const, tuple(sides)
+
+
+def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
+                  hints: Mapping[str, tuple[int, int]] | None = None
                   ) -> Callable[[Iterable[int]], int]:
-    """compile_masks' route for a quantifier-free `f`, decided once on a
-    byte line over one linear form u = sum of form[i]*variables[i], each
-    variable over its range; the last, the object, is the window.
+    """compile_masks' route for an `f` decided once on a byte line over one
+    linear form u = sum of form[i]*variables[i], each variable over its
+    range; the last, the object, is the window.
 
     The form is primitive and positive on the object; every atom's
     coefficient vector must be a multiple k*form.  Such an f is a union of
     pieces, each an interval of u met with a residue class: an order atom
     gives a half-line (negated, the other one), an equality a point
-    (negated, two half-lines), a div a class by _div_solver.  An or joins
-    its parts' pieces, an and meets them pairwise (intervals intersect,
-    classes meet by _crt), and each piece is marked with one strided slice
+    (negated, two half-lines), a div a class by _div_solver.  A positive
+    exists block of one or two variables v_j whose body is one equality
+    k*u + c + sum a_j*v_j = 0, k = +-1 on its box part, plus constant
+    bounds on single v_j, each v_j also within its hint, is a bounded
+    linear set u = base + a*p + b*q, a < m, b < n (Ginsburg and Spanier
+    1966): one piece per a, the shorter side.  An or joins its parts'
+    pieces, an and meets them pairwise (intervals intersect, classes meet
+    by _crt), and each piece is marked with one strided slice
     (mark_lattice).  The member function returned is compile_masks': the
     objects of a parameter point sit at one strided slice of the line, and
     on the reversed line that slice reads, largest object first, as the
     mask's base-2 digits.
 
-    Raises NotOneForm, before building the line, when an atom has
-    coefficient 0 on the object, reads a variable outside `variables` or
-    through a second form, f has a quantifier, a div is negated, the
-    pieces outnumber f's atoms, or the u-range is longer than the box.
+    Raises NotOneForm, before building the line, when an atom (of a
+    block, its equality) has coefficient 0 on the object, reads a
+    variable outside `variables` or reads through a second form; when a
+    div is negated or the u-range is longer than the box; when the
+    pieces' marks, the sum of (hi - lo)/mod + 1, or one block's rows or
+    one and's meets outnumber the box's points, which keeps the line's
+    cost linear in the box; and for a forall or a negated exists, a block
+    of more than two variables, a block body other than one equality and
+    constant bounds on single variables, or a block equality whose
+    u-coefficient is not +-1.  Raises MissingHintError when a variable of
+    a block it otherwise takes has no hint in `hints`, also in an and
+    part that the walk skips.
     """
     obj = variables[-1]
-    first = next(atoms_of(f), None)
-    form = () if first is None else (first.left - first.right).coeffs
+    hints = hints or {}
+    blocks: dict[int, tuple] = {}  # id of each block node -> _block's reading
+    form = None  # the box part of the first atom or block equality
+
+    # blocks are read in a pre-pass, since walk skips an and's parts once
+    # it is empty
+    def read(g: Formula, neg: bool) -> None:
+        nonlocal form
+        if isinstance(g, (Exists, Forall)):
+            block = blocks[id(g)] = _block(g, neg, hints)
+            form = block[0] if form is None else form
+        elif isinstance(g, Atom):
+            form = (g.left - g.right).coeffs if form is None else form
+        elif isinstance(g, Not):
+            read(g.body, not neg)
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                read(p, neg)
+    read(f, False)
+    form = form or ()
     coeffs = dict(form)
     if coeffs.get(obj, 0) == 0:
         raise NotOneForm("an atom has object coefficient 0")
@@ -519,32 +604,22 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
     form_vec = tuple(coeffs.get(v, 0) // k for v in variables)
     start = sum(min(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges))
     stop = sum(max(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges)) + 1
-    if stop - start > prod(map(len, ranges)):
+    points = prod(map(len, ranges))
+    if stop - start > points:
         raise NotOneForm("the u-range is longer than the box")
-
-    # f's atoms; quantifiers are refused here, since walk skips an and's
-    # parts once it is empty
-    def size(g: Formula) -> int:
-        if isinstance(g, (Atom, Bool)):
-            return isinstance(g, Atom)
-        if isinstance(g, (Exists, Forall)):
-            raise NotOneForm("a quantifier")
-        return sum(map(size, (g.body,) if isinstance(g, Not) else g.parts))
-    limit = size(f)
     scales: dict[tuple, int] = {}
 
-    def scale(a: Atom) -> int:  # k such that a's coefficient vector is k*form
-        key = a.left.coeffs, a.right.coeffs
-        k = scales.get(key)
-        if k is None:
-            vector = (a.left - a.right).coeffs
-            k = dict(vector).get(obj, 0)
-            if k == 0:
-                raise NotOneForm("an atom has object coefficient 0")
-            k //= form_vec[-1]
-            if vector != tuple((v, k * c) for v, c in form):
-                raise NotOneForm("atoms read through a second form")
-            scales[key] = k
+    def work(n: int) -> None:  # one block's rows or one and's meets
+        if n > points:
+            raise NotOneForm("more rows or meets than box points")
+
+    def scale(vector: tuple) -> int:  # k such that vector is k*form
+        k = dict(vector).get(obj, 0)
+        if k == 0:
+            raise NotOneForm("an atom has object coefficient 0")
+        k //= form_vec[-1]
+        if vector != tuple((v, k * c) for v, c in form):
+            raise NotOneForm("atoms read through a second form")
         return k
 
     def half(k: int, c: int) -> list[tuple[int, int, int]]:  # k*u + c <= 0
@@ -560,10 +635,42 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
         lo += (cls[0] - lo) % cls[1]
         return (lo, hi, cls[1]) if lo <= hi else None
 
+    def rows(box: tuple, c: int, sides: tuple) -> list[tuple[int, int, int]]:
+        """The block's pieces: u = -k*(c + sum a*v), each v in [lo, hi]."""
+        k = scale(box)
+        if k not in (1, -1):
+            raise NotOneForm("a block equality's u-coefficient is not +-1")
+        base, steps = -k * c, [(1, 1), (1, 1)]
+        for a, lo, hi in sides:
+            if lo > hi:
+                return []
+            step = -k * a  # u = base + step*v, v = lo + b or hi - b, b >= 0
+            base += step * (lo if step > 0 else hi)
+            if step:
+                steps.append((abs(step), hi - lo + 1))
+        # u = base + a*p + b*q, a < m, b < n, m <= n; row a clipped to [start, stop)
+        (p, m), (q, n) = sorted(steps, key=lambda s: s[1])[-2:]
+        top = q * (n - 1)
+        first = max(0, -((base + top - start) // p))
+        last = min(m, (stop - 1 - base) // p + 1)
+        work(last - first)
+        out = []
+        for lo in range(base + first * p, base + last * p, p):
+            hi = min(lo + top, stop - 1)
+            if lo < start:
+                lo -= (lo - start) // q * q
+            if lo <= hi:
+                out.append((lo, hi, q))
+        return out
+
     def walk(g: Formula, neg: bool) -> list[tuple[int, int, int]]:
         """g's pieces (lo, hi, mod), lo the first member; `not g` if neg."""
         if isinstance(g, Atom):
-            k, c = scale(g), g.left.const - g.right.const
+            key = g.left.coeffs, g.right.coeffs
+            k = scales.get(key)
+            if k is None:
+                k = scales[key] = scale((g.left - g.right).coeffs)
+            c = g.left.const - g.right.const
             if g.kind == DIV:
                 if neg:
                     raise NotOneForm("a negated div")
@@ -585,21 +692,20 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range]
                     out += walk(part, neg)
                 elif out:
                     pieces = walk(part, neg)
-                    if len(out) == len(pieces) == 1:
-                        m = meet(out[0], pieces[0])
-                        out = [m] if m else []
-                    else:
-                        out = list(islice((m for p in out for q in pieces
-                                           if (m := meet(p, q))), limit + 1))
-                if len(out) > limit:
-                    raise NotOneForm("more pieces than atoms")
+                    work(len(out) * len(pieces))
+                    out = [m for p in out for q in pieces if (m := meet(p, q))]
             return out
         if isinstance(g, Not):
             return walk(g.body, not neg)
+        if isinstance(g, Exists):  # a block the pre-pass read
+            return rows(*blocks[id(g)])
         return [(start, stop - 1, 1)] if g.value != neg else []  # a Bool
 
+    pieces = walk(f, False)
+    if sum((hi - lo) // mod + 1 for lo, hi, mod in pieces) > points:
+        raise NotOneForm("more marks than box points")
     line = bytearray(stop - start)
-    for lo, hi, mod in walk(f, False):
+    for lo, hi, mod in pieces:
         mark_lattice(line, lo - start, 1, 1, mod, (hi - lo) // mod + 1)
     *params, a = form_vec
     digits = line[::-1].translate(_DIGITS)

@@ -60,6 +60,18 @@ class TestGenVerify:
             "witnesses_check_out": True,
         }
 
+    @pytest.mark.parametrize("d", [15, 16])
+    def test_bounded_verify_past_the_nominal_point_cap(self, capsys, outdir, d):
+        # the nominal hint product 2^(2d-2) is over the point cap, but each
+        # disjunct is a bounded linear set in x + d*y, decided on its line
+        f, m = str(outdir / f"n{d}.pa"), str(outdir / f"n{d}.json")
+        assert main(["gen", "--d", str(d), "--out", f, "--meta", m]) == 0
+        capsys.readouterr()
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", m)
+        assert rc == 0 and rep["ok"]
+        assert len(rep["checks"]) == 6 and all(checks_by_name(rep).values())
+        assert rep["outputs"]["vc"]["vc_dim"] == d
+
     def test_bridged_roundtrip(self, capsys, outdir):
         f = str(outdir / "b3.pa")
         m = str(outdir / "b3.json")

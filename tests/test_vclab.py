@@ -1,19 +1,21 @@
 """Set families, shattering, VC-dimension, and the shatter function."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from pavc import evaluator, fuzz, vclab
 from pavc.evaluator import (
-    EvalError, MissingHintError, NotOneForm, compile_masks, eliminate_quantifiers,
-    eval_point, one_form_line,
+    EvalError, MissingHintError, NotOneForm, ResourceCapError, compile_masks,
+    eliminate_quantifiers, eval_point, one_form_line,
 )
 from pavc.formula import (
-    DIV, EQ, LE, LT, ZERO, Atom, LinearTerm, PartitionedFormula, free_vars, parse,
+    DIV, EQ, LE, LT, ZERO, Atom, Exists, Forall, LinearTerm, Not,
+    PartitionedFormula, bound_vars, free_vars, mk_and, mk_or, parse,
 )
 from pavc.fuzz import random_family, random_partitioned
 from pavc.generator import block_mask, encode_bridged, encode_naive, lex_subset
@@ -28,6 +30,7 @@ from pavc.vclab import (
     shatter_function,
     vc_dimension,
 )
+from test_evaluator import reference_eval
 
 
 def thresholds(ground):
@@ -529,17 +532,28 @@ class TestFamilyPaths:
 
 
 REASONS = ("an atom has object coefficient 0", "atoms read through a second form",
-           "a negated div", "more pieces than atoms",
+           "a negated div", "more marks than box points",
            "the u-range is longer than the box")
+BLOCK_REASONS = ("a forall or a negated exists",
+                 "an exists block of more than two variables",
+                 "a block body other than one equality and bounds",
+                 "a block equality's u-coefficient is not +-1")
 
 
-def one_form_body(rng, names):
-    """A random quantifier-free body whose atoms read through one form
-    u = a*x + b*y (+ c*z): multiples k*u + const in order, equality and
-    div atoms under random and/or/not trees.  One atom in ten reads
-    another form or leaves x out, to reach one_form_line's refusals."""
+def random_form(rng, names):
+    """{x: a, y: b (, z: c)}, the coefficients of a form u over names."""
     form = {"x": rng.choice([1, 1, 2, 3])}
     form.update((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in names[1:])
+    return form
+
+
+def one_form_body(rng, names, form=None):
+    """A random quantifier-free body whose atoms read through one form
+    u = a*x + b*y (+ c*z), random_form's unless given: multiples
+    k*u + const in order, equality and div atoms under random and/or/not
+    trees.  One atom in ten reads another form or leaves x out, to reach
+    one_form_line's refusals."""
+    form = form or random_form(rng, names)
     atoms = []
     for _ in range(rng.randint(1, 6)):
         vector = dict(form)
@@ -560,11 +574,77 @@ def one_form_body(rng, names):
     return fuzz._combine(rng, atoms)
 
 
-def one_form_paths(monkeypatch, pf, ground, windows):
-    """family_from_formula's family, the path it took ("one form" or the
-    NotOneForm message), and its family with one_form_line refusing."""
-    taken = []
+def one_form_block(rng, form):
+    """A bounded exists block over one or two of p, q whose body is one
+    equality k*u + c + a*p + b*q = 0, u the form's term and a, b of
+    either sign or 0 (the variable left out of it), and constant bounds
+    on single variables.  One block in twelve is off one_form_line's
+    shapes: a forall, a third variable, a bound that reads x, or k = 2."""
+    names = rng.sample(("p", "q"), rng.randint(1, 2))
+    roll = rng.random()
+    k = 2 if roll < 0.02 else rng.choice((1, -1))
+    if roll > 0.98:
+        names.append("r")
+    periods = {v: rng.choice((-3, -2, -1, 0, 1, 2, 3, 5)) for v in names}
+    u = LinearTerm.of({v: k * c for v, c in form.items()})
+    parts = [Atom(EQ, u + LinearTerm.of(periods), LinearTerm.num(rng.randint(-5, 5)))]
+    for v in names:
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            term = LinearTerm.var(v, rng.choice((1, 1, 2, -1, -3)))
+            if 0.04 < roll < 0.06:
+                term += LinearTerm.var("x")
+            parts.append(Atom(rng.choice((LE, LT)),
+                              *rng.sample([term, LinearTerm.num(rng.randint(-3, 3))], 2)))
+    rng.shuffle(parts)
+    body = mk_and(parts)
+    for v in reversed(names):
+        body = Exists(v, body)
+    return Forall(names[0], body.body) if 0.02 <= roll < 0.04 else body
 
+
+def block_body(rng, names):
+    """one_form_body's atoms and one or two one_form_block blocks under
+    a random and/or tree, negated one time in twenty (the block with
+    it), so that some and parts are empty before a block."""
+    form = random_form(rng, names)
+    common = gcd(*form.values())  # primitive, so that k = +-1 is on u itself
+    form = {v: c // common for v, c in form.items()}
+    parts = [one_form_block(rng, form) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.7:
+        parts.append(one_form_body(rng, names, form))
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        group = [parts.pop(), parts.pop()]
+        parts.append(mk_and(group) if rng.random() < 0.4 else mk_or(group))
+    return Not(parts[0]) if rng.random() < 0.05 else parts[0]
+
+
+def block_hints(rng, f):
+    """An interval for each variable a quantifier in f binds, empty one
+    time in ten."""
+    hints = {}
+    for v in sorted(bound_vars(f)):
+        lo = rng.randint(-4, 2)
+        hints[v] = (lo, lo - 1 if rng.random() < 0.1 else lo + rng.randint(0, 8))
+    return hints
+
+
+def reference_family(pf, ground_window, windows, hints):
+    """The family by plain enumeration: reference_eval at every point."""
+    ground = range(ground_window[0], ground_window[1] + 1)
+    members = []
+    for combo in product(*(range(windows[p][0], windows[p][1] + 1)
+                           for p in pf.param_vars)):
+        env = dict(zip(pf.param_vars, combo))
+        mask = sum(1 << i for i, x in enumerate(ground)
+                   if reference_eval(pf.formula, {**env, "x": x}, hints))
+        members.append((",".join(map(str, combo)), mask))
+    return SetFamily(tuple(ground), tuple(members))
+
+
+def recording(taken):
+    """one_form_line, appending the path it takes ("one form" or the
+    NotOneForm message) to `taken`."""
     def recorded(*args):
         try:
             line = one_form_line(*args)
@@ -573,12 +653,19 @@ def one_form_paths(monkeypatch, pf, ground, windows):
             raise
         taken.append("one form")
         return line
+    return recorded
+
+
+def one_form_paths(monkeypatch, pf, ground, windows, hints=None):
+    """family_from_formula's family, the path it took, and its family with
+    one_form_line refusing."""
+    taken = []
     with monkeypatch.context() as m:
-        m.setattr(evaluator, "one_form_line", recorded)
-        fam = family_from_formula(pf, ground, windows)
+        m.setattr(evaluator, "one_form_line", recording(taken))
+        fam = family_from_formula(pf, ground, windows, hints=hints)
     with monkeypatch.context() as m:
         m.setattr(evaluator, "one_form_line", refuse_one_form)
-        masked = family_from_formula(pf, ground, windows)
+        masked = family_from_formula(pf, ground, windows, hints=hints)
     return fam, taken, masked
 
 
@@ -610,6 +697,105 @@ class TestOneFormDifferential:
         assert set(paths) == {"one form", *REASONS}, paths
         assert paths["one form"] > sum(paths.values()) // 2, paths
 
+    def test_fuzz_blocks(self, monkeypatch):
+        paths, varied = Counter(), 0
+        for seed in range(9_300_000, 9_300_240):
+            rng = random.Random(seed)
+            names = ["x", "y"] if rng.random() < 0.6 else ["x", "y", "z"]
+            body = block_body(rng, names)
+            fv = free_vars(body)
+            if "x" not in fv:
+                continue
+            pf = PartitionedFormula(body, ("x",), tuple(sorted(fv - {"x"})))
+            hints = block_hints(rng, body)
+            lo = rng.randint(-6, 2)
+            ground = (lo, lo + rng.randint(1, 9))
+            windows = {}
+            for p in pf.param_vars:
+                lo = rng.randint(-4, 1)
+                windows[p] = (lo, lo + rng.randint(1, 6))
+            fam, taken, masked = one_form_paths(monkeypatch, pf, ground,
+                                                windows, hints)
+            paths.update(taken)
+            assert fam == masked == reference_family(pf, ground, windows, hints), \
+                (pf, ground, windows, hints)
+            varied += taken == ["one form"] and len(fam.distinct_masks()) > 1
+        # every block refusal is reached, most bodies take the byte line,
+        # and many of those give families of more than one member
+        assert set(BLOCK_REASONS) <= set(paths), paths
+        assert paths["one form"] > sum(paths.values()) // 2, paths
+        assert varied > 50, varied
+
+    @pytest.mark.parametrize("f, reason, hints", [
+        ("(forall p (= x (+ y p)))", "a forall or a negated exists", None),
+        ("(not (exists p (and (= x (+ y p)) (<= 0 p))))",
+         "a forall or a negated exists", None),
+        ("(exists p (exists q (exists r (= x (+ y p q r)))))",
+         "an exists block of more than two variables", None),
+        ("(exists p (< x (+ y p)))",
+         "a block body other than one equality and bounds", None),
+        ("(exists p (and (= x (+ y p)) (= x (+ y (* 2 p)))))",
+         "a block body other than one equality and bounds", None),
+        ("(exists p (and (= x (+ y p)) (<= p y)))",
+         "a block body other than one equality and bounds", None),
+        ("(exists p (and (= x (+ y p)) (div 2 p)))",
+         "a block body other than one equality and bounds", None),
+        (Exists("p", parse("(exists p (= x (+ y p)))")),  # p rebound
+         "a block body other than one equality and bounds", None),
+        ("(exists p (= (+ (* 2 x) (* 2 y)) p))",
+         "a block equality's u-coefficient is not +-1", None),
+        # 61 rows of u = p + 10^6*q cross the box, only two with a point
+        ("(exists p (exists q (= (+ x y) (+ p (* 1000000 q)))))",
+         "more rows or meets than box points", {"p": (-60, 0), "q": (0, 61)}),
+        ("(and (or (= (+ x y) 0) (= (+ x y) 1) (= (+ x y) 2))"
+         " (or (= (+ x y) 1) (= (+ x y) 2) (= (+ x y) 3)))",
+         "more rows or meets than box points", None),
+        ("(or (<= (+ x y) 4) (<= (+ x y) 3) (< (+ x y) 4))",
+         "more marks than box points", None),
+    ])
+    def test_refusals(self, monkeypatch, f, reason, hints):
+        # a box of 8 points, u = x + y over it 5 long
+        f = parse(f, allow_div=True) if isinstance(f, str) else f
+        pf = PartitionedFormula(f, ("x",), ("y",))
+        hints = hints or dict.fromkeys(bound_vars(f), (0, 9))
+        ground, windows = (0, 3), {"y": (0, 1)}
+        with pytest.raises(NotOneForm, match=re.escape(reason)):
+            one_form_line(f, ("y", "x"), (range(2), range(4)), hints)
+        fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows,
+                                            hints)
+        assert taken == [reason]
+        assert fam == masked == reference_family(pf, ground, windows, hints)
+
+    def test_block_without_a_hint(self):
+        # the shape is one the line takes, so the missing hint is named,
+        # also in an and part that the walk skips; compile_masks raises the
+        # compiled route's error
+        for text in ("(exists p (and (= x (+ y p)) (<= 0 p)))",
+                     "(and (< x -100) (exists q (exists p (= x (+ y p q)))))"):
+            f = parse(text)
+            for hints in ({}, {"q": (0, 1)}):
+                with pytest.raises(MissingHintError, match="no hint interval"):
+                    one_form_line(f, ("y", "x"), (range(2), range(3)), hints)
+                with pytest.raises(MissingHintError, match="no hint interval"):
+                    compile_masks(f, ("y", "x"), (range(2), range(3)), hints)
+            with pytest.raises(MissingHintError, match="'p'"):
+                one_form_line(f, ("y", "x"), (range(2), range(3)), {"q": (0, 1)})
+
+    def test_block_marks_its_rows(self):
+        # u = x + 2y over y in 0..3, x in 0..4: the block is 1 + 3p + 5q,
+        # p in 0..2 (its bound), q in 0..1 (its hint): 1, 4, 7, 6, 9, 12;
+        # a bound that empties p empties the block
+        f = parse("(exists p (exists q (and (= (+ x (* 2 y)) (+ 1 (* 3 p) (* 5 q)))"
+                  " (< p 3))))")
+        member = one_form_line(f, ("y", "x"), (range(4), range(5)),
+                               {"p": (0, 9), "q": (0, 1)})
+        got = {(y, x) for y in range(4) for x in range(5) if member((y,)) >> x & 1}
+        assert got == {(y, x) for y in range(4) for x in range(5)
+                       if x + 2 * y in (1, 4, 7, 6, 9, 12)}
+        member = one_form_line(f, ("y", "x"), (range(4), range(5)),
+                               {"p": (3, 9), "q": (0, 1)})
+        assert [member((y,)) for y in range(4)] == [0] * 4
+
     @pytest.mark.parametrize("encode, d",
                              [(encode_naive, d) for d in range(1, 9)]
                              + [(encode_bridged, d) for d in range(1, 5)])
@@ -636,12 +822,36 @@ class TestOneFormDifferential:
         # the existential; the line still refuses it, and the compiled plan
         # needs z's hint
         f = parse("(and (< x -100) (exists z (< x (+ y z))))")
-        with pytest.raises(NotOneForm, match="a quantifier"):
+        with pytest.raises(NotOneForm, match="a block body other than"):
             one_form_line(f, ("y", "x"), (range(2), range(3)))
         with pytest.raises(MissingHintError):
             compile_masks(f, ("y", "x"), (range(2), range(3)))
         assert compile_masks(f, ("y", "x"), (range(2), range(3)),
                              {"z": (0, 1)})((1,)) == 0
+
+
+class TestConstructBoundedRoutes:
+    """The benchmark's bounded verify inputs: naive families take the byte
+    line, bridged ones (a four-variable block) the compiled route."""
+
+    @pytest.mark.parametrize("encode, d", [(encode_naive, d) for d in (4, 6, 8)]
+                             + [(encode_bridged, d) for d in (4, 5, 6)])
+    def test_routes(self, monkeypatch, encode, d):
+        pf, meta = encode(d)
+        windows = {meta.param_var: meta.param_window}
+        taken = []
+        monkeypatch.setattr(evaluator, "one_form_line", recording(taken))
+        if (encode, d) == (encode_bridged, 6):  # its nominal points
+            with pytest.raises(ResourceCapError, match="enumeration points"):
+                family_from_formula(pf, meta.ground_window, windows,
+                                    hints=meta.hint_map())
+        else:
+            fam = family_from_formula(pf, meta.ground_window, windows,
+                                      hints=meta.hint_map())
+            assert [m for _, m in fam.members] == \
+                [block_mask(d, y) for y in range(1 << d)]
+        assert taken == ["one form" if encode is encode_naive
+                         else "an exists block of more than two variables"]
 
 
 def test_report_json_shape():
