@@ -6,6 +6,9 @@ and wall time.  Exit status is 0 when all requested checks pass, 1 when
 a check fails, 2 for usage errors, and 3 for operational errors such as
 resource-cap refusals or an unavailable encoder.
 
+main(argv) may be called repeatedly in one process: it builds the
+argument parser at its first call and every later call reuses it.
+
 The PAVC_MAX_ATOMS environment variable overrides the default cap on
 atoms produced by quantifier elimination.
 """
@@ -13,6 +16,7 @@ atoms produced by quantifier elimination.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -354,6 +358,7 @@ def _cmd_convergents(args) -> tuple[dict, dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pavc",

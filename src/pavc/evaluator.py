@@ -564,12 +564,13 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     block, its equality) has coefficient 0 on the object, reads a
     variable outside `variables` or reads through a second form; when a
     div is negated or the u-range is longer than the box; when the
-    pieces' marks, the sum of (hi - lo)/mod + 1, or one block's rows or
-    one and's meets outnumber the box's points, which keeps the line's
-    cost linear in the box; and for a forall or a negated exists, a block
-    of more than two variables, a block body other than one equality and
-    constant bounds on single variables, or a block equality whose
-    u-coefficient is not +-1.  Raises MissingHintError when a variable of
+    pieces' marks, the sum of (hi - lo)/mod + 1 once pieces of one class
+    that overlap or touch are merged, or one block's rows or one and's
+    meets outnumber the box's points, which keeps the line's cost linear
+    in the box; and for a forall or a negated exists, a block of more
+    than two variables, a block body other than one equality and constant
+    bounds on single variables, or a block equality whose u-coefficient
+    is not +-1.  Raises MissingHintError when a variable of
     a block it otherwise takes has no hint in `hints`, also in an and
     part that the walk skips.
     """
@@ -701,7 +702,15 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
             return rows(*blocks[id(g)])
         return [(start, stop - 1, 1)] if g.value != neg else []  # a Bool
 
-    pieces = walk(f, False)
+    # pieces of one class (mod, lo % mod) that overlap or touch are merged,
+    # so that the marks cap counts each mark once
+    pieces: list[list[int]] = []
+    for lo, hi, mod in sorted(walk(f, False), key=lambda p: (p[2], p[0] % p[2], p[0])):
+        last = pieces[-1] if pieces else (0, 0, 0)
+        if last[2] == mod and (lo - last[0]) % mod == 0 and lo <= last[1] + mod:
+            last[1] = max(last[1], hi)
+        else:
+            pieces.append([lo, hi, mod])
     if sum((hi - lo) // mod + 1 for lo, hi, mod in pieces) > points:
         raise NotOneForm("more marks than box points")
     line = bytearray(stop - start)

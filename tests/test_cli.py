@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pavc import generator
+from pavc import cli, generator
 from pavc.cli import main
 from pavc.formula import MAX_NESTING
 from pavc.generator import AP
@@ -31,6 +31,15 @@ def refused(capsys, *args):
     err = capsys.readouterr().err
     assert err.startswith(f"pavc {args[0]}: error: ") and err.count("\n") == 1
     return rc, err
+
+
+def run_python(*args):
+    """A child Python process with this checkout's src/ on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -364,6 +373,76 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+class TestRepeatedCalls:
+    """main may be called again in the same process: its parser is built
+    at the first call and shared, and no call leaves state for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_built_at_the_first_call(self):
+        proc = run_python("-c", "from pavc import cli\n"
+                          "print(cli._build_parser.cache_info().currsize)\n"
+                          "cli.main(['convergents', '--p', '1', '--q', '2'])\n"
+                          "print(cli._build_parser.cache_info().currsize)\n")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1")
+
+    def test_vc_twice_gives_the_same_report(self, capsys, outdir):
+        f = outdir / "in.pa"
+        f.write_text("#objects: x\n#params: a b\n"
+                     "(exists z (and (<= a z) (<= z b) (= x z)))\n")
+        argv = ["vc", "--formula", str(f), "--ground", "0..5",
+                "--param", "a=0..5", "--param", "b=0..5", "--hint", "z=0..5",
+                "--expect-vc", "2"]
+        reports = []
+        for _ in range(2):
+            rc, rep = run(capsys, *argv)
+            assert rc == 0, rep
+            del rep["wall_time_s"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert list(reports[1]["outputs"]["param_windows"]) == ["a", "b"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["shatter", "--formula", "t.pa", "--ground", "0..3", "--n", "-1"],
+         "n must be at least 0, got -1"),
+        (["vc"], "the following arguments are required"),
+    ], ids=["negative-n", "bare-vc"])
+    def test_usage_error_twice(self, capsys, argv, message):
+        # argparse refuses both before any file is read
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert message in errs[0]
+
+    def test_refusal_then_a_passing_call(self, capsys, outdir):
+        f = outdir / "t.pa"
+        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        argv = ["vc", "--formula", str(f), "--ground", "0..3", "--param", "y=0..3"]
+        rc, err = refused(capsys, *argv, "--param", "y=0..5")
+        assert rc == 3
+        assert "--param given more than once for ['y']" in err
+        rc, rep = run(capsys, *argv, "--expect-vc", "1")
+        assert rc == 0
+        assert rep["outputs"]["param_windows"] == {"y": ["0", "3"]}
+
+    def test_help_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("usage: pavc")
+
+
 class TestGadgetStub:
     def test_cf_short_fails_loudly(self, capsys, outdir):
         rc = main(["gen", "--d", "3", "--encoder", "cf-short",
@@ -616,11 +695,7 @@ class TestModuleEntryPoint:
 
     @staticmethod
     def run_module(*args):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, "-m", "pavc", *args],
-                              capture_output=True, text=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": path})
+        return run_python("-m", "pavc", *args)
 
     def test_help(self):
         proc = self.run_module("--help")

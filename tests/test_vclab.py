@@ -531,9 +531,11 @@ class TestFamilyPaths:
                 eval_point_family(pf, ground, windows), (pf, windows)
 
 
+# the refusals the one-form fuzz bodies reach; with pieces of one class
+# merged, their marks stay within the box, so test_refusals alone reaches
+# "more marks than box points"
 REASONS = ("an atom has object coefficient 0", "atoms read through a second form",
-           "a negated div", "more marks than box points",
-           "the u-range is longer than the box")
+           "a negated div", "the u-range is longer than the box")
 BLOCK_REASONS = ("a forall or a negated exists",
                  "an exists block of more than two variables",
                  "a block body other than one equality and bounds",
@@ -750,7 +752,8 @@ class TestOneFormDifferential:
         ("(and (or (= (+ x y) 0) (= (+ x y) 1) (= (+ x y) 2))"
          " (or (= (+ x y) 1) (= (+ x y) 2) (= (+ x y) 3)))",
          "more rows or meets than box points", None),
-        ("(or (<= (+ x y) 4) (<= (+ x y) 3) (< (+ x y) 4))",
+        # 5 + 3 + 2 marks of three classes over u in 0..4
+        ("(or (<= (+ x y) 4) (div 2 (+ x y)) (div 3 (+ x y)))",
          "more marks than box points", None),
     ])
     def test_refusals(self, monkeypatch, f, reason, hints):
@@ -765,6 +768,15 @@ class TestOneFormDifferential:
                                             hints)
         assert taken == [reason]
         assert fam == masked == reference_family(pf, ground, windows, hints)
+
+    def test_overlapping_pieces_of_one_class_merge(self, monkeypatch):
+        # three half-lines, 5 + 4 + 4 marks apart, are the 5 marks of u <= 4
+        f = parse("(or (<= (+ x y) 4) (<= (+ x y) 3) (< (+ x y) 4))")
+        pf = PartitionedFormula(f, ("x",), ("y",))
+        ground, windows = (0, 3), {"y": (0, 1)}
+        fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows)
+        assert taken == ["one form"]
+        assert fam == masked == reference_family(pf, ground, windows, {})
 
     def test_block_without_a_hint(self):
         # the shape is one the line takes, so the missing hint is named,
