@@ -4,7 +4,7 @@ Every subcommand prints one JSON run report to stdout: the command, its
 inputs (with sha256 digests for files), outputs, a list of named checks,
 and wall time.  Exit status is 0 when all requested checks pass, 1 when
 a check fails, 2 for usage errors, and 3 for operational errors such as
-resource-cap refusals or an unavailable encoder.
+resource-cap refusals, an unavailable encoder or a closed stdout.
 
 main(argv) may be called repeatedly in one process: it builds the
 argument parser at its first call and every later call reuses it.
@@ -391,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vc", help="measure the VC-dimension of a family")
     _family_args(p)
     p.add_argument("--cap", type=_at_least_zero("cap"), default=DEFAULT_VC_CAP)
-    p.add_argument("--expect-vc", type=int, default=None)
+    p.add_argument("--expect-vc", type=_at_least_zero("expect-vc"), default=None)
     p.set_defaults(fn=_cmd_vc)
 
     p = sub.add_parser("shatter",
@@ -412,8 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="report shape metrics")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-vars", type=int, default=10)
-    p.add_argument("--max-ineqs", type=int, default=18)
+    p.add_argument("--max-vars", type=_at_least_zero("max-vars"), default=10)
+    p.add_argument("--max-ineqs", type=_at_least_zero("max-ineqs"), default=18)
     p.add_argument("--require-short", action="store_true")
     p.set_defaults(fn=_cmd_analyze)
 
@@ -446,21 +446,24 @@ _OPERATIONAL_ERRORS = (
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.monotonic()
+    report = None
     try:
         inputs, outputs, checks = args.fn(args)
+        report = {
+            "command": args.command,
+            "seed": getattr(args, "seed", None),
+            "inputs": inputs,
+            "outputs": outputs,
+            "checks": checks,
+            "ok": all(c["pass"] for c in checks),
+            "wall_time_s": round(time.monotonic() - start, 3),
+        }
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
     except _OPERATIONAL_ERRORS as exc:
+        if report is not None:  # stdout closed (`| head -c 1`): flush the rest nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"pavc {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = {
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "inputs": inputs,
-        "outputs": outputs,
-        "checks": checks,
-        "ok": all(c["pass"] for c in checks),
-        "wall_time_s": round(time.monotonic() - start, 3),
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 

@@ -18,11 +18,12 @@ is the truth of the formula with that variable at window[j] (intervals,
 bits and periodic masks for atoms, bit operations for connectives).  A
 point is the one-bit window.  compile_plan tests points; compile_masks
 takes one range per variable, the box, and gives masks over the last,
-the window.  Both check free variables, hints and the point cap at
-compile time, and compile a quantified formula through the bounded plan
-below.  eval_point, eval_ground and eval_bounded use compile_plan, and
-each vclab family one compile_masks call, which picks the route: the
-one-form line below when it takes the body, else the compiled masks.
+the window, running a plan that keeps a quantifier at each window
+position.  Both check free variables, hints and the point cap at compile
+time, and compile a quantified formula through the bounded plan below.
+eval_point, eval_ground and eval_bounded use compile_plan, each vclab
+family one compile_masks call, which picks the route: the one-form line
+below when it takes the body, else the compiled masks.
 
 A body whose atoms all read through one linear form u, as both
 encoders' eliminated bodies do, is a finite union of intervals met with
@@ -47,9 +48,8 @@ Chinese remainder theorem (as in Pugh's Omega test), its constant
 bounds, the hint among them, fold into its interval at compile time and
 its other bounds narrow it.  When nothing else mentions v, the first
 member of that progression decides existence in O(atoms); otherwise
-only the progression is scanned.  Over a window, that test runs only
-where g | t, g = gcd(a, m), holds for each div m | a*v + t (the Omega
-test's normalization): one ground point per naive disjunct.  On this
+only the progression is scanned.  A div m | a*v + t fails at once where
+gcd(a, m) does not divide t (the Omega test's normalization).  On this
 compiled route the point cap refuses upfront when the worst-case
 nesting product of interval sizes in the input formula exceeds it,
 whatever the plan then saves.
@@ -300,13 +300,11 @@ def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
     """Compile `f` into a test of environments, which hold each variable
     at its slot in `scope`.
 
-    The test gives an int whose bit j is the truth of `f` with `last` at
-    window[j]; a point is a one-bit window and no `last`.  Existentials,
-    the only quantifier _bounded_step leaves, take fresh slots from
-    `slots` and fold their constant bounds into their interval here.
-    Over a window each runs its point test, `last` in its own slot, where
-    g | t holds for its divs m | a*v + t, g = gcd(a, m); once if `last`
-    is not free in it.
+    The test gives an int whose bit j is the truth of a quantifier-free
+    `f` with `last` at window[j]; a point is a one-bit window and no
+    `last`.  Existentials, the only quantifier _bounded_step leaves, take
+    fresh slots from `slots`, fold their constant bounds into their
+    interval here and give their point test.
     """
     width = len(window)
     full = (1 << width) - 1
@@ -373,46 +371,22 @@ def _compile(f: Formula, scope: Mapping[str, int], slots: Iterator[int],
     # every binder gets its own slot, so shadowing needs no restore
     slot = next(slots)
     inner = {**scope, f.var: slot}
-    bounds, divs, others, residues = [], [], [], []
+    bounds, divs, others = [], [], []
     for part in _conjuncts(f.body):
         a, pairs, k = _slotted(part, f.var, inner) if isinstance(part, Atom) \
             else (0, (), 0)
         if a == 0:  # not an atom on v
             others.append(_compile(part, inner, slots))
         elif part.kind == DIV:
-            g, n, inv = _div_solver(a, part.modulus)
-            divs.append((g, n, inv, pairs, k))
-            if g > 1:  # m | a*v + t needs g | t
-                residues.append(Atom(DIV, _linear(part, f.var)[1], ZERO, g))
+            divs.append((*_div_solver(a, part.modulus), pairs, k))
         else:
             bounds.append((a, pairs, k))
             if part.kind == EQ:
                 bounds.append((-a, tuple((i, -c) for i, c in pairs), -k))
     lo = max(-(k // a) for a, pairs, k in bounds if a < 0 and not pairs)
     hi = min(-k // a for a, pairs, k in bounds if a > 0 and not pairs)
-    test = _exists_test(slot, lo, hi, tuple(b for b in bounds if b[1]),
+    return _exists_test(slot, lo, hi, tuple(b for b in bounds if b[1]),
                         tuple(divs), tuple(others))
-    if last is None:
-        return test
-    if last not in free_vars(f):  # one truth over the window, `last` rebound say
-        return lambda env: full if test(env) else 0
-    candidates = _compile(mk_and(residues), scope, slots, last, window)
-    at = scope[last]
-
-    def over_window(env: _Env) -> int:  # the point test where every g | t holds
-        hits = candidates(env)
-        if not hits & hits - 1:  # none or one bit
-            env[at] = window.start + hits.bit_length() - 1
-            return hits if hits and test(env) else 0
-        bits = bytearray(format(hits, f"0{width}b"), "ascii")  # bit j at width-1-j
-        i = bits.find(b"1")
-        while i >= 0:
-            env[at] = window[width - 1 - i]
-            if not test(env):
-                bits[i] = 48  # "0"
-            i = bits.find(b"1", i + 1)
-        return int(bits, 2)
-    return over_window
 
 
 def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
@@ -432,11 +406,19 @@ def _compiled(f: Formula, variables: Iterable[str], hints: Mapping | None,
         check_points(_worst_case_points(f, hints or {}))
         f = _rewrite(f, _dual(_bounded_step(hints or {})))
     slots = count(len(variables))
-    last = None if ranges is None else variables[-1]
+    last = None if ranges is None or not is_quantifier_free(f) else variables[-1]
     test = _compile(f, {v: i for i, v in enumerate(variables)}, slots, last,
-                    range(1) if ranges is None else ranges[-1])
-    pad = [0] * (next(slots) - len(variables) + (last is not None))
-    return lambda values: test([*values, *pad])
+                    range(1) if last is None else ranges[-1])
+    pad = [0] * (next(slots) - len(variables) + (ranges is not None))
+    if ranges is None or last is not None:
+        return lambda values: test([*values, *pad])
+
+    def mask(values: Iterable[int]) -> int:  # the plan at each window position
+        env, digits, at = [*values, *pad], bytearray(b"0"), len(variables) - 1
+        for env[at] in reversed(ranges[-1]):  # int() reads bit 0 last
+            digits.append(48 + test(env))  # "0" or "1"
+        return int(digits, 2)
+    return mask
 
 
 def compile_plan(f: Formula, variables: Iterable[str],
@@ -464,9 +446,9 @@ def compile_masks(f: Formula, variables: Iterable[str], ranges: Sequence[range],
     is the box the values come from.  It picks the route: a body that
     one_form_line takes, its bounded exists blocks over `hints`, is read
     off its byte line over the box; any other is compiled, quantifiers
-    over `hints`, with compile_plan's errors and point cap.  Raises
-    MissingHintError from either route when a quantified variable that
-    the route reads has no hint."""
+    over `hints`, with compile_plan's errors and point cap (bit by bit
+    if its plan keeps a quantifier).  Raises MissingHintError from either
+    route when a quantified variable that the route reads has no hint."""
     return _compiled(f, variables, hints, ranges)
 
 

@@ -33,13 +33,13 @@ def refused(capsys, *args):
     return rc, err
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     """A child Python process with this checkout's src/ on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -332,6 +332,9 @@ class TestFamilyWindows:
             assert message in err
 
 
+FAMILY = ["--ground", "0..3", "--param", "y=0..3"]
+
+
 class TestUsageErrors:
     def test_d_zero_is_usage_error(self, capsys, outdir):
         with pytest.raises(SystemExit) as err:
@@ -346,24 +349,22 @@ class TestUsageErrors:
         assert err.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command", [["vc"], ["shatter", "--n", "1"]])
-    def test_negative_cap(self, capsys, outdir, command):
+    @pytest.mark.parametrize("argv, name", [
+        (["vc", *FAMILY, "--cap"], "cap"),
+        (["shatter", "--n", "1", *FAMILY, "--cap"], "cap"),
+        (["shatter", *FAMILY, "--n"], "n"),
+        (["vc", *FAMILY, "--expect-vc"], "expect-vc"),
+        (["analyze", "--max-vars"], "max-vars"),
+        (["analyze", "--max-ineqs"], "max-ineqs"),
+    ], ids=["vc-cap", "shatter-cap", "shatter-n", "vc-expect-vc",
+            "analyze-max-vars", "analyze-max-ineqs"])
+    def test_negative_threshold(self, capsys, outdir, argv, name):
         f = outdir / "t.pa"
         f.write_text("#objects: x\n#params: y\n(<= x y)\n")
         with pytest.raises(SystemExit) as err:
-            main([*command, "--formula", str(f), "--ground", "0..3",
-                  "--param", "y=0..3", "--cap", "-1"])
+            main([argv[0], "--formula", str(f), *argv[1:], "-1"])
         assert err.value.code == 2
-        assert "cap must be at least 0, got -1" in capsys.readouterr().err
-
-    def test_negative_n(self, capsys, outdir):
-        f = outdir / "t.pa"
-        f.write_text("#objects: x\n#params: y\n(<= x y)\n")
-        with pytest.raises(SystemExit) as err:
-            main(["shatter", "--formula", str(f), "--ground", "0..3",
-                  "--param", "y=0..3", "--n", "-1"])
-        assert err.value.code == 2
-        assert "n must be at least 0, got -1" in capsys.readouterr().err
+        assert f"{name} must be at least 0, got -1" in capsys.readouterr().err
 
     def test_bad_window_syntax(self, capsys, outdir):
         f = str(outdir / "f.pa")
@@ -709,3 +710,20 @@ class TestModuleEntryPoint:
         report = json.loads(proc.stdout)
         assert report["command"] == "convergents"
         assert report["outputs"]["convergents"][-1] == ["45", "16"]
+
+    @pytest.mark.parametrize("argv", [
+        "convergents --p 45 --q 16",
+        "gen --d 3 --out {tmp}/f.pa --meta {tmp}/f.json",
+    ], ids=["convergents", "gen"])
+    def test_closed_stdout_is_an_operational_error(self, tmp_path, argv):
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so its report cannot be written
+        try:
+            proc = run_python("-m", "pavc", *argv.format(tmp=tmp_path).split(),
+                              stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 3
+        command = argv.split()[0]
+        assert proc.stderr.startswith(f"pavc {command}: error: ")
+        assert "Broken pipe" in proc.stderr and proc.stderr.count("\n") == 1

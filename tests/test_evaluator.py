@@ -490,26 +490,11 @@ def windowed_body(rng):
     return PartitionedFormula(f, ("x",), tuple(sorted(free_vars(f) - {"x"})))
 
 
-def counting_point_tests(monkeypatch):
-    """Patch the evaluator so each run of an existential's point test is
-    appended to the returned list."""
-    calls, made = [], evaluator._exists_test
-
-    def counting(*args):
-        test = made(*args)
-
-        def counted(env):
-            calls.append(1)
-            return test(env)
-        return counted
-    monkeypatch.setattr(evaluator, "_exists_test", counting)
-    return calls
-
-
 class TestWindowDifferential:
     """Bounded families over the ground window (compile_masks with
-    quantifiers) against the same family built point by point with
-    compile_plan."""
+    quantifiers: the byte line when one_form_line takes the body, else
+    the point plan at each window position) against the same family
+    built point by point with compile_plan."""
 
     @pytest.mark.parametrize("encode, d", [(encode_naive, d) for d in range(1, 7)]
                              + [(encode_bridged, d) for d in range(1, 6)])
@@ -543,33 +528,15 @@ class TestWindowDifferential:
             seen["empty hint"] += hints.get("v") == (1, 0)
         assert all(seen.values()), seen
 
-    def test_residue_masks_leave_one_point_test_per_disjunct(self,
-                                                             monkeypatch):
-        # disjunct i of the naive encoder holds only where d | x + d*y - i,
-        # at x = i of the ground window 1..d; the compiled route is the one
-        # measured, so one_form_line refuses
-        monkeypatch.setattr(evaluator, "one_form_line", refuse_one_form)
-        calls = counting_point_tests(monkeypatch)
-        for d in (3, 6):
-            pf, meta = encode_naive(d)
-            calls.clear()
-            family_from_formula(pf, meta.ground_window,
-                                {meta.param_var: meta.param_window},
-                                hints=meta.hint_map())
-            assert len(calls) == d << d
-
-    def test_existential_without_the_window_variable_runs_once(self,
-                                                             monkeypatch):
-        # the inner x is bound, so one point test serves the whole window
+    def test_existential_rebinding_the_window_variable(self):
+        # the inner x is bound, so each mask is all of the window or none
         x, y = LinearTerm.var("x"), LinearTerm.var("y")
         pf = PartitionedFormula(mk_and([
             Atom(LE, ZERO, x),
             Exists("x", mk_and([Atom(DIV, x.scaled(2) + y, ZERO, 4),
                                 Atom(LE, x, y)]))]), ("x",), ("y",))
         hints, windows = {"x": (-5, 5)}, {"y": (-3, 3)}
-        calls = counting_point_tests(monkeypatch)
         fam = family_from_formula(pf, (0, 999), windows, hints=hints)
-        assert len(calls) == 7
         assert fam == point_family(pf, (0, 999), windows, hints)
         assert {m for _, m in fam.members} == {0, (1 << 1000) - 1}
 

@@ -49,3 +49,24 @@ def test_private_top_level_names_are_used():
                 used.add(node.attr)
     assert defined  # an empty scan would pass silently
     assert {(m, n) for m, n in defined if n not in used} == set()
+
+
+def test_imported_names_are_used():
+    """Every name that a module in src/pavc other than __init__.py
+    imports is read in that module: no unused imports."""
+    imports, unused = 0, set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.partition(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) or (
+                     isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imports += len(bound)
+        unused |= {(path.name, name) for name in bound - read}
+    assert imports  # an empty scan would pass silently
+    assert unused == set()
