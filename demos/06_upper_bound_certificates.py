@@ -12,6 +12,7 @@ from pavc import (
     capacity_bound,
     certificate,
     certificate_report,
+    encode_bridged,
     encode_naive,
     family_from_formula,
     inventory,
@@ -43,13 +44,14 @@ measured = vc_dimension(fam).vc_dim
 print("measured on windows:", measured, " certificate:", cert.bound,
       " dominated:", measured <= cert.bound)
 
-# same story for a generated high-dimension formula: measured value is
+# same story for generated high-dimension formulas: measured value is
 # exactly d, the certificate is far above it (elimination is loose)
-pf, meta = encode_naive(3)
-cert, _, stats = upper_bound_via_qe(pf)
-fam = family_from_formula(
-    pf, meta.ground_window, {meta.param_var: meta.param_window},
-    mode="bounded", hints=meta.hint_map())
-print("d=3 generator: measured", vc_dimension(fam).vc_dim,
-      " certificate", cert.bound,
-      f" ({stats['atoms_after']} atoms after elimination)")
+for name, encode, d in (("naive", encode_naive, 3), ("bridged", encode_bridged, 5)):
+    pf, meta = encode(d)
+    cert, _, stats = upper_bound_via_qe(pf)
+    fam = family_from_formula(
+        pf, meta.ground_window, {meta.param_var: meta.param_window},
+        mode="bounded", hints=meta.hint_map())
+    print(f"{name} d={d} generator: measured", vc_dimension(fam).vc_dim,
+          " certificate", cert.bound,
+          f" ({stats['atoms_after']} atoms after elimination)")

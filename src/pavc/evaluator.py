@@ -55,8 +55,10 @@ nesting product of interval sizes in the input formula exceeds it,
 whatever the plan then saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
-innermost-first elimination.  An existential is removed either by the
-equality shortcut or by the classic divisibility-aware case split: scale
+innermost-first elimination.  An existential is removed by the equality
+shortcut, by distributing it over an or whose branches pin the variable
+by a div or an equality (exists distributes over or), one existential
+per branch, or by the classic divisibility-aware case split: scale
 the variable's coefficients to a common delta, add (div delta x), then
 cover the solution space with boundary terms plus a periodic tail,
 instantiating those offsets in 1..D (D the lcm of all div moduli) that
@@ -71,9 +73,10 @@ free variables, is quantifier-free and is simplified.
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
 PAVC_MAX_ATOMS environment variable), checked against the atoms of the
-offsets actually planned, and a maximum bit length of the coefficients,
-constants and moduli of each step's input and result.  Each cap is one
-module-level constant, read when it is enforced.
+offsets actually planned, summed over the branches of a distributed
+existential before any is built, and a maximum bit length of the
+coefficients, constants and moduli of each step's input and result.
+Each cap is one module-level constant, read when it is enforced.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def _bounded_step(hints: Mapping[str, tuple[int, int]]
                             Atom(LE, v, LinearTerm.num(hi)), body))
         shortcut = _equality_shortcut(var, body)
         if shortcut is not None:
-            return shortcut
+            return shortcut()
         outside, inside = [], []
         for p in _conjuncts(body):
             mentions = _linear(p, var)[0] if isinstance(p, Atom) \
@@ -837,12 +840,12 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
     really mention it: its < atoms come out as 0 < right - left, so the
     case split sees only atoms with a nonzero effective coefficient."""
     if isinstance(f, Atom):
-        has_var = var in (f.left.vars() | f.right.vars())
         if f.kind == DIV:
             return Not(f) if neg else f
-        if not (neg or has_var):
+        on_left, on_right = f.left.coeff(var), f.right.coeff(var)
+        if not (neg or on_left or on_right):
             return f
-        cancelled = has_var and _linear(f, var)[0] == 0
+        cancelled = on_left == on_right != 0
 
         def lt(left: LinearTerm, right: LinearTerm) -> Atom:
             return Atom(LT, ZERO, right - left) if cancelled \
@@ -869,15 +872,16 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
                     f"unexpected node {type(f).__name__}")
 
 
-def _equality_shortcut(var: str, body: Formula) -> Formula | None:
+def _equality_shortcut(var: str, body: Formula
+                       ) -> Callable[[], Formula] | None:
     """exists var (c*var = t and R)  ==  (div c t) and R[c*var := t].
 
     Applies when some top-level conjunct is an equality containing var;
     every other atom is scaled by c (positive, so inequality directions
     survive) and the pinned value substituted, under quantifiers over
-    other variables too.  Returns the right-hand side, simplified, or
-    None when there is no such equality or a quantifier in body binds var
-    (shadowing) or a variable of t (capture).
+    other variables too.  Returns a function that builds the right-hand
+    side, simplified, or None when there is no such equality or a
+    quantifier in body binds var (shadowing) or a variable of t (capture).
     """
     conjuncts = list(_conjuncts(body))
     best: tuple[int, int, LinearTerm] | None = None  # (|c|, index, t)
@@ -899,9 +903,8 @@ def _equality_shortcut(var: str, body: Formula) -> Formula | None:
         return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
                     None if a.modulus is None else a.modulus * c)
 
-    rest_parts = [map_atoms(p, var, rewrite)
-                  for i, p in enumerate(conjuncts) if i != chosen]
-    return simplify(mk_and([Atom(DIV, t, ZERO, c)] + rest_parts))
+    return lambda: simplify(mk_and([Atom(DIV, t, ZERO, c)] + [
+        map_atoms(p, var, rewrite) for i, p in enumerate(conjuncts) if i != chosen]))
 
 
 def _solved_form(a: Atom, reading: tuple[int, LinearTerm], delta: int):
@@ -941,7 +944,9 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
              sign: int, period: int) -> range:
     """The j in 1..period for which w = witness + sign*j (witness None is 0)
     can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
-    forces g | const(u) + sign*j for g = gcd(m, coefficients of u)."""
+    forces g | const(u) + sign*j for g = gcd(m, coefficients of u).  Only
+    top-level divs can be congruences, which is why _eliminate_exists
+    first distributes over an or whose branches hold divs."""
     res, mod = 0, 1
     for m, t in congruences:
         u = t if witness is None else witness + t
@@ -953,19 +958,16 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     return range(1 + (res - 1) % mod, period + 1, mod)
 
 
-def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
-    """Simplified QF equivalent of exists var body, for a simplified QF body."""
-    if var not in free_vars(body):
-        return body
-
-    shortcut = _equality_shortcut(var, body)
-    if shortcut is not None:
-        return shortcut
-
+def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
+    """(estimate, build) of Cooper's case split for exists var body: the
+    output atoms of the offsets planned, which the coefficient-bit cap
+    checks first, and the split itself, built only when called."""
     nnf_body = _nnf(body, var)
-    readings = {a: r for a in atoms_of(nnf_body) if (r := _linear(a, var))[0]}
+    readings = {a: _linear(a, var) for a in atoms_of(nnf_body)
+                if a.left.coeff(var) != a.right.coeff(var)}
     if not readings:
-        return simplify(nnf_body)
+        out = simplify(nnf_body)
+        return count_atoms(out), lambda: out
 
     delta = lcm(*(abs(c) for c, _ in readings.values()))
     solved = [_solved_form(a, r, delta) for a, r in readings.items()]
@@ -991,28 +993,105 @@ def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
             for witness in (None, *(uppers if use_uppers else lowers))]
     # counted, not len(): a range longer than 2^63 overflows len()
     offsets = sum(-((s.start - s.stop) // s.step) for _, s in plan)
-    _enforce("output atoms", atoms_cap, offsets * (count_atoms(nnf_body) + 1))
-
-    template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
     dropped = "upper" if use_uppers else "lower"
 
-    def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
-        """witness=None means the periodic tail below all lower bounds
-        (or above all upper bounds when use_uppers)."""
-        w = LinearTerm.num(offset) if witness is None else witness.shifted(offset)
+    def build() -> Formula:
+        template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
 
-        def leaf(form) -> Formula:
-            if form[0] == "div":
-                return _atom_simplified(Atom(DIV, w + form[2], ZERO, form[1]))
-            if witness is None:
-                return FALSE if form[0] == dropped else TRUE
-            return _atom_simplified(Atom(LT, form[1], w) if form[0] == "lower"
-                                    else Atom(LT, w, form[1]))
-        return _join(True, (template([leaf(form) for form in solved]),
-                            _atom_simplified(Atom(DIV, w, ZERO, delta))))
+        def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
+            """witness=None means the periodic tail below all lower bounds
+            (or above all upper bounds when use_uppers)."""
+            w = LinearTerm.num(offset) if witness is None else witness.shifted(offset)
 
-    return _join(False, (instantiate(witness, sign * j)
-                         for witness, steps in plan for j in steps))
+            def leaf(form) -> Formula:
+                if form[0] == "div":
+                    return _atom_simplified(Atom(DIV, w + form[2], ZERO, form[1]))
+                if witness is None:
+                    return FALSE if form[0] == dropped else TRUE
+                return _atom_simplified(Atom(LT, form[1], w) if form[0] == "lower"
+                                        else Atom(LT, w, form[1]))
+            return _join(True, (template([leaf(form) for form in solved]),
+                                _atom_simplified(Atom(DIV, w, ZERO, delta))))
+
+        return _join(False, (instantiate(witness, sign * j)
+                             for witness, steps in plan for j in steps))
+    return offsets * (count_atoms(nnf_body) + 1), build
+
+
+def _disjuncts(f: Formula) -> tuple[Formula, ...] | None:
+    """The parts of an or, or the negated parts of a negated and; else None."""
+    if isinstance(f, Or):
+        return f.parts
+    if isinstance(f, Not) and isinstance(f.body, And):
+        return tuple(map(_negate, f.body.parts))
+    return None
+
+
+def _branches(var: str, body: Formula) -> tuple[Formula, ...] | None:
+    """The disjuncts of `body`, or of its first or-conjunct, each joined
+    with the other conjuncts, when one of them pins var at its top level,
+    by a div or an equality on var; else None."""
+    parts = body.parts if isinstance(body, And) else (body,)
+    for i, part in enumerate(parts):
+        ors = _disjuncts(part)
+        for q in ors or ():  # simplified, so an and in q is flat
+            for a in q.parts if isinstance(q, And) else (q,):
+                if isinstance(a, Atom) and a.kind in (DIV, EQ) \
+                        and a.left.coeff(var) != a.right.coeff(var):
+                    rest = parts[:i] + parts[i + 1:]
+                    return tuple(_join(True, (*rest, b)) for b in ors) if rest else ors
+    return None
+
+
+def _leaves(var: str, body: Formula
+            ) -> Iterator[tuple[int, Callable[[], Formula]]]:
+    """(output-atom estimate, build) of each leaf of exists var body,
+    distributed over the ors that _branches takes: a body without var
+    (itself), an equality shortcut (the body's atoms) or a case split."""
+    if var not in free_vars(body):
+        yield count_atoms(body), lambda: body
+        return
+    shortcut = _equality_shortcut(var, body)
+    if shortcut is not None:
+        yield count_atoms(body), shortcut
+        return
+    branches = _branches(var, body)
+    if branches is None:
+        yield _case_split(var, body)
+        return
+    for branch in branches:
+        yield from _leaves(var, branch)
+
+
+def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
+    """Simplified QF equivalent of exists var body, for a simplified QF body.
+
+    After the equality shortcut, exists distributes over an or whose
+    branches pin var (_branches): exists v (A and (B1 or ... or Bk)) is
+    the or of the exists v (A and Bi), recursively, so that each branch
+    has its divs and equalities at top level, for the shortcut and for
+    _offsets.  The leaves' output-atom estimates are summed against the
+    cap as they are planned, before any is built (a refusal's `needed`
+    counts the leaves planned up to it), and the leaves are built lazily,
+    none after the first that is T.  A body without such an or takes one
+    case split, its estimate checked alone.
+    """
+    if var not in free_vars(body):
+        return body
+    shortcut = _equality_shortcut(var, body)
+    if shortcut is not None:
+        return shortcut()
+    branches = _branches(var, body)
+    if branches is None:
+        estimate, build = _case_split(var, body)
+        _enforce("output atoms", atoms_cap, estimate)
+        return build()
+    planned, builds = 0, []
+    for estimate, build in (leaf for b in branches for leaf in _leaves(var, b)):
+        planned += estimate
+        _enforce("output atoms", atoms_cap, planned)
+        builds.append(build)
+    return _join(False, (build() for build in builds))
 
 
 def eliminate_quantifiers(f: Formula) -> Formula:

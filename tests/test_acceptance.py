@@ -162,7 +162,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     records = []
     violations = []
     for enc, name, ds in ((encode_naive, "naive", range(1, 7)),
-                          (encode_bridged, "bridged", range(1, 5))):
+                          (encode_bridged, "bridged", range(1, 6))):
         for d in ds:
             pf, meta = enc(d)
             cert, _, _ = upper_bound_via_qe(pf)
@@ -173,8 +173,9 @@ def test_06_certificates_dominate_measured_dimension(capsys):
             records.append((f"{name} d={d}", rep.vc_dim, cert.bound))
             if rep.capped or cert.bound < rep.vc_dim:
                 violations.append(records[-1])
+    # the smallest bridged d whose summed branch estimates pass the cap
     with pytest.raises(ResourceCapError, match="output atoms"):
-        upper_bound_via_qe(encode_bridged(5)[0])
+        upper_bound_via_qe(encode_bridged(11)[0])
     for i in range(100):
         rng = random.Random(660_000 + i)
         pf = random_partitioned(rng)
@@ -188,7 +189,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     ok = not violations
     _line(capsys, 6, ok,
           f"{len(records)} certificates all dominate measured dimension "
-          f"(caps refuse loudly past bridged d=4); violations: "
+          f"(caps refuse loudly past bridged d=10); violations: "
           f"{violations or 'none'}")
     assert ok, violations
 

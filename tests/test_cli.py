@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,7 +98,8 @@ class TestGenVerify:
                       "--mode", "qe")
         assert rc == 0 and rep["ok"]
 
-    @pytest.mark.parametrize("encoder, d", [("naive", 12), ("bridged", 4)])
+    @pytest.mark.parametrize("encoder, d", [("naive", 12), ("bridged", 4),
+                                            ("bridged", 6)])
     def test_qe_mode_at_scale(self, capsys, outdir, encoder, d):
         f = str(outdir / f"{encoder}{d}.pa")
         m = str(outdir / f"{encoder}{d}.json")
@@ -105,6 +107,16 @@ class TestGenVerify:
         rc, rep = run(capsys, "verify", "--formula", f, "--meta", m, "--mode", "qe")
         assert rc == 0 and all(checks_by_name(rep).values())
         assert rep["outputs"]["vc"]["vc_dim"] == d
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_bridged_upperbound_under_the_default_caps(self, capsys, outdir,
+                                                        monkeypatch, d):
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        f, m = str(outdir / f"b{d}.pa"), str(outdir / f"b{d}.json")
+        run(capsys, "gen", "--d", str(d), "--encoder", "bridged", "--out", f, "--meta", m)
+        rc, rep = run(capsys, "upperbound", "--formula", f)
+        assert rc == 0 and all(checks_by_name(rep).values())
+        assert rep["outputs"]["vc_upper_bound"] >= d
 
     def test_fixed_seed_is_byte_identical(self, capsys, outdir):
         pairs = []
@@ -477,6 +489,22 @@ class TestResourceCap:
         captured = capsys.readouterr()
         assert rc == 3
         assert "enumeration points" in captured.err
+
+    @pytest.mark.parametrize("command", ["qe", "upperbound"])
+    def test_first_bridged_d_past_the_atom_cap_exits_3_fast(
+            self, capsys, outdir, monkeypatch, command):
+        # d = 11 is the first bridged d whose branches' summed output-atom
+        # estimates pass the default cap; nothing is built before refusing
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        f, m = str(outdir / "b11.pa"), str(outdir / "b11.json")
+        assert main(["gen", "--d", "11", "--encoder", "bridged",
+                     "--out", f, "--meta", m]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc, err = refused(capsys, command, "--formula", f)
+        assert time.perf_counter() - start < 1
+        assert rc == 3
+        assert "output atoms cap exceeded" in err
 
     @pytest.mark.parametrize("command", ["qe", "upperbound"])
     def test_offset_count_past_2_63_exits_3(self, capsys, outdir, monkeypatch,

@@ -53,6 +53,7 @@ from pavc.fuzz import SOUND_BOX, random_partitioned, random_qf, random_sentence
 from pavc.generator import (
     block_mask,
     build_code_set,
+    code_set_bitmap,
     code_set_contains,
     encode_bridged,
     encode_naive,
@@ -735,6 +736,26 @@ class TestResourceCaps:
         with pytest.raises(ResourceCapError):
             eliminate_quantifiers(parse(f"({join} {over} (exists x {constant}))"))
 
+    def test_summed_branch_estimates_refused_before_any_build(self, monkeypatch):
+        # the two branches' case splits plan 24 and 40 output atoms: each
+        # fits a cap of 50 alone, their sum of 64 does not
+        branches = ["(and (div 3 (+ x y)) (< z x))", "(and (div 5 (+ x z)) (< y x))"]
+        f = parse(f"(exists x (and (< x w) (or {' '.join(branches)})))", allow_div=True)
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 50)
+        for b in branches:
+            eliminate_quantifiers(parse(f"(exists x (and (< x w) {b}))", allow_div=True))
+        built = []
+        template = evaluator._template
+        monkeypatch.setattr(evaluator, "_template",
+                            lambda *args: built.append(args) or template(*args))
+        with pytest.raises(ResourceCapError) as err:
+            eliminate_quantifiers(f)
+        assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 50, 64)
+        assert built == []
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 64)
+        assert is_quantifier_free(eliminate_quantifiers(f)) and built
+
     def test_env_var_overrides_cap(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
         monkeypatch.setenv("PAVC_MAX_ATOMS", "10")
@@ -807,14 +828,37 @@ def quantified_qf(rng):
     return f
 
 
+def or_under_quantifier(rng):
+    """exists or forall v over an or whose branches each pin v now and
+    then, by a div or an equality on v (or the negation of one) next to a
+    random body: the or is the whole body or a conjunct of it, and the
+    body is negated half the time, so that a forall meets the or through
+    the dual.  Bounds as random_qf's, with divs."""
+    def pin():
+        t = LinearTerm.of({"v": rng.choice([-3, -2, -1, 1, 2, 3]),
+                           "w": rng.randint(-3, 3), "z": rng.randint(-3, 3)})
+        t = t.shifted(rng.randint(-8, 8))
+        a = Atom(DIV, t, ZERO, rng.randint(2, 6)) if rng.random() < 0.6 \
+            else Atom(EQ, t, ZERO)
+        return Not(a) if rng.random() < 0.25 else a
+
+    def part():
+        qf = random_qf(rng, "vwz", atom_bound=3, allow_div=True)
+        return mk_and([pin(), qf]) if rng.random() < 0.7 else qf
+    branches = mk_or([part() for _ in range(rng.randint(2, 3))])
+    body = branches if rng.random() < 0.5 else mk_and([part(), branches])
+    return rng.choice([Exists, Forall])("v", body if rng.random() < 0.5 else Not(body))
+
+
 class TestResidueSteppedSplit:
     """The case split builds only the offsets that (div delta w) and the
     top-level div conjuncts allow; the offsets it skips give disjuncts that
     are false for every value of the free variables."""
 
     def test_fuzz_against_every_offset(self):
-        for i in range(120):
-            f = quantified_qf(random.Random(8_800_000 + i))
+        for i in range(240):
+            make = (quantified_qf, or_under_quantifier)[i % 2]
+            f = make(random.Random(8_800_000 + i // 2))
             got, want = eliminate_quantifiers(f), eliminate_every_offset(f)
             assert count_atoms(got) <= count_atoms(want)
             names = sorted(free_vars(f))
@@ -835,16 +879,19 @@ class TestResidueSteppedSplit:
     def test_bridged_output_pinned(self):
         pf, meta = encode_bridged(3)
         got, old = eliminate_quantifiers(pf.formula), eliminate_every_offset(pf.formula)
-        # the full split's output is the one recorded before the stepping
+        # both split per branch of the spread's or; the full split builds
+        # every offset of each branch
         assert _sha(old) == \
-            "058c98274422cf9623ddd9bd133d033ef06660237425b2939af8039a6882ebfe"
+            "a149572336a4295ed3a8f1fdad7ffe9f7a9f1d8ef41848dd263bf02bfb6c0e4f"
         assert _sha(got) == \
-            "23b855a2044effb4eeaff46fbaeeb41231f1f30156c388efaf230f67bab0afc9"
-        assert (count_atoms(got), count_atoms(old)) == (384, 1184)
+            "0035255cde56e93ae6d9bf6e896adab6f16a52ec9f2d96de3b173e299bc64ebf"
+        assert (count_atoms(got), count_atoms(old)) == (216, 1308)
         test_got, test_old = compile_plan(got, "xy"), compile_plan(old, "xy")
+        codes = code_set_bitmap(3)
         (x0, x1), (y0, y1) = meta.ground_window, meta.param_window
         for point in product(range(x0, x1 + 1), range(y0, y1 + 1)):
             assert test_got(point) == test_old(point), point
+            assert test_got(point) == bool(codes[point[0] + 3 * point[1]]), point
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -857,11 +904,12 @@ def test_property_qe_is_oracle(seed):
     rng = random.Random(seed)
     s = random_sentence(rng)
     assert decide(s) == eval_bounded(s, {}, {v: SOUND_BOX for v in bound_vars(s)})
-    f = rng.choice([Exists, Forall])("v", random_qf(rng, "vwz", allow_div=True))
-    qf = eliminate_quantifiers(f)
-    test, oracle = compile_plan(qf, "wz"), compile_plan(f, "wz", {"v": (-100, 100)})
-    for point in product(range(-4, 5), repeat=2):
-        assert test(point) == oracle(point), (to_text(f), point)
+    for f in (rng.choice([Exists, Forall])("v", random_qf(rng, "vwz", allow_div=True)),
+              or_under_quantifier(rng)):
+        qf = eliminate_quantifiers(f)
+        test, oracle = compile_plan(qf, "wz"), compile_plan(f, "wz", {"v": (-100, 100)})
+        for point in product(range(-4, 5), repeat=2):
+            assert test(point) == oracle(point), (to_text(f), point)
 
 
 def test_qe_output_pinned():
