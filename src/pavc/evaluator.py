@@ -40,19 +40,25 @@ against the box's points.
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
-conjoins those two atoms, then takes the equality shortcut (its atom map
-turns them into c*lo <= t <= c*hi) or moves every conjunct that does
-not mention v out of the existential.  Each existential left is decided
-at each point: its div conjuncts meet in one residue class by the
-Chinese remainder theorem (as in Pugh's Omega test), its constant
-bounds, the hint among them, fold into its interval at compile time and
-its other bounds narrow it.  When nothing else mentions v, the first
-member of that progression decides existence in O(atoms); otherwise
-only the progression is scanned.  A div m | a*v + t fails at once where
-gcd(a, m) does not divide t (the Omega test's normalization).  On this
-compiled route the point cap refuses upfront when the worst-case
-nesting product of interval sizes in the input formula exceeds it,
-whatever the plan then saves.
+conjoins those two atoms and walks the body as QE does (_distributed):
+the equality shortcut (its atom map turns them into c*lo <= t <= c*hi),
+else distribution over an or whose branches pin v by a div or an
+equality, one existential per branch, and at each leaf left the
+move-out of every conjunct that does not mention v.  Each existential
+left is decided at each point: its div conjuncts meet in one residue
+class by the Chinese remainder theorem (as in Pugh's Omega test), its
+constant bounds, the hint among them, fold into its interval at compile
+time and its other bounds narrow it.  When nothing else mentions v, the
+first member of that progression decides existence in O(atoms);
+otherwise only the progression is scanned.  A div m | a*v + t fails at
+once where gcd(a, m) does not divide t (the Omega test's
+normalization).  Distribution is what puts a branch's div at the top
+of its existential, where that check and CRT see it: the bridged
+encoder's s, whose div sits in each spread branch, is then fixed per
+branch instead of scanned over its hint.  On this compiled route the
+point cap refuses upfront when the worst-case nesting product of
+interval sizes in the input formula exceeds it, whatever the plan then
+saves.
 
 eliminate_quantifiers / decide: exact semantics over all of Z, by
 innermost-first elimination.  An existential is removed by the equality
@@ -73,9 +79,10 @@ free variables, is quantifier-free and is simplified.
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
 PAVC_MAX_ATOMS environment variable), checked against the atoms of the
-offsets actually planned, summed over the branches of a distributed
-existential before any is built, and a maximum bit length of the
-coefficients, constants and moduli of each step's input and result.
+offsets actually planned, summed over the leaves of a distributed
+existential before any is built (the plans' leaves too, each counted at
+its body's atoms), and a maximum bit length of the coefficients,
+constants and moduli of each step's input and result.
 Each cap is one module-level constant, read when it is enforced.
 """
 
@@ -178,29 +185,32 @@ def _worst_case_points(f: Formula, hints: Mapping[str, tuple[int, int]]) -> int:
 
 def _bounded_step(hints: Mapping[str, tuple[int, int]]
                   ) -> Callable[[str, Formula], Formula]:
-    """The plans' existential step, exact over the hints.
+    """The plans' existential step, exact over the hints: exists v over
+    its hint [lo, hi] is exists v (lo <= v and v <= hi and F), taken
+    through QE's walker, _distributed, with _move_out at its leaves."""
+    atoms_cap = resolve_max_atoms()
 
-    exists v over its hint [lo, hi] is exists v (lo <= v and v <= hi and F).
-    With an equality on v in F that is QE's equality shortcut, whose atom
-    map turns the two hint atoms into c*lo <= t <= c*hi.  Otherwise every
-    conjunct that does not mention v (an atom with coefficient 0 on v)
-    moves out, where an enclosing existential can use it.
-    """
     def step(var: str, body: Formula) -> Formula:
         lo, hi = hints[var]
         v = LinearTerm.var(var)
         body = _join(True, (Atom(LE, LinearTerm.num(lo), v),
                             Atom(LE, v, LinearTerm.num(hi)), body))
-        shortcut = _equality_shortcut(var, body)
-        if shortcut is not None:
-            return shortcut()
+        return _distributed(var, body, _move_out, atoms_cap)
+    return step
+
+
+def _move_out(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
+    """(atoms, build) of the plans' leaf step: the conjuncts of body
+    without var move out of exists var, where an enclosing existential
+    can use them."""
+    def build() -> Formula:
         outside, inside = [], []
         for p in _conjuncts(body):
-            mentions = _linear(p, var)[0] if isinstance(p, Atom) \
-                else var in free_vars(p)
+            mentions = p.left.coeff(var) != p.right.coeff(var) \
+                if isinstance(p, Atom) else var in free_vars(p)
             (inside if mentions else outside).append(p)
         return _join(True, (*outside, Exists(var, mk_and(inside))))
-    return step
+    return count_atoms(body), build
 
 
 _Env = list[int]
@@ -782,9 +792,8 @@ def _join(is_and: bool, parts: Iterable[Formula]) -> Formula:
             flat.update(dict.fromkeys(p.parts))
         else:
             flat[p] = None
-    for p in flat:
-        if Not(p) in flat or (isinstance(p, Not) and p.body in flat):
-            return FALSE if is_and else TRUE
+    if any(isinstance(p, Not) and p.body in flat for p in flat):
+        return FALSE if is_and else TRUE
     if len(flat) < 2:
         return next(iter(flat), TRUE if is_and else FALSE)
     return kind(tuple(flat))
@@ -945,7 +954,7 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     """The j in 1..period for which w = witness + sign*j (witness None is 0)
     can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
     forces g | const(u) + sign*j for g = gcd(m, coefficients of u).  Only
-    top-level divs can be congruences, which is why _eliminate_exists
+    top-level divs can be congruences, which is why _distributed
     first distributes over an or whose branches hold divs."""
     res, mod = 0, 1
     for m, t in congruences:
@@ -1043,51 +1052,55 @@ def _branches(var: str, body: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-def _leaves(var: str, body: Formula
+_Step = Callable[[str, Formula], tuple[int, Callable[[], Formula]]]
+
+
+def _leaves(var: str, body: Formula, final: _Step
             ) -> Iterator[tuple[int, Callable[[], Formula]]]:
     """(output-atom estimate, build) of each leaf of exists var body,
-    distributed over the ors that _branches takes: a body without var
-    (itself), an equality shortcut (the body's atoms) or a case split."""
-    if var not in free_vars(body):
-        yield count_atoms(body), lambda: body
-        return
+    distributed over the ors that _branches takes: an equality shortcut
+    (the body's atoms), a body without var (itself) or the engine's last
+    step, `final`: QE's case split or the plans' move-out."""
     shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
         yield count_atoms(body), shortcut
-        return
+    elif var not in free_vars(body):
+        yield count_atoms(body), lambda: body
+    else:
+        yield from _split(var, body, final)
+
+
+def _split(var: str, body: Formula, final: _Step
+           ) -> Iterator[tuple[int, Callable[[], Formula]]]:
+    """_leaves of a body that the shortcut does not take and that has var."""
     branches = _branches(var, body)
     if branches is None:
-        yield _case_split(var, body)
+        yield final(var, body)
         return
     for branch in branches:
-        yield from _leaves(var, branch)
+        yield from _leaves(var, branch, final)
 
 
-def _eliminate_exists(var: str, body: Formula, atoms_cap: int) -> Formula:
-    """Simplified QF equivalent of exists var body, for a simplified QF body.
+def _distributed(var: str, body: Formula, final: _Step, atoms_cap: int
+                 ) -> Formula:
+    """exists var body through the equality shortcut, distribution over
+    the ors that _branches takes, and `final` at each leaf left.
 
-    After the equality shortcut, exists distributes over an or whose
-    branches pin var (_branches): exists v (A and (B1 or ... or Bk)) is
-    the or of the exists v (A and Bi), recursively, so that each branch
-    has its divs and equalities at top level, for the shortcut and for
-    _offsets.  The leaves' output-atom estimates are summed against the
-    cap as they are planned, before any is built (a refusal's `needed`
-    counts the leaves planned up to it), and the leaves are built lazily,
-    none after the first that is T.  A body without such an or takes one
-    case split, its estimate checked alone.
+    exists v (A and (B1 or ... or Bk)) is the or of the exists v (A and
+    Bi), recursively, so that each branch has its divs and equalities at
+    top level, for the shortcut and for the leaf's own step.  The leaves'
+    output-atom estimates are summed against the cap as they are planned,
+    before any is built (a refusal's `needed` counts the leaves planned
+    up to it), and the leaves are built lazily, none after the first
+    that is T.
     """
-    if var not in free_vars(body):
-        return body
     shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
         return shortcut()
-    branches = _branches(var, body)
-    if branches is None:
-        estimate, build = _case_split(var, body)
-        _enforce("output atoms", atoms_cap, estimate)
-        return build()
+    if var not in free_vars(body):
+        return body
     planned, builds = 0, []
-    for estimate, build in (leaf for b in branches for leaf in _leaves(var, b)):
+    for estimate, build in _split(var, body, final):
         planned += estimate
         _enforce("output atoms", atoms_cap, planned)
         builds.append(build)
@@ -1105,7 +1118,7 @@ def eliminate_quantifiers(f: Formula) -> Formula:
     atoms_cap = resolve_max_atoms()
 
     def eliminate(var: str, body: Formula) -> Formula:
-        out = _eliminate_exists(var, body, atoms_cap)
+        out = _distributed(var, body, _case_split, atoms_cap)
         _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
                  max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
         return out

@@ -479,8 +479,10 @@ class TestResourceCap:
 
     def test_bridged_bounded_verify_refused_on_nominal_points(self, capsys,
                                                               outdir):
-        # the point cap counts the input formula's nested hint sizes, not
-        # the work the compiled plan does: bridged d = 6 needs 4.7e9
+        # the refusal is purely nominal: the point cap counts the input
+        # formula's nested hint sizes, 4.7e9 at bridged d = 6, while the
+        # plan fixes s by CRT in each branch of the spread's or and tests
+        # at most one value of it per branch
         f, m = str(outdir / "b6.pa"), str(outdir / "b6.json")
         assert main(["gen", "--d", "6", "--encoder", "bridged",
                      "--out", f, "--meta", m]) == 0

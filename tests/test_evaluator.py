@@ -212,6 +212,23 @@ def point_family(pf, ground_window, windows, hints=None):
     return SetFamily(tuple(ground), tuple(members))
 
 
+def plan_of(f, hints):
+    """The plans' rewrite of f, the formula that _compile builds."""
+    return evaluator._rewrite(f, evaluator._dual(evaluator._bounded_step(hints)))
+
+
+def existentials(f, var):
+    """The exists-var nodes of f, outermost first."""
+    if isinstance(f, (Bool, Atom)):
+        return []
+    if isinstance(f, Not):
+        return existentials(f.body, var)
+    if isinstance(f, (And, Or)):
+        return [g for p in f.parts for g in existentials(p, var)]
+    here = [f] if isinstance(f, Exists) and f.var == var else []
+    return here + existentials(f.body, var)
+
+
 class TestCompiledPlanDifferential:
     HINTS = {"u": (-3, 3), "v": (-2, 4), "w": (-4, 2)}
 
@@ -298,6 +315,25 @@ class TestCompiledPlanDifferential:
             # true over the empty hint; true and false elsewhere
             assert any(got.values()) and all(got.values()) == (f is empty)
 
+    def test_or_under_quantifier_fuzz(self):
+        # v over its hint meets an or whose branches pin it, so the plan
+        # distributes v over the or (seen as more than one exists v in
+        # it); every fifth hint of v is empty, and a forall meets the or
+        # through the dual
+        seen = {"forall": 0, "empty hint": 0, "distributed": 0}
+        for i in range(200):
+            rng = random.Random(9_100_000 + i)
+            f = or_under_quantifier(rng)
+            hints = {"v": (1, 0) if i % 5 == 0 else (-2, 4)}
+            for _ in range(3):
+                point = {n: rng.randint(-6, 6) for n in sorted(free_vars(f))}
+                assert eval_bounded(f, point, hints) == \
+                    reference_eval(f, point, hints), (to_text(f), point, hints)
+            seen["forall"] += isinstance(f, Forall)
+            seen["empty hint"] += hints["v"] == (1, 0)
+            seen["distributed"] += len(existentials(plan_of(f, hints), "v")) > 1
+        assert all(seen.values()), seen
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_encoders_on_every_grid_point(self, d):
         # the plain reference is too slow for the bridged encoder past
@@ -314,6 +350,18 @@ class TestCompiledPlanDifferential:
                     assert got == code_set_contains(d, x + d * y), (d, x, y)
                     if by_reference:
                         assert got == reference_eval(pf.formula, point, hints)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_bridged_plan_pins_s_in_each_branch(self, d):
+        # s distributes over the spread's or, one exists s per branch,
+        # each with its branch's div on s at top level for CRT
+        pf, meta = encode_bridged(d)
+        nodes = existentials(plan_of(pf.formula, meta.hint_map()), "s")
+        assert len(nodes) == d
+        for g in nodes:
+            assert any(isinstance(a, Atom) and a.kind == DIV
+                       and a.left.coeff("s") != a.right.coeff("s")
+                       for a in g.body.parts)
 
     def test_bounded_and_qe_families_agree(self):
         for i in range(60):
@@ -528,6 +576,22 @@ class TestWindowDifferential:
             seen["rebinds x"] += "x" in bound
             seen["empty hint"] += hints.get("v") == (1, 0)
         assert all(seen.values()), seen
+
+    def test_or_under_quantifier_fuzz(self):
+        # fuzz.or_under_quantifier's v, every fifth hint empty, with w
+        # the object and z, when free, the parameter
+        for i in range(80):
+            rng = random.Random(9_200_000 + i)
+            f = or_under_quantifier(rng)
+            if "w" not in free_vars(f):
+                f = mk_and([f, Atom(LE, LinearTerm.var("w"),
+                                    LinearTerm.num(rng.randint(-2, 4)))])
+            pf = PartitionedFormula(f, ("w",), tuple(sorted(free_vars(f) - {"w"})))
+            hints = {"v": (1, 0) if i % 5 == 0 else (-2, 4)}
+            windows = dict.fromkeys(pf.param_vars, (-3, 3))
+            assert family_from_formula(pf, (-5, 6), windows, hints=hints) == \
+                point_family(pf, (-5, 6), windows, hints), \
+                (to_text(pf.formula), hints)
 
     def test_existential_rebinding_the_window_variable(self):
         # the inner x is bound, so each mask is all of the window or none
@@ -755,6 +819,34 @@ class TestResourceCaps:
         assert built == []
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 64)
         assert is_quantifier_free(eliminate_quantifiers(f)) and built
+
+    def test_plans_summed_leaves_refused_before_any_build(self, monkeypatch):
+        # eight ors of two branches, each pinning v by a div: the plan's v
+        # distributes into 2^8 leaves of 10 atoms (8 divs, 2 hint atoms)
+        x, v = LinearTerm.var("x"), LinearTerm.var("v")
+        f = Exists("v", mk_and([
+            mk_or([Atom(DIV, v + x.shifted(i), ZERO, 2),
+                   Atom(DIV, v.scaled(2) + x, ZERO, 3 + i)]) for i in range(8)]))
+        hints = {"v": (0, 60)}
+        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+        built = []
+        move_out = evaluator._move_out
+
+        def counted(var, body):
+            atoms, build = move_out(var, body)
+            return atoms, lambda: built.append(var) or build()
+        monkeypatch.setattr(evaluator, "_move_out", counted)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 2559)
+        with pytest.raises(ResourceCapError) as err:
+            eval_bounded(f, {"x": 0}, hints)
+        assert (err.value.kind, err.value.limit, err.value.needed) == \
+            ("output atoms", 2559, 2560)
+        assert built == []
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 2560)
+        for xv in range(-3, 4):
+            assert eval_bounded(f, {"x": xv}, hints) == \
+                reference_eval(f, {"x": xv}, hints), xv
+        assert len(built) == 7 * 256
 
     def test_env_var_overrides_cap(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
