@@ -70,16 +70,21 @@ cover the solution space with boundary terms plus a periodic tail,
 instantiating those offsets in 1..D (D the lcm of all div moduli) that
 (div delta x) and the top-level div conjuncts allow, one residue class
 per boundary term by CRT, from whichever side (lower or upper bounds) is
-smaller.  The body becomes a template: subtrees without the variable
-are simplified once and shared, each disjunct rebuilds only the paths
-to the variable's atoms, and the split stops at the first disjunct that
-is T.  div atoms appear in the output; the result keeps the input's
-free variables, is quantifier-free and is simplified.
+smaller.  Each class is then cut to the interval that the top-level
+bounds with a ground gap to its term allow (a bound with the term's
+coefficients folds to a constant, F outside that interval), and the
+tail goes when a top-level bound lies on the boundary terms' side; the
+output-atom cap below still counts the uncut classes.  The body becomes
+a template: subtrees without the variable are simplified once and
+shared, each disjunct rebuilds only the paths to the variable's atoms,
+and the split stops at the first disjunct that is T.  div atoms appear
+in the output; the result keeps the input's free variables, is
+quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
 PAVC_MAX_ATOMS environment variable), checked against the atoms of the
-offsets actually planned, summed over the leaves of a distributed
+offsets that the congruences allow, summed over the leaves of a distributed
 existential before any is built (the plans' leaves too, each counted at
 its body's atoms), and a maximum bit length of the coefficients,
 constants and moduli of each step's input and result.
@@ -955,7 +960,9 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
     forces g | const(u) + sign*j for g = gcd(m, coefficients of u).  Only
     top-level divs can be congruences, which is why _distributed
-    first distributes over an or whose branches hold divs."""
+    first distributes over an or whose branches hold divs.  These are the
+    offsets the output-atom estimate counts; _cut then drops those that a
+    top-level bound rules out."""
     res, mod = 0, 1
     for m, t in congruences:
         u = t if witness is None else witness + t
@@ -967,10 +974,39 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     return range(1 + (res - 1) % mod, period + 1, mod)
 
 
+def _cut(witness: LinearTerm | None, steps: range, side: str,
+         bounds: list[tuple[str, LinearTerm]]) -> range:
+    """The j of `steps` for which w = witness + sign*j can meet every
+    top-level bound (b, s), b "lower" for s < delta*x and "upper" for
+    delta*x < s, whose gap to the witness is ground (s has the witness's
+    coefficients); `side` is the witnesses' side, and sign is +1 for
+    lower witnesses, -1 for upper.
+
+    A bound on the witnesses' side needs j > sign*(const(s) - const(w)),
+    one on the other side j < that; any other j makes that leaf F, and
+    with it the instance.  The periodic tail (witness None) sits past
+    every bound of the witnesses' side, so one such bound rules it out.
+    """
+    if witness is None:
+        return range(0) if any(b == side for b, _ in bounds) else steps
+    sign = 1 if side == "lower" else -1
+    start, stop, step = steps.start, steps.stop, steps.step
+    for b, s in bounds:
+        if s.coeffs == witness.coeffs:
+            gap = sign * (s.const - witness.const)
+            if b != side:
+                stop = min(stop, gap)
+            elif start <= gap:
+                start += ((gap - start) // step + 1) * step
+    return range(start, stop, step)
+
+
 def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
     """(estimate, build) of Cooper's case split for exists var body: the
-    output atoms of the offsets planned, which the coefficient-bit cap
-    checks first, and the split itself, built only when called."""
+    output atoms of the offsets that _offsets plans, which the
+    coefficient-bit cap checks first, and the split itself, built only
+    when called, over those offsets that _cut keeps: the instances it
+    skips are F at a top-level bound, so the output is the same."""
     nnf_body = _nnf(body, var)
     readings = {a: _linear(a, var) for a in atoms_of(nnf_body)
                 if a.left.coeff(var) != a.right.coeff(var)}
@@ -994,10 +1030,13 @@ def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
 
     use_uppers = len(uppers) < len(lowers)
     sign = -1 if use_uppers else 1
-    # delta | w and the top-level divs hold in every disjunct that can be T
+    # delta | w and the top-level divs and bounds hold in every disjunct
+    # that can be T
     top = set(_conjuncts(nnf_body))
     necessary = [(delta, ZERO)] + [form[1:] for a, form in zip(readings, solved)
                                    if form[0] == "div" and a in top]
+    bounds = [form for a, form in zip(readings, solved)
+              if form[0] != "div" and a in top]
     plan = [(witness, _offsets(witness, necessary, sign, period))
             for witness in (None, *(uppers if use_uppers else lowers))]
     # counted, not len(): a range longer than 2^63 overflows len()
@@ -1022,8 +1061,8 @@ def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
             return _join(True, (template([leaf(form) for form in solved]),
                                 _atom_simplified(Atom(DIV, w, ZERO, delta))))
 
-        return _join(False, (instantiate(witness, sign * j)
-                             for witness, steps in plan for j in steps))
+        return _join(False, (instantiate(witness, sign * j) for witness, steps in plan
+                             for j in _cut(witness, steps, dropped, bounds)))
     return offsets * (count_atoms(nnf_body) + 1), build
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 from .evaluator import eliminate_quantifiers
 from .formula import (
@@ -25,6 +26,11 @@ from .formula import (
 )
 
 MAX_LISTED_ATOMS = 100  # certificate_report lists at most this many atoms
+
+# _holds' decimal context, and the relative error bounds of its two gaps
+_DECIMAL = Context(prec=60)
+_FLOAT_ERROR = 2.0 ** -45
+_DECIMAL_ERROR = Decimal("1e-55")
 
 
 class UpperBoundError(ValueError):
@@ -66,16 +72,24 @@ def inventory(f: Formula) -> AtomInventory:
 
 
 def _holds(n: int, ell: int) -> bool:
-    """2^n <= (n+1)^ell, decided on the float gap ell*log2(n+1) - n.
+    """2^n <= (n+1)^ell, decided on the sign of the gap ell*log2(n+1) - n.
 
-    The gap's rounding error is a few parts in 10^16 of ell*log2(n+1),
-    which is near n wherever the gap is small, so a gap farther from 0 than
-    1e-9*(n+1) has the right sign; only closer ones are settled with
-    integer powers.
+    The float gap is off by a few ulps of ell*log2(n+1) and of n, under
+    2^-45 of their sum, so a gap outside that has the right sign.  Inside
+    it, the gap is taken again as ell*ln(n+1) - n*ln(2) at 60 digits,
+    where ln is correctly rounded, off by under 10^-55 of the terms' sum.
+    Only a gap inside that too, as at a tie (n = 0, or n = ell = 1), is
+    settled with integer powers.
     """
-    gap = ell * math.log2(n + 1) - n
-    if abs(gap) > 1e-9 * (n + 1):
+    log = ell * math.log2(n + 1)
+    gap = log - n
+    if abs(gap) > (log + n) * _FLOAT_ERROR:
         return gap > 0
+    up = _DECIMAL.multiply(ell, _DECIMAL.ln(n + 1))
+    down = _DECIMAL.multiply(n, _DECIMAL.ln(2))
+    fine = _DECIMAL.subtract(up, down)
+    if abs(fine) > _DECIMAL.multiply(_DECIMAL.add(up, down), _DECIMAL_ERROR):
+        return fine > 0
     return 2 ** n <= (n + 1) ** ell
 
 

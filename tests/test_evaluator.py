@@ -986,6 +986,94 @@ class TestResidueSteppedSplit:
             assert test_got(point) == bool(codes[point[0] + 3 * point[1]]), point
 
 
+def eliminate_counted(f, cut=True):
+    """(eliminate_quantifiers(f), the case splits' output-atom estimates,
+    the instances they built); cut=False makes the bound cut the identity,
+    which builds every offset that the congruences allow."""
+    estimates, built = [], []
+    case_split, bound_cut = evaluator._case_split, evaluator._cut
+
+    def split(var, body):
+        estimate, build = case_split(var, body)
+        estimates.append(estimate)
+        return estimate, build
+
+    def counted(witness, steps, side, bounds):
+        for j in bound_cut(witness, steps, side, bounds) if cut else steps:
+            built.append(j)
+            yield j
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_case_split", split)
+        patch.setattr(evaluator, "_cut", counted)
+        return eliminate_quantifiers(f), estimates, len(built)
+
+
+class TestBoundCut:
+    """The case split skips the offsets at which a top-level bound with a
+    ground gap to the witness is F; the uncut split builds them, and they
+    all fold to F, so the output and the estimate stay the same."""
+
+    @staticmethod
+    def same_as_uncut(f):
+        got, estimates, built = eliminate_counted(f)
+        want, want_estimates, want_built = eliminate_counted(f, cut=False)
+        assert to_text(got) == to_text(want), to_text(f)
+        assert estimates == want_estimates, to_text(f)
+        return built, want_built
+
+    def test_fuzz_sentences(self):
+        saved = 0
+        for i in range(600):
+            built, uncut = self.same_as_uncut(random_sentence(random.Random(7_700_000 + i)))
+            assert built <= uncut
+            saved += uncut - built
+        assert saved > 0
+
+    @pytest.mark.parametrize("encode, ds", [(encode_naive, range(1, 9)),
+                                            (encode_bridged, range(1, 7))])
+    def test_encoders(self, encode, ds):
+        for d in ds:
+            self.same_as_uncut(encode(d)[0].formula)
+
+    @pytest.mark.parametrize("encode, d, built, uncut", [
+        (encode_naive, 8, 263, 1028), (encode_bridged, 4, 77, 295)])
+    def test_instances_built(self, encode, d, built, uncut):
+        # the cut leaves no instance that folds to F: 765 and 218 of the
+        # uncut ones do
+        assert self.same_as_uncut(encode(d)[0].formula) == (built, uncut)
+
+    @pytest.mark.parametrize("text, built, uncut", [
+        # upper witness a+7 (fewer uppers), sign -1: a < x needs j < 7 of
+        # 1..9, and x < a+7, on the witnesses' side, rules out the tail
+        ("(exists x (and (< a x) (< b x) (< c x) (< x (+ a 7)) (div 9 (+ x b))))",
+         6, 18),
+        # lower witnesses, no top-level lower, so the tail stays (4 | j);
+        # x < a and x < a+3 leave j < 2 to witness a-2, and witness b has
+        # no ground gap to any bound
+        ("(exists x (and (< x a) (< x (+ a 3)) (< x c) "
+         "(or (< b x) (< (+ a -2) x)) (div 4 x)))", 6, 9),
+        # lower witnesses a and a+2, both top-level: witness a needs j > 2
+        # of 1..6, the tail goes; x < c has no ground gap
+        ("(exists x (and (< a x) (< (+ a 2) x) (< x c) (< x (+ c 1)) (div 6 (+ x c))))",
+         10, 18),
+        # 2x against x: after scaling to delta = 2, a < 2x and 2x < 2b
+        # differ in coefficients, so only the tail is cut
+        ("(exists x (and (< a (* 2 x)) (< x b)))", 2, 3),
+        # x < a+2 inside an or leaves witness a all of 1..5; a < x, at the
+        # top, still rules out the tail
+        ("(exists x (and (< a x) (or (< x (+ a 2)) (< x b)) (div 5 (+ x b))))",
+         5, 10),
+    ])
+    def test_hand_made_bodies(self, text, built, uncut):
+        f = parse(text, allow_div=True)
+        assert self.same_as_uncut(f) == (built, uncut)
+        qf = eliminate_quantifiers(f)
+        names = sorted(free_vars(f))
+        test, oracle = compile_plan(qf, names), compile_plan(f, names, {"x": (-40, 40)})
+        for point in product(range(-5, 6), repeat=len(names)):
+            assert test(point) == oracle(point), point
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_qe_is_oracle(seed):

@@ -1,15 +1,19 @@
 """Atom inventories and VC upper-bound certificates."""
 
 import random
+import time
+from decimal import Decimal
 
 import pytest
 
+from pavc import upperbound
 from pavc.evaluator import eliminate_quantifiers
 from pavc.formula import PartitionedFormula, parse
 from pavc.fuzz import random_partitioned
 from pavc.generator import encode_naive
 from pavc.upperbound import (
     AtomInventory,
+    UpperBoundCertificate,
     UpperBoundError,
     atom_capacity,
     capacity_bound,
@@ -74,6 +78,31 @@ class TestCapacityBound:
             b = capacity_bound(ell)
             assert 2 ** b <= (b + 1) ** ell
             assert 2 ** (b + 1) > (b + 2) ** ell
+
+    def test_every_gate_matches_exact_powers(self, monkeypatch):
+        # every ell < 60, n < 400 through the gates as they are; then the
+        # decimal gap (float gate wide open), then integer powers (both
+        # open) deciding every n within 8 of each edge
+        def wrong(cases):
+            return [(n, ell) for n, ell in cases
+                    if upperbound._holds(n, ell) != (2 ** n <= (n + 1) ** ell)]
+        assert wrong([(n, ell) for ell in range(60) for n in range(400)]) == []
+        edges = [(n, ell) for ell in range(60)
+                 for n in range(max(0, capacity_bound(ell) - 8), capacity_bound(ell) + 9)]
+        monkeypatch.setattr(upperbound, "_FLOAT_ERROR", 1.0)
+        assert wrong(edges) == []
+        monkeypatch.setattr(upperbound, "_DECIMAL_ERROR", Decimal(1))
+        assert wrong(edges) == []
+
+    @pytest.mark.parametrize("ell, bound", [(2_370_432, 61_322_891),
+                                            (15_257_460, 437_985_335)])
+    def test_large_edges_without_powers(self, ell, bound):
+        # a gate much wider than the float error sends these edges to
+        # integer powers of about 61 and 438 million bits (29 s at the first)
+        start = time.perf_counter()
+        assert capacity_bound(ell) == bound
+        assert UpperBoundCertificate(ell, bound).check()
+        assert time.perf_counter() - start < 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(UpperBoundError):
