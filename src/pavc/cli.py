@@ -142,6 +142,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _ones(bitmap: bytearray, chunk: int = 1 << 16) -> int:
+    """The 1 bytes of a 0/1 bitmap, as the set bits of one int per 64 KB:
+    bytearray.count(1) takes a branch per byte."""
+    view = memoryview(bitmap)
+    return sum(int.from_bytes(view[i:i + chunk], "little").bit_count()
+               for i in range(0, len(view), chunk))
+
+
 def _file_input(path: str) -> dict:
     return {"path": path, "sha256": _sha256(path)}
 
@@ -193,7 +201,7 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
     outputs = {
         "formula_file": _file_input(args.out),
         "meta_file": _file_input(args.meta),
-        "code_set_size": code.count(1),
+        "code_set_size": _ones(code),
         "t_window": [str(v) for v in meta.t_window],
         "shape": _shape_dict(pf),
     }

@@ -94,7 +94,7 @@ Each cap is one module-level constant, read when it is enforced.
 from __future__ import annotations
 
 import os
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -102,8 +102,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .formula import (
     DIV, EQ, LE, LT, FALSE, TRUE, ZERO,
     And, Atom, Bool, Exists, Forall, Formula, LinearTerm, Not, Or,
-    atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, map_atoms,
-    mk_and, mk_or,
+    atoms_of, bitlen, bound_vars, free_vars, is_quantifier_free, mk_and, mk_or,
 )
 
 DEFAULT_MAX_ATOMS = 10 ** 6
@@ -896,6 +895,8 @@ def _equality_shortcut(var: str, body: Formula
     other variables too.  Returns a function that builds the right-hand
     side, simplified, or None when there is no such equality or a
     quantifier in body binds var (shadowing) or a variable of t (capture).
+    The body is simplified already, so the build rebuilds only the paths
+    to atoms that mention var and keeps every other subtree as it is.
     """
     conjuncts = list(_conjuncts(body))
     best: tuple[int, int, LinearTerm] | None = None  # (|c|, index, t)
@@ -910,15 +911,25 @@ def _equality_shortcut(var: str, body: Formula
     if bound_vars(body) & (t.vars() | {var}):
         return None
 
-    def rewrite(a: Atom) -> Formula:
-        av, rest = _linear(a, var)
-        if av == 0:
-            return a
-        return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
-                    None if a.modulus is None else a.modulus * c)
+    def rewrite(f: Formula) -> Formula:  # simplify(f with c*var := t)
+        if isinstance(f, Atom):
+            if f.left.coeff(var) == f.right.coeff(var):
+                return f
+            av, rest = _linear(f, var)
+            return _atom_simplified(Atom(f.kind, rest.scaled(c) + t.scaled(av), ZERO,
+                                         None if f.modulus is None else f.modulus * c))
+        if var not in free_vars(f):
+            return f
+        if isinstance(f, Not):
+            return _negate(rewrite(f.body))
+        if isinstance(f, (And, Or)):
+            return _join(isinstance(f, And), map(rewrite, f.parts))
+        inner = rewrite(f.body)  # a quantifier over another variable
+        return type(f)(f.var, inner) if f.var in free_vars(inner) else inner
 
-    return lambda: simplify(mk_and([Atom(DIV, t, ZERO, c)] + [
-        map_atoms(p, var, rewrite) for i, p in enumerate(conjuncts) if i != chosen]))
+    return lambda: _join(True, chain(
+        (_atom_simplified(Atom(DIV, t, ZERO, c)),),
+        (rewrite(p) for i, p in enumerate(conjuncts) if i != chosen)))
 
 
 def _solved_form(a: Atom, reading: tuple[int, LinearTerm], delta: int):

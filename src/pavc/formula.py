@@ -9,7 +9,10 @@ The surface syntax is s-expressions over integer linear terms:
     term    := int | var | (+ term+) | (* int var)
 
 All values are immutable after construction and safe to share across
-threads.  Equality is structural.  `(div c t)` atoms state that c divides
+threads.  Equality is structural.  A node keeps its hash, and a compound
+node its free and bound variables, once computed.  The parser splits the
+text with one regular expression and works out a token's line and column
+only when an error names it.  `(div c t)` atoms state that c divides
 the value of t; they normally appear only in quantifier-elimination output
 and the parser rejects them unless asked not to.
 
@@ -21,7 +24,10 @@ and bound; sibling quantifier scopes may reuse a name.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
+from itertools import accumulate, islice, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 LE = "<="
@@ -66,16 +72,21 @@ def bitlen(n: int) -> int:
 
 
 def _node(cls):
-    """A frozen dataclass that keeps its structural hash once computed: QE
-    hashes the same subtrees many times over."""
+    """A frozen dataclass that keeps its structural hash, the hash of its
+    field tuple, once computed: QE hashes the same subtrees many times over.
+    Kept facts are set as attributes, never through `__dict__`, which
+    would build a dict per node."""
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
 
     def __hash__(self) -> int:
-        if "_hash" not in self.__dict__:
-            fields_hash = hash(tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_hash", fields_hash)
-        return self._hash
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash(key(self))
+            object.__setattr__(self, "_hash", cached)
+        return cached
     cls.__hash__ = __hash__
     return cls
 
@@ -120,7 +131,7 @@ class LinearTerm:
         return 0
 
     def vars(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
+        return frozenset(dict(self.coeffs))
 
     @property
     def is_ground(self) -> bool:
@@ -142,7 +153,22 @@ class LinearTerm:
         return LinearTerm((*out, *a[i:], *b[j:]), self.const + other.const)
 
     def __sub__(self, other: "LinearTerm") -> "LinearTerm":
-        return self + other.scaled(-1)
+        # __add__'s merge, with other's coefficients negated as they are taken
+        a, b = self.coeffs, other.coeffs
+        i = j = 0
+        out = []
+        while i < len(a) and j < len(b):
+            (u, c), (v, e) = a[i], b[j]
+            if u < v:
+                out.append(a[i])
+            elif v < u:
+                out.append((v, -e))
+            elif c != e:
+                out.append((u, c - e))
+            i += u <= v
+            j += v <= u
+        return LinearTerm((*out, *a[i:], *((v, -e) for v, e in b[j:])),
+                          self.const - other.const)
 
     def __neg__(self) -> "LinearTerm":
         return self.scaled(-1)
@@ -302,35 +328,36 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Bool):
-        return frozenset()
-    if isinstance(f, Atom):
-        return f.left.vars() | f.right.vars()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise FormulaError(f"not a formula: {f!r}")
+    return _variables(f, False)
 
 
 def bound_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Bool, Atom)):
+    return _variables(f, True)
+
+
+def _variables(f: Formula, bound: bool) -> frozenset[str]:
+    """bound_vars(f) if bound, else free_vars(f).  A compound node keeps
+    its set once computed; an atom does not, as a set per atom costs more
+    memory than recomputing it saves."""
+    if isinstance(f, Atom):
+        return frozenset() if bound else frozenset(dict(f.left.coeffs + f.right.coeffs))
+    if isinstance(f, Bool):
         return frozenset()
-    if isinstance(f, Not):
-        return bound_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for p in f.parts:
-            out |= bound_vars(p)
-        return out
-    if isinstance(f, (Exists, Forall)):
-        return bound_vars(f.body) | {f.var}
-    raise FormulaError(f"not a formula: {f!r}")
+    if not isinstance(f, (Not, And, Or, Exists, Forall)):
+        raise FormulaError(f"not a formula: {f!r}")
+    key = "_bound" if bound else "_free"
+    out = getattr(f, key, None)
+    if out is None:
+        if isinstance(f, (And, Or)):
+            sets = list(map(_variables, f.parts, repeat(bound)))
+            out = frozenset().union(*sets)  # kept as a part's own set if equal
+            out = next((s for s in sets if len(s) == len(out)), out)
+        else:
+            out = _variables(f.body, bound)
+            if not isinstance(f, Not):
+                out = out | {f.var} if bound else out - {f.var}
+        object.__setattr__(f, key, out)
+    return out
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -425,42 +452,20 @@ def to_text(f: Formula) -> str:
 # Parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+_TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
+_PAREN = re.compile(r"[()]")
+_VAR = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_DEPTH_STEP = {"(": 1, ")": -1}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = depth = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch in "()":
-            depth += 1 if ch == "(" else -1
-            if depth > MAX_NESTING:
-                raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING}", line, col)
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n()":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+def _place(pattern: re.Pattern, text: str, index: int, end: bool = False
+           ) -> tuple[int, int]:
+    """(line, column) of the start, or the end, of match `index` of
+    `pattern` in `text`: tokens keep no positions, so an error works its
+    own out.  Every character but a newline is one column."""
+    match = next(islice(pattern.finditer(text), index, None))
+    offset = match.end() if end else match.start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _is_int(s: str) -> bool:
@@ -472,89 +477,85 @@ def _is_int(s: str) -> bool:
 
 
 def _is_var(s: str) -> bool:
-    if not s or s in RESERVED_WORDS:
-        return False
-    if not (s[0].isascii() and s[0].isalpha()):
-        return False
-    return all(c.isascii() and (c.isalnum() or c == "_") for c in s[1:])
+    return s not in RESERVED_WORDS and _VAR.fullmatch(s) is not None
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], allow_div: bool):
-        self.tokens = tokens
+    """Recursive descent over the tokens of `text`; a token's line and
+    column are worked out from the text only when an error names it."""
+
+    def __init__(self, text: str, allow_div: bool):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.allow_div = allow_div
 
-    def _fail(self, msg: str, tok: _Token | None = None) -> FormulaSyntaxError:
-        if tok is None:
-            tok = self.tokens[self.pos - 1] if self.tokens else _Token("", 1, 1)
-        return FormulaSyntaxError(msg, tok.line, tok.column)
+    def _fail(self, msg: str, index: int) -> FormulaSyntaxError:
+        return FormulaSyntaxError(msg, *_place(_TOKEN, self.text, index))
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         if self.pos >= len(self.tokens):
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise FormulaSyntaxError("unexpected end of input", last.line,
-                                     last.column + len(last.text))
+            raise FormulaSyntaxError("unexpected end of input", *_place(
+                _TOKEN, self.text, len(self.tokens) - 1, end=True))
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> str:
         tok = self.peek()
         self.pos += 1
         return tok
 
-    def integer(self, tok: _Token) -> int:
+    def integer(self, tok: str, index: int) -> int:
         try:
-            return int(tok.text)
+            return int(tok)
         except ValueError:  # past the int/str conversion limit, 4,300 digits
             raise self._fail(f"integer literal too long: "
-                             f"{len(tok.text.lstrip('-'))} digits", tok) from None
+                             f"{len(tok.lstrip('-'))} digits", index) from None
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.take()
-        if tok.text != text:
-            raise self._fail(f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
+        if tok != text:
+            raise self._fail(f"expected {text!r}, found {tok!r}", self.pos - 1)
 
     def parse_term(self) -> LinearTerm:
         tok = self.take()
-        if tok.text == "(":
+        if tok == "(":
             op = self.take()
-            if op.text == "+":
-                total = LinearTerm.num(0)
-                count = 0
-                while self.peek().text != ")":
+            at = self.pos - 1
+            if op == "+":
+                if self.peek() == ")":
+                    raise self._fail("(+ ...) needs at least one term", at)
+                total = ZERO
+                while self.peek() != ")":
                     total = total + self.parse_term()
-                    count += 1
-                self.take()
-                if count == 0:
-                    raise self._fail("(+ ...) needs at least one term", op)
+                self.pos += 1
                 return total
-            if op.text == "*":
-                coef_tok = self.take()
-                if not _is_int(coef_tok.text):
-                    raise self._fail("(* ...) needs an integer coefficient", coef_tok)
-                var_tok = self.take()
-                if not _is_var(var_tok.text):
-                    raise self._fail(f"invalid variable {var_tok.text!r}", var_tok)
+            if op == "*":
+                coef = self.take()
+                if not _is_int(coef):
+                    raise self._fail("(* ...) needs an integer coefficient", at + 1)
+                var = self.take()
+                if not _is_var(var):
+                    raise self._fail(f"invalid variable {var!r}", at + 2)
                 self.expect(")")
-                return LinearTerm.of({var_tok.text: self.integer(coef_tok)})
-            raise self._fail(f"unknown term operator {op.text!r}", op)
-        if _is_int(tok.text):
-            return LinearTerm.num(self.integer(tok))
-        if _is_var(tok.text):
-            return LinearTerm.var(tok.text)
-        raise self._fail(f"expected a term, found {tok.text!r}", tok)
+                n = self.integer(coef, at + 1)
+                return LinearTerm(((var, n),)) if n else ZERO
+            raise self._fail(f"unknown term operator {op!r}", at)
+        if _is_int(tok):
+            return LinearTerm.num(self.integer(tok, self.pos - 1))
+        if _is_var(tok):
+            return LinearTerm(((tok, 1),))
+        raise self._fail(f"expected a term, found {tok!r}", self.pos - 1)
 
     def parse_formula(self, scope: frozenset[str]) -> Formula:
         tok = self.take()
-        if tok.text == "T":
+        if tok == "T":
             return TRUE
-        if tok.text == "F":
+        if tok == "F":
             return FALSE
-        if tok.text != "(":
-            raise self._fail(f"expected a formula, found {tok.text!r}", tok)
-        head = self.take()
-        h = head.text
+        if tok != "(":
+            raise self._fail(f"expected a formula, found {tok!r}", self.pos - 1)
+        h = self.take()
+        head = self.pos - 1
         if h in (LE, LT, EQ):
             left = self.parse_term()
             right = self.parse_term()
@@ -564,10 +565,10 @@ class _Parser:
             if not self.allow_div:
                 raise self._fail("div atoms are disabled here (pass allow_div=True)",
                                  head)
-            mod_tok = self.take()
-            modulus = self.integer(mod_tok) if _is_int(mod_tok.text) else 0
+            mod = self.take()
+            modulus = self.integer(mod, head + 1) if _is_int(mod) else 0
             if modulus < 1:
-                raise self._fail("div needs a positive integer modulus", mod_tok)
+                raise self._fail("div needs a positive integer modulus", head + 1)
             term = self.parse_term()
             self.expect(")")
             return Atom(DIV, term, ZERO, modulus)
@@ -576,25 +577,25 @@ class _Parser:
             self.expect(")")
             return Not(body)
         if h in ("and", "or"):
-            parts = []
-            while self.peek().text != ")":
-                parts.append(self.parse_formula(scope))
-            self.take()
-            if not parts:
+            if self.peek() == ")":
                 raise self._fail(f"({h} ...) needs at least one formula", head)
+            parts = []
+            while self.peek() != ")":
+                parts.append(self.parse_formula(scope))
+            self.pos += 1
             return mk_and(parts) if h == "and" else mk_or(parts)
         if h in ("exists", "forall"):
-            var_tok = self.take()
-            if not _is_var(var_tok.text):
-                raise self._fail(f"invalid variable {var_tok.text!r}", var_tok)
-            if var_tok.text in scope:
-                raise ShadowingError(
-                    f"{var_tok.line}:{var_tok.column}: variable "
-                    f"{var_tok.text!r} shadows an enclosing binding")
-            body = self.parse_formula(scope | {var_tok.text})
+            var = self.take()
+            if not _is_var(var):
+                raise self._fail(f"invalid variable {var!r}", head + 1)
+            if var in scope:
+                line, column = _place(_TOKEN, self.text, head + 1)
+                raise ShadowingError(f"{line}:{column}: variable "
+                                     f"{var!r} shadows an enclosing binding")
+            body = self.parse_formula(scope | {var})
             self.expect(")")
             node = Exists if h == "exists" else Forall
-            return node(var_tok.text, body)
+            return node(var, body)
         raise self._fail(f"unknown formula head {h!r}", head)
 
 
@@ -608,15 +609,18 @@ def parse(text: str, *, allow_div: bool = False,
     and UnboundVariableError when `declared_free` is given and the
     formula's free variables are not a subset of it.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if text.count("(") > MAX_NESTING:  # this error comes before any other
+        depths = list(accumulate(map(_DEPTH_STEP.__getitem__, _PAREN.findall(text))))
+        if max(depths) > MAX_NESTING:  # in steps of one, so through MAX + 1
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING}", *_place(
+                _PAREN, text, depths.index(MAX_NESTING + 1)))
+    parser = _Parser(text, allow_div)
+    if not parser.tokens:
         raise FormulaSyntaxError("empty input", 1, 1)
-    parser = _Parser(tokens, allow_div)
     f = parser.parse_formula(frozenset())
-    if parser.pos != len(tokens):
-        extra = tokens[parser.pos]
-        raise FormulaSyntaxError(f"trailing input {extra.text!r}",
-                                 extra.line, extra.column)
+    if parser.pos != len(parser.tokens):
+        raise parser._fail(f"trailing input {parser.tokens[parser.pos]!r}",
+                           parser.pos)
     clash = free_vars(f) & bound_vars(f)
     if clash:
         raise ShadowingError(f"names used both free and bound: {sorted(clash)}")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -162,6 +163,18 @@ class TestGenVerify:
         assert rc == 0
         assert checks_by_name(rep) == {"collapse_image_matches": True}
         assert rep["outputs"]["code_set_size"] == 16 << 15
+
+    def test_code_set_size_counts_the_bitmap(self):
+        # one int per 64 KB chunk: lengths at and around chunk edges
+        rng = random.Random(5_500_000)
+        for length in (0, 1, 65535, 65536, 65537, 3 * 65536 + 5):
+            bitmap = bytearray(rng.getrandbits(1) for _ in range(length))
+            if bitmap:
+                bitmap[-1] = 1
+            assert cli._ones(bitmap) == bitmap.count(1)
+        for d in (1, 7, 16):
+            code = generator.code_set_bitmap(d)
+            assert cli._ones(code) == code.count(1) == d << (d - 1)
 
     @pytest.mark.parametrize("perturb", [
         lambda aps: aps[:-1],  # a progression dropped

@@ -44,6 +44,7 @@ from pavc.formula import (
     bound_vars,
     free_vars,
     is_quantifier_free,
+    map_atoms,
     mk_and,
     mk_or,
     parse,
@@ -1118,3 +1119,103 @@ def test_forall_through_dual():
     assert decide(f)
     g = parse("(forall x (< x 100))")
     assert not decide(g)
+
+
+def shortcut_by_full_simplify(var, body):
+    """_equality_shortcut as it was before its build went path-only: the
+    same equality and the same checks, then simplify of the whole
+    substituted body."""
+    conjuncts = list(evaluator._conjuncts(body))
+    best = None
+    for idx, part in enumerate(conjuncts):
+        if isinstance(part, Atom) and part.kind == EQ:
+            c, rest = evaluator._linear(part, var)
+            if c and (best is None or abs(c) < best[0]):
+                best = (abs(c), idx, -rest if c > 0 else rest)
+    if best is None:
+        return None
+    c, chosen, t = best
+    if bound_vars(body) & (t.vars() | {var}):
+        return None
+
+    def rewrite(a):
+        av, rest = evaluator._linear(a, var)
+        if av == 0:
+            return a
+        return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
+                    None if a.modulus is None else a.modulus * c)
+    return lambda: simplify(mk_and([Atom(DIV, t, ZERO, c)] + [
+        map_atoms(p, var, rewrite) for i, p in enumerate(conjuncts) if i != chosen]))
+
+
+def with_shortcut(shortcut, run):
+    """(run(), the (var, body) of each shortcut taken) with `shortcut` in
+    place of evaluator._equality_shortcut."""
+    taken = []
+
+    def spy(var, body):
+        build = shortcut(var, body)
+        if build is not None:
+            taken.append((var, body))
+        return build
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_equality_shortcut", spy)
+        return run(), taken
+
+
+class TestPathOnlyShortcut:
+    """The shortcut rebuilds only the paths to atoms on its variable, and
+    builds the node that simplifying the whole substituted body built."""
+
+    @staticmethod
+    def same_as_full(run):
+        got, taken = with_shortcut(evaluator._equality_shortcut, run)
+        want, want_taken = with_shortcut(shortcut_by_full_simplify, run)
+        assert to_text(got) == to_text(want)
+        assert len(taken) == len(want_taken)
+        for var, body in taken:
+            built = evaluator._equality_shortcut(var, body)()
+            reference = shortcut_by_full_simplify(var, body)()
+            assert built == reference and to_text(built) == to_text(reference)
+        return len(taken)
+
+    def test_fuzz_sentences(self):
+        taken = sum(self.same_as_full(lambda: eliminate_quantifiers(
+            random_sentence(random.Random(7_900_000 + i)))) for i in range(600))
+        assert taken > 100
+
+    @pytest.mark.parametrize("encode", [encode_naive, encode_bridged])
+    def test_encoders_plans_and_qe(self, encode):
+        taken = 0
+        for d in range(1, 9):
+            pf, meta = encode(d)
+            step = evaluator._dual(evaluator._bounded_step(meta.hint_map()))
+            taken += self.same_as_full(lambda: evaluator._rewrite(pf.formula, step))
+            taken += self.same_as_full(lambda: eliminate_quantifiers(pf.formula))
+        assert taken > 0
+
+    @pytest.mark.parametrize("text, want", [
+        # the inner quantifier keeps its variable
+        ("(and (= x (+ y 1)) (exists z (and (< z x) (< x 3))))",
+         "(exists z (and (< (+ (* -1 y) (* 1 z) -1) 0) (< (+ (* 1 y) -2) 0)))"),
+        # x := 1 makes the or T, and exists z goes with it
+        ("(and (= x 1) (< y 2) (exists z (or (< z 5) (= x 1))))", "(< y 2)"),
+        # through a not, under the dual's negation
+        ("(and (= (* 2 x) y) (not (exists z (and (< z x) (< x y)))))",
+         "(and (div 2 y) (not (exists z (and (< (+ (* -1 y) (* 2 z)) 0) "
+         "(< (* -1 y) 0)))))"),
+    ])
+    def test_inner_quantifiers(self, text, want):
+        body = simplify(parse(text))
+        got = evaluator._equality_shortcut("x", body)()
+        assert got == shortcut_by_full_simplify("x", body)()
+        assert to_text(got) == want
+
+    def test_subtrees_without_the_variable_are_kept(self):
+        body = simplify(parse("(and (= (* 2 x) y) (or (< z 1) (< w 2)) "
+                              "(exists v (and (< v z) (< z 4))) (< x w))"))
+        got = evaluator._equality_shortcut("x", body)()
+        assert got == shortcut_by_full_simplify("x", body)()
+        kept = [p for p in body.parts if "x" not in free_vars(p)]
+        assert len(kept) == 2
+        assert all(any(p is q for q in got.parts) for p in kept)

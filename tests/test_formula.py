@@ -1,6 +1,8 @@
 """Parser, printer, substitution, and shape metrics."""
 
+import functools
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -16,8 +18,10 @@ from pavc.formula import (
     And,
     Atom,
     BindingError,
+    Bool,
     Exists,
     Forall,
+    Formula,
     FormulaSyntaxError,
     LinearTerm,
     Not,
@@ -40,7 +44,9 @@ from pavc.formula import (
     substitute,
     to_text,
 )
+from pavc.evaluator import eliminate_quantifiers
 from pavc.fuzz import random_qf, random_sentence
+from pavc.generator import encode_bridged, encode_naive
 
 
 def test_bitlen_convention():
@@ -311,3 +317,158 @@ def test_mk_connective_collapse():
     assert mk_and([a]) == a
     assert mk_or([a]) == a
     assert isinstance(mk_and([a, parse("(< x 2)")]), And)
+
+
+class TestErrorPositions:
+    """Line and column of each error kind, where a tab and a carriage
+    return count one column each and only a newline starts a line."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        # tabs, CRLF line endings and a token at the start of a line
+        ("(and\r\n\t(< x 1)\r\n(< y ))", FormulaSyntaxError,
+         "3:6: expected a term, found ')'"),
+        ("\t\t(and (< x 1)\n\t(<= (* 2 y) (+ x\t-))))", FormulaSyntaxError,
+         "2:19: expected a term, found '-'"),
+        ("\n\n\t(exists\r\n3x T)", FormulaSyntaxError, "4:1: invalid variable '3x'"),
+        ("(and\n(< 1 x) \n(div 3 x))", FormulaSyntaxError,
+         "3:2: div atoms are disabled here (pass allow_div=True)"),
+        # end of input: just past the last token, whatever follows it
+        ("(< x 1\n", FormulaSyntaxError, "1:7: unexpected end of input"),
+        ("(and (< x 1)\n\n", FormulaSyntaxError, "1:13: unexpected end of input"),
+        ("(and (< x 1)\r\n  (< y 2)\r\n  (<", FormulaSyntaxError,
+         "3:5: unexpected end of input"),
+        # trailing input on a later line
+        ("(< x 1)\n\n  (< y 2)", FormulaSyntaxError, "3:3: trailing input '('"),
+        ("(< x 1)\r\n\t)", FormulaSyntaxError, "2:2: trailing input ')'"),
+        # shadowing, at the rebinding name; free and bound, with no position
+        ("(exists x\n\t(forall x T))", ShadowingError,
+         "2:10: variable 'x' shadows an enclosing binding"),
+        ("(and (< x 1)\n (exists x (< x 2)))", ShadowingError,
+         "names used both free and bound: ['x']"),
+        # the nesting error wins over an earlier syntax error ...
+        ("(foo\n" + "(" * (MAX_NESTING + 1), FormulaSyntaxError,
+         f"2:{MAX_NESTING}: nesting deeper than {MAX_NESTING}"),
+        # ... but a stray ) lowers the depth that later parens reach
+        ("(< x\t1)\r\n)\n" + "(" * (MAX_NESTING + 1), FormulaSyntaxError,
+         "2:1: trailing input ')'"),
+    ])
+    def test_position_and_message(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert type(err.value) is error and str(err.value) == message
+        if error is FormulaSyntaxError:
+            line, column, _ = message.split(":", 2)
+            assert (err.value.line, err.value.column) == (int(line), int(column))
+
+    def test_partitioned_positions_count_header_lines(self):
+        with pytest.raises(FormulaSyntaxError, match=r"^4:5: expected a term"):
+            parse_partitioned("#objects: x\n#params: y\n\t(and (< x y)\r\n(< x))")
+
+
+def all_nodes(node):
+    """node and every node and term below it."""
+    yield node
+    for field in fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (Formula, LinearTerm)):
+                yield from all_nodes(child)
+
+
+def walked_vars(f, bound):
+    """bound_vars(f) if bound, else free_vars(f), by a walk that keeps nothing."""
+    if isinstance(f, Bool):
+        return set()
+    if isinstance(f, Atom):
+        return set() if bound else {v for v, _ in f.left.coeffs + f.right.coeffs}
+    if isinstance(f, Not):
+        return walked_vars(f.body, bound)
+    if isinstance(f, (And, Or)):
+        return set().union(*(walked_vars(p, bound) for p in f.parts))
+    inner = walked_vars(f.body, bound)
+    return inner | {f.var} if bound else inner - {f.var}
+
+
+def fresh_corpus():
+    """Fuzz formulas, and both encoders' outputs with their QE results,
+    built anew: the fuzz formulas' nodes have kept no variable sets yet."""
+    out = [random_sentence(random.Random(9_100_000 + i)) for i in range(200)]
+    out += [random_qf(random.Random(9_200_000 + i), "xyz", allow_div=True)
+            for i in range(200)]
+    for d in range(1, 7):
+        for encode in (encode_naive, encode_bridged):
+            f = encode(d)[0].formula
+            out += [f, eliminate_quantifiers(f)]
+    return out
+
+
+node_corpus = functools.cache(fresh_corpus)
+
+
+class TestNodeCore:
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        seen = 0
+        for f in node_corpus():
+            for node in all_nodes(f):
+                values = tuple(getattr(node, field.name) for field in fields(node))
+                assert hash(node) == hash(values)
+                assert hash(node) == hash(values)  # kept, and the same
+                seen += 1
+        assert seen > 20_000
+
+    def test_fields_stay_frozen(self):
+        a = parse("(< x 1)")
+        for node, name, value in ((a, "kind", LE), (a.left, "const", 3),
+                                  (Not(a), "body", TRUE), (And((a, a)), "parts", ()),
+                                  (Exists("x", a), "var", "y")):
+            hash(node)  # keeps its hash and, for a formula, its free variables
+            if isinstance(node, Formula):
+                free_vars(node)
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, value)
+
+    def test_post_init_checks_still_raise(self):
+        x = LinearTerm.var("x")
+        for build in (lambda: Atom("<>", x, ZERO), lambda: Atom(DIV, x, ZERO, 0),
+                      lambda: Atom(DIV, x, x, 2), lambda: Atom(LT, x, ZERO, 2),
+                      lambda: And((TRUE,)), lambda: Or(())):
+            with pytest.raises(FormulaError):
+                build()
+
+    def test_kept_variables_match_a_walk(self):
+        rng = random.Random(9_300_000)
+        for f in fresh_corpus():
+            nodes = list(all_nodes(f))
+            rng.shuffle(nodes)  # subtrees asked before and after their parents
+            for node in (f, *nodes) if rng.random() < 0.5 else (*nodes, f):
+                if isinstance(node, Formula):
+                    for bound, fn in ((False, free_vars), (True, bound_vars)):
+                        assert fn(node) == walked_vars(node, bound)
+                        assert fn(node) == walked_vars(node, bound)
+
+    def test_shared_subtree_keeps_its_own_sets(self):
+        shared = parse("(or (< x y) (exists z (< z y)))")
+        under_exists = Exists("x", And((shared, parse("(< x 3)"))))
+        under_forall = Forall("y", Not(shared))
+        assert free_vars(under_exists) == {"y"}
+        assert bound_vars(under_exists) == {"x", "z"}
+        assert free_vars(under_forall) == {"x"}
+        assert bound_vars(under_forall) == {"y", "z"}
+        assert free_vars(shared) == {"x", "y"} and bound_vars(shared) == {"z"}
+        for f in (shared, under_exists, under_forall):
+            assert free_vars(f) == walked_vars(f, False)
+            assert bound_vars(f) == walked_vars(f, True)
+
+    def test_not_a_formula_is_refused(self):
+        for fn in (free_vars, bound_vars):
+            with pytest.raises(FormulaError, match="not a formula"):
+                fn(LinearTerm.var("x"))
+
+    def test_difference_is_a_sum_with_the_negation(self):
+        rng = random.Random(9_400_000)
+        for _ in range(500):
+            a, b = (LinearTerm.of({v: rng.randint(-3, 3) for v in rng.sample("uvwxyz", 3)},
+                                  rng.randint(-5, 5)) for _ in range(2))
+            assert a - b == a + b.scaled(-1) == LinearTerm.of(
+                [*a.coeffs, *((v, -c) for v, c in b.coeffs)], a.const - b.const)

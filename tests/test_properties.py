@@ -6,6 +6,7 @@ Examples are derandomized and bounded, so every run checks the same
 cases in a few seconds.
 """
 
+import re
 from itertools import count
 from random import Random
 
@@ -155,6 +156,18 @@ def rebind_apart(f, names=None):
                      lambda s: random_qf(Random(s), "xyz", allow_div=True))))
 def test_parse_inverts_to_text(f):
     assert parse(to_text(f), allow_div=True) == f
+
+
+@PROPERTY
+@given(st.one_of(formulas.map(rebind_apart), sentences), st.integers(0, 2 ** 32 - 1))
+def test_parse_reads_tokens_through_any_whitespace(f, seed):
+    # to_text's tokens, with one to three of space, tab, carriage return
+    # and newline before, between and after them
+    rng = Random(seed)
+    tokens = ["", *re.findall(r"[()]|[^ ()]+", to_text(f))]
+    text = "".join(t + "".join(rng.choices(" \t\r\n", k=rng.randint(1, 3)))
+                   for t in tokens)
+    assert parse(text, allow_div=True) == f
 
 
 @PROPERTY
