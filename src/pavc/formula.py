@@ -71,6 +71,17 @@ def bitlen(n: int) -> int:
     return abs(n).bit_length() + 1
 
 
+def _largest_abs(coeffs: Iterable[tuple[str, int]], worst: int) -> int:
+    """The largest of `worst` and the |c| of the (name, c) pairs.  bitlen
+    grows with |n|, so its bitlen is the largest bitlen of them all, found
+    at one bitlen, not one per value: QE checks every atom it builds."""
+    for _, c in coeffs:
+        c = abs(c)
+        if c > worst:
+            worst = c
+    return worst
+
+
 def _node(cls):
     """A frozen dataclass that keeps its structural hash, the hash of its
     field tuple, once computed: QE hashes the same subtrees many times over.
@@ -205,10 +216,8 @@ class LinearTerm:
         return total
 
     def max_coeff_bits(self) -> int:
-        worst = bitlen(self.const)
-        for _, c in self.coeffs:
-            worst = max(worst, bitlen(c))
-        return worst
+        """The largest bitlen of a coefficient or the constant."""
+        return bitlen(_largest_abs(self.coeffs, abs(self.const)))
 
 
 ZERO = LinearTerm.num(0)
@@ -258,8 +267,9 @@ class Atom(Formula):
 
     def max_coeff_bits(self) -> int:
         """The largest bitlen of a coefficient, constant or modulus."""
-        return max(self.left.max_coeff_bits(), self.right.max_coeff_bits(),
-                   bitlen(self.modulus or 0))
+        left, right = self.left, self.right
+        return bitlen(_largest_abs(left.coeffs + right.coeffs, max(
+            abs(left.const), abs(right.const), self.modulus or 0)))
 
 
 @_node

@@ -137,12 +137,15 @@ def _most_traces(masks: Sequence[int], size: int, k: int,
     grouped by their trace on the indices chosen so far: each group of
     two or more members is a bitset over members, and groups of one are
     only counted, since they never split again.  Adding index i splits
-    each group g into g & cols[i] and the rest (see _columns; `cols`, when
-    given, is filled on first need, so that the caller's later k reuse
-    it), so a leaf's count is its number of nonempty parts, at one AND
-    per group (at most min(2^(k-1), len(masks)) of them).  The walk keeps
-    its own stack, one frame per chosen index, so k is not bounded by
-    Python's recursion limit.  A subtree is skipped when its bound,
+    each group g into part = g & cols[i] and rest = g ^ part (see
+    _columns; `cols`, when given, is filled on first need, so that the
+    caller's later k reuse it).  Above the last level a group that splits
+    costs one AND, one XOR and one bit_count per piece, which tells a
+    piece of one member from one to keep; at the last level a leaf's
+    count is its number of nonempty parts, at one AND per group (at most
+    min(2^(k-1), len(masks)) of them).  The walk keeps its own stack, one
+    frame per chosen index, so k is not bounded by Python's recursion
+    limit.  A subtree is skipped when its bound,
     min(2^k, len(masks), ones + groups * 2^(indices left)), cannot beat
     the best count so far, and the walk stops at the first combination
     with min(2^k, len(masks)) traces, which nothing can beat.  Refuses,
@@ -187,16 +190,21 @@ def _most_traces(masks: Sequence[int], size: int, k: int,
         stack[-1] = (groups, ones, start + 1)
         col = cols[start]
         parts, alone = [], ones
+        append = parts.append
         for g in groups:
             part = g & col
             if part == 0 or part == g:
-                parts.append(g)
+                append(g)
                 continue
-            for piece in (part, g ^ part):
-                if piece & (piece - 1):
-                    parts.append(piece)
-                else:
-                    alone += 1
+            rest = g ^ part
+            if part.bit_count() > 1:
+                append(part)
+            else:
+                alone += 1
+            if rest.bit_count() > 1:
+                append(rest)
+            else:
+                alone += 1
         if alone + (len(parts) << left - 1) > best:
             stack.append((parts, alone, start + 1))
     return best, first
@@ -213,8 +221,9 @@ def vc_dimension(fam: SetFamily, cap: int = DEFAULT_VC_CAP) -> ShatterReport:
     DEFAULT_MAX_SUBSETS k-subsets raises VcLabError: the budget counts the
     k-subsets C(n, k), not the ones the search visits.  Each entry is
     _most_traces' refinement search, which splits the members' trace
-    classes one ground index at a time (one AND per class and k-subset)
-    with member bitsets built once per family, on first need.
+    classes one ground index at a time (one AND per class, and an XOR and
+    a bit count per split class above the last index) with member bitsets
+    built once per family, on first need.
     """
     masks = fam.distinct_masks()
     n = len(fam.ground)

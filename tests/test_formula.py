@@ -30,6 +30,7 @@ from pavc.formula import (
     FormulaError,
     ShadowingError,
     UnboundVariableError,
+    atoms_of,
     bitlen,
     bound_vars,
     free_vars,
@@ -472,3 +473,58 @@ class TestNodeCore:
                                   rng.randint(-5, 5)) for _ in range(2))
             assert a - b == a + b.scaled(-1) == LinearTerm.of(
                 [*a.coeffs, *((v, -c) for v, c in b.coeffs)], a.const - b.const)
+
+
+def per_value_term_bits(t):
+    """LinearTerm.max_coeff_bits as a maximum over every value's bitlen."""
+    return max([bitlen(t.const)] + [bitlen(c) for _, c in t.coeffs])
+
+
+def per_value_atom_bits(a):
+    """Atom.max_coeff_bits as a maximum over every value's bitlen."""
+    return max(per_value_term_bits(a.left), per_value_term_bits(a.right),
+               bitlen(a.modulus or 0))
+
+
+class TestMaxCoeffBits:
+    """One bitlen of the value largest in absolute value is the largest
+    bitlen of them all."""
+
+    @staticmethod
+    def assert_per_value(atoms):
+        for a in atoms:
+            assert a.max_coeff_bits() == per_value_atom_bits(a), a
+            for t in (a.left, a.right):
+                assert t.max_coeff_bits() == per_value_term_bits(t), t
+
+    def test_fuzz_atoms(self):
+        rng = random.Random(9_500_000)
+        wide = [random_qf(rng, "xyz", coeff_bound=rng.choice((1, 9, 2 ** 70)),
+                          const_bound=rng.choice((0, 8, 2 ** 90)), allow_div=True)
+                for _ in range(300)]
+        self.assert_per_value(a for f in (*node_corpus(), *wide)
+                              for a in atoms_of(f))
+
+    def test_eliminated_encoders(self):
+        # node_corpus holds d <= 6
+        for d in (7, 8):
+            for encode in (encode_naive, encode_bridged):
+                self.assert_per_value(
+                    atoms_of(eliminate_quantifiers(encode(d)[0].formula)))
+
+    def test_values_at_a_power_of_two(self):
+        # 2^8000 - 1 has 8000 bits, 2^8000 and -2^8000 have 8001
+        big = 2 ** 8000
+        atoms = []
+        for k in range(-2, 3):
+            for s in (1, -1):
+                v = s * (big + k)
+                atoms += [Atom(LE, LinearTerm.of({"x": v, "y": 1}, 3),
+                               LinearTerm.num(-v)),
+                          Atom(LT, LinearTerm.of({"x": 1}, v),
+                               LinearTerm.of({"y": -1}, s * (big - 1))),
+                          Atom(EQ, LinearTerm.num(0), LinearTerm.of({"y": v})),
+                          Atom(DIV, LinearTerm.of({"x": 1}, 1), ZERO, big + k)]
+        self.assert_per_value(atoms)
+        assert Atom(DIV, LinearTerm.var("x"), ZERO, big - 1).max_coeff_bits() == 8001
+        assert LinearTerm.num(-big).max_coeff_bits() == 8002

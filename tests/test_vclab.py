@@ -300,6 +300,36 @@ class TestMostTracesDifferential:
         assert vclab._most_traces([0b01, 0b10], 2, 3) == \
             reference_most_traces([0b01, 0b10], 2, 3) == (0, ())
 
+    def test_dense_family_at_its_hardest_step(self):
+        # 16 points and 257 distinct members: k = 7 is vc + 1, where no
+        # 7-subset has all 2^7 traces, so the walk visits every subtree its
+        # bound cannot cut (the reference scans all C(16,7) = 11,440)
+        fam = random_family(random.Random(70_004), max_ground=16,
+                            max_members=300)
+        masks = fam.distinct_masks()
+        assert (len(fam.ground), len(masks)) == (16, 257)
+        assert vclab._most_traces(masks, 16, 7) == \
+            reference_most_traces(masks, 16, 7) == (122, (0, 1, 3, 4, 5, 10, 14))
+
+    def test_where_the_best_is_found(self):
+        # k = 1: index 0 is the same in every member, index 2 splits them
+        # k = 3: the top, all 8 traces, is first reached on (1, 3, 5), in a
+        #   last-level loop that starts at index 4
+        shattered = [sum((x >> j & 1) << i for j, i in enumerate((1, 3, 5)))
+                     for x in range(8)]
+        # a tie: (0,1,3) has 5 traces, as do (0,1,4) in the same last-level
+        #   loop and (1,2,3) in a later subtree; no 3-subset has all 6, so
+        #   the walk runs on past them and must keep the first
+        tied = [9, 10, 16, 17, 18, 30]
+        for masks, size, k, expected in (([0b000, 0b100], 3, 1, (2, (2,))),
+                                         (shattered, 6, 3, (8, (1, 3, 5))),
+                                         (tied, 5, 3, (5, (0, 1, 3)))):
+            assert vclab._most_traces(masks, size, k) == \
+                reference_most_traces(masks, size, k) == expected
+        # (0,1,3), (0,1,4) and (1,2,3) as index bitmasks
+        assert [len({m & sub for m in tied})
+                for sub in (0b01011, 0b10011, 0b01110)] == [5, 5, 5]
+
     def test_deep_walk_past_the_recursion_limit(self):
         # k = n - 1 = 1099 passes the budget (C(1100, 1099) = 1100), and the
         # first combination misses one trace, so the walk goes about 1,100
