@@ -73,21 +73,20 @@ per boundary term by CRT, from whichever side (lower or upper bounds) is
 smaller.  Each class is then cut to the interval that the top-level
 bounds with a ground gap to its term allow (a bound with the term's
 coefficients folds to a constant, F outside that interval), and the
-tail goes when a top-level bound lies on the boundary terms' side; the
-output-atom cap below still counts the uncut classes.  The body becomes
-a template: subtrees without the variable are simplified once and
-shared, each disjunct rebuilds only the paths to the variable's atoms,
-and the split stops at the first disjunct that is T.  div atoms appear
-in the output; the result keeps the input's free variables, is
+tail goes when a top-level bound lies on the boundary terms' side.  The
+body becomes a template: subtrees without the variable are simplified
+once and shared, each disjunct rebuilds only the paths to the variable's
+atoms, and the split stops at the first disjunct that is T.  div atoms
+appear in the output; the result keeps the input's free variables, is
 quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
 split blow up: a maximum output atom count (overridable via the
-PAVC_MAX_ATOMS environment variable), checked against the atoms of the
-offsets that the congruences allow, summed over the leaves of a distributed
-existential before any is built (the plans' leaves too, each counted at
-its body's atoms), and a maximum bit length of the coefficients,
-constants and moduli of each step's input and result.
+PAVC_MAX_ATOMS environment variable), counted as built, leaf by leaf of
+a distributed existential (the plans' leaves too), and checked first
+against the case split's instance count, the sum of its cut classes,
+before any instance is built; and a maximum bit length of the
+coefficients, constants and moduli of each step's input and result.
 Each cap is one module-level constant, read when it is enforced.
 """
 
@@ -192,29 +191,25 @@ def _bounded_step(hints: Mapping[str, tuple[int, int]]
     """The plans' existential step, exact over the hints: exists v over
     its hint [lo, hi] is exists v (lo <= v and v <= hi and F), taken
     through QE's walker, _distributed, with _move_out at its leaves."""
-    atoms_cap = resolve_max_atoms()
-
     def step(var: str, body: Formula) -> Formula:
         lo, hi = hints[var]
         v = LinearTerm.var(var)
         body = _join(True, (Atom(LE, LinearTerm.num(lo), v),
                             Atom(LE, v, LinearTerm.num(hi)), body))
-        return _distributed(var, body, _move_out, atoms_cap)
+        return _distributed(var, body, _move_out)
     return step
 
 
-def _move_out(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
-    """(atoms, build) of the plans' leaf step: the conjuncts of body
-    without var move out of exists var, where an enclosing existential
-    can use them."""
-    def build() -> Formula:
-        outside, inside = [], []
-        for p in _conjuncts(body):
-            mentions = p.left.coeff(var) != p.right.coeff(var) \
-                if isinstance(p, Atom) else var in free_vars(p)
-            (inside if mentions else outside).append(p)
-        return _join(True, (*outside, Exists(var, mk_and(inside))))
-    return count_atoms(body), build
+def _move_out(var: str, body: Formula) -> Iterator[Formula]:
+    """The plans' leaf step, one disjunct: the conjuncts of body without
+    var move out of exists var, where an enclosing existential can use
+    them."""
+    outside, inside = [], []
+    for p in _conjuncts(body):
+        mentions = p.left.coeff(var) != p.right.coeff(var) \
+            if isinstance(p, Atom) else var in free_vars(p)
+        (inside if mentions else outside).append(p)
+    yield _join(True, (*outside, Exists(var, mk_and(inside))))
 
 
 _Env = list[int]
@@ -970,10 +965,10 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     """The j in 1..period for which w = witness + sign*j (witness None is 0)
     can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
     forces g | const(u) + sign*j for g = gcd(m, coefficients of u).  Only
-    top-level divs can be congruences, which is why _distributed
-    first distributes over an or whose branches hold divs.  These are the
-    offsets the output-atom estimate counts; _cut then drops those that a
-    top-level bound rules out."""
+    top-level divs can be congruences, which is why _leaves first
+    distributes over an or whose branches hold divs.  _cut then drops the
+    offsets that a top-level bound rules out, and the output-atom cap
+    counts what is left."""
     res, mod = 0, 1
     for m, t in congruences:
         u = t if witness is None else witness + t
@@ -1012,18 +1007,18 @@ def _cut(witness: LinearTerm | None, steps: range, side: str,
     return range(start, stop, step)
 
 
-def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
-    """(estimate, build) of Cooper's case split for exists var body: the
-    output atoms of the offsets that _offsets plans, which the
-    coefficient-bit cap checks first, and the split itself, built only
-    when called, over those offsets that _cut keeps: the instances it
-    skips are F at a top-level bound, so the output is the same."""
+def _case_split(var: str, body: Formula) -> Iterator[Formula]:
+    """The disjuncts of Cooper's case split for exists var body, built
+    lazily, one instance per offset that _offsets plans and _cut keeps:
+    the instances _cut skips are F at a top-level bound, so the output is
+    the same.  Before any is built, the coefficient-bit cap checks the
+    solved forms and the output-atom cap the count of instances."""
     nnf_body = _nnf(body, var)
     readings = {a: _linear(a, var) for a in atoms_of(nnf_body)
                 if a.left.coeff(var) != a.right.coeff(var)}
     if not readings:
-        out = simplify(nnf_body)
-        return count_atoms(out), lambda: out
+        yield simplify(nnf_body)
+        return
 
     delta = lcm(*(abs(c) for c, _ in readings.values()))
     solved = [_solved_form(a, r, delta) for a, r in readings.items()]
@@ -1041,6 +1036,7 @@ def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
 
     use_uppers = len(uppers) < len(lowers)
     sign = -1 if use_uppers else 1
+    dropped = "upper" if use_uppers else "lower"
     # delta | w and the top-level divs and bounds hold in every disjunct
     # that can be T
     top = set(_conjuncts(nnf_body))
@@ -1048,33 +1044,32 @@ def _case_split(var: str, body: Formula) -> tuple[int, Callable[[], Formula]]:
                                    if form[0] == "div" and a in top]
     bounds = [form for a, form in zip(readings, solved)
               if form[0] != "div" and a in top]
-    plan = [(witness, _offsets(witness, necessary, sign, period))
+    plan = [(witness, _cut(witness, _offsets(witness, necessary, sign, period),
+                           dropped, bounds))
             for witness in (None, *(uppers if use_uppers else lowers))]
     # counted, not len(): a range longer than 2^63 overflows len()
-    offsets = sum(-((s.start - s.stop) // s.step) for _, s in plan)
-    dropped = "upper" if use_uppers else "lower"
+    _enforce("output atoms", resolve_max_atoms(),
+             sum(max(0, -((s.start - s.stop) // s.step)) for _, s in plan))
+    template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
 
-    def build() -> Formula:
-        template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
+    def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
+        """witness=None means the periodic tail below all lower bounds
+        (or above all upper bounds when use_uppers)."""
+        w = LinearTerm.num(offset) if witness is None else witness.shifted(offset)
 
-        def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
-            """witness=None means the periodic tail below all lower bounds
-            (or above all upper bounds when use_uppers)."""
-            w = LinearTerm.num(offset) if witness is None else witness.shifted(offset)
+        def leaf(form) -> Formula:
+            if form[0] == "div":
+                return _atom_simplified(Atom(DIV, w + form[2], ZERO, form[1]))
+            if witness is None:
+                return FALSE if form[0] == dropped else TRUE
+            return _atom_simplified(Atom(LT, form[1], w) if form[0] == "lower"
+                                    else Atom(LT, w, form[1]))
+        return _join(True, (template([leaf(form) for form in solved]),
+                            _atom_simplified(Atom(DIV, w, ZERO, delta))))
 
-            def leaf(form) -> Formula:
-                if form[0] == "div":
-                    return _atom_simplified(Atom(DIV, w + form[2], ZERO, form[1]))
-                if witness is None:
-                    return FALSE if form[0] == dropped else TRUE
-                return _atom_simplified(Atom(LT, form[1], w) if form[0] == "lower"
-                                        else Atom(LT, w, form[1]))
-            return _join(True, (template([leaf(form) for form in solved]),
-                                _atom_simplified(Atom(DIV, w, ZERO, delta))))
-
-        return _join(False, (instantiate(witness, sign * j) for witness, steps in plan
-                             for j in _cut(witness, steps, dropped, bounds)))
-    return offsets * (count_atoms(nnf_body) + 1), build
+    for witness, steps in plan:
+        for j in steps:
+            yield instantiate(witness, sign * j)
 
 
 def _disjuncts(f: Formula) -> tuple[Formula, ...] | None:
@@ -1102,73 +1097,57 @@ def _branches(var: str, body: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-_Step = Callable[[str, Formula], tuple[int, Callable[[], Formula]]]
+_Step = Callable[[str, Formula], Iterator[Formula]]
 
 
-def _leaves(var: str, body: Formula, final: _Step
-            ) -> Iterator[tuple[int, Callable[[], Formula]]]:
-    """(output-atom estimate, build) of each leaf of exists var body,
-    distributed over the ors that _branches takes: an equality shortcut
-    (the body's atoms), a body without var (itself) or the engine's last
-    step, `final`: QE's case split or the plans' move-out."""
-    shortcut = _equality_shortcut(var, body)
-    if shortcut is not None:
-        yield count_atoms(body), shortcut
-    elif var not in free_vars(body):
-        yield count_atoms(body), lambda: body
-    else:
-        yield from _split(var, body, final)
-
-
-def _split(var: str, body: Formula, final: _Step
-           ) -> Iterator[tuple[int, Callable[[], Formula]]]:
-    """_leaves of a body that the shortcut does not take and that has var."""
-    branches = _branches(var, body)
-    if branches is None:
-        yield final(var, body)
-        return
-    for branch in branches:
-        yield from _leaves(var, branch, final)
-
-
-def _distributed(var: str, body: Formula, final: _Step, atoms_cap: int
-                 ) -> Formula:
-    """exists var body through the equality shortcut, distribution over
-    the ors that _branches takes, and `final` at each leaf left.
+def _leaves(var: str, body: Formula, final: _Step) -> Iterator[Formula]:
+    """The disjuncts of exists var body, built lazily: its equality
+    shortcut, the body itself when it lacks var, else the engine's last
+    step, `final` (QE's case split or the plans' move-out), after
+    distribution over the ors that _branches takes.
 
     exists v (A and (B1 or ... or Bk)) is the or of the exists v (A and
     Bi), recursively, so that each branch has its divs and equalities at
-    top level, for the shortcut and for the leaf's own step.  The leaves'
-    output-atom estimates are summed against the cap as they are planned,
-    before any is built (a refusal's `needed` counts the leaves planned
-    up to it), and the leaves are built lazily, none after the first
-    that is T.
+    top level, for the shortcut and for the leaf's own step.
     """
     shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
-        return shortcut()
-    if var not in free_vars(body):
-        return body
-    planned, builds = 0, []
-    for estimate, build in _split(var, body, final):
-        planned += estimate
-        _enforce("output atoms", atoms_cap, planned)
-        builds.append(build)
-    return _join(False, (build() for build in builds))
+        yield shortcut()
+    elif var not in free_vars(body):
+        yield body
+    elif (branches := _branches(var, body)) is None:
+        yield from final(var, body)
+    else:
+        for branch in branches:
+            yield from _leaves(var, branch, final)
+
+
+def _distributed(var: str, body: Formula, final: _Step) -> Formula:
+    """exists var body, the or of its _leaves, none drawn after the first
+    that is T.  Their atoms are counted as each is built, against the
+    output-atom cap, so a refusal comes before the output is complete."""
+    atoms_cap, built = resolve_max_atoms(), 0
+
+    def counted(leaf: Formula) -> Formula:
+        nonlocal built
+        built += count_atoms(leaf)
+        _enforce("output atoms", atoms_cap, built)
+        return leaf
+    return _join(False, map(counted, _leaves(var, body, final)))
 
 
 def eliminate_quantifiers(f: Formula) -> Formula:
     """Equivalent quantifier-free formula over the same free variables.
 
     Output may contain div atoms.  Raises ResourceCapError when an
-    elimination step would exceed the atom-count cap (DEFAULT_MAX_ATOMS,
-    PAVC_MAX_ATOMS overrides) or the coefficient bit cap
+    elimination step builds more atoms than their cap (DEFAULT_MAX_ATOMS,
+    PAVC_MAX_ATOMS overrides) or exceeds the coefficient bit cap
     (DEFAULT_MAX_COEFF_BITS), on its input or its result.
     """
     atoms_cap = resolve_max_atoms()
 
     def eliminate(var: str, body: Formula) -> Formula:
-        out = _distributed(var, body, _case_split, atoms_cap)
+        out = _distributed(var, body, _case_split)
         _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
                  max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
         return out

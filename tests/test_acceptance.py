@@ -173,9 +173,12 @@ def test_06_certificates_dominate_measured_dimension(capsys):
             records.append((f"{name} d={d}", rep.vc_dim, cert.bound))
             if rep.capped or cert.bound < rep.vc_dim:
                 violations.append(records[-1])
-    # the smallest bridged d whose summed branch estimates pass the cap
-    with pytest.raises(ResourceCapError, match="output atoms"):
-        upper_bound_via_qe(encode_bridged(11)[0])
+    # under a cap of 1,000 atoms, the smallest bridged d whose elimination
+    # builds more than the cap (d = 4 builds 256)
+    with pytest.MonkeyPatch.context() as patch, \
+            pytest.raises(ResourceCapError, match="output atoms"):
+        patch.setenv("PAVC_MAX_ATOMS", "1000")
+        upper_bound_via_qe(encode_bridged(5)[0])
     for i in range(100):
         rng = random.Random(660_000 + i)
         pf = random_partitioned(rng)
@@ -189,7 +192,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     ok = not violations
     _line(capsys, 6, ok,
           f"{len(records)} certificates all dominate measured dimension "
-          f"(caps refuse loudly past bridged d=10); violations: "
+          f"(the atom cap refuses loudly: bridged d=5 at 1000 atoms); violations: "
           f"{violations or 'none'}")
     assert ok, violations
 

@@ -508,11 +508,12 @@ class TestResourceCap:
     @pytest.mark.parametrize("command", ["qe", "upperbound"])
     def test_first_bridged_d_past_the_atom_cap_exits_3_fast(
             self, capsys, outdir, monkeypatch, command):
-        # d = 11 is the first bridged d whose branches' summed output-atom
-        # estimates pass the default cap; nothing is built before refusing
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
-        f, m = str(outdir / "b11.pa"), str(outdir / "b11.json")
-        assert main(["gen", "--d", "11", "--encoder", "bridged",
+        # under a cap of 1,000, d = 5 is the first bridged d whose
+        # elimination builds more atoms than the cap (d = 4 builds 256):
+        # it is refused as the count passes the cap
+        monkeypatch.setenv("PAVC_MAX_ATOMS", "1000")
+        f, m = str(outdir / "b5.pa"), str(outdir / "b5.json")
+        assert main(["gen", "--d", "5", "--encoder", "bridged",
                      "--out", f, "--meta", m]) == 0
         capsys.readouterr()
         start = time.perf_counter()

@@ -772,13 +772,16 @@ class TestEliminationDifferential:
 
 class TestResourceCaps:
     def test_atom_cap_refuses_loudly(self, monkeypatch):
+        # the case split builds 6 atoms
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
         monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
-        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 10)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 5)
         with pytest.raises(ResourceCapError) as err:
             eliminate_quantifiers(f)
         assert err.value.kind == "output atoms"
-        assert err.value.limit == 10
+        assert err.value.limit == 5
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 6)
+        assert is_quantifier_free(eliminate_quantifiers(f))
 
     def test_offset_count_past_2_63_refused(self, monkeypatch):
         # the residue classes of delta, about 2^140, leave about 2^70 offsets
@@ -801,27 +804,31 @@ class TestResourceCaps:
         with pytest.raises(ResourceCapError):
             eliminate_quantifiers(parse(f"({join} {over} (exists x {constant}))"))
 
-    def test_summed_branch_estimates_refused_before_any_build(self, monkeypatch):
-        # the two branches' case splits plan 24 and 40 output atoms: each
-        # fits a cap of 50 alone, their sum of 64 does not
+    def test_branch_atoms_counted_as_built(self, monkeypatch):
+        # the two branches' case splits build 6 and 10 output atoms: each
+        # fits a cap of 15 alone, their sum of 16 does not
         branches = ["(and (div 3 (+ x y)) (< z x))", "(and (div 5 (+ x z)) (< y x))"]
         f = parse(f"(exists x (and (< x w) (or {' '.join(branches)})))", allow_div=True)
         monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
-        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 50)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 15)
         for b in branches:
             eliminate_quantifiers(parse(f"(exists x (and (< x w) {b}))", allow_div=True))
-        built = []
-        template = evaluator._template
-        monkeypatch.setattr(evaluator, "_template",
-                            lambda *args: built.append(args) or template(*args))
+        splits = []
+        case_split = evaluator._case_split
+
+        def split(var, body):
+            splits.append(var)
+            yield from case_split(var, body)
+        monkeypatch.setattr(evaluator, "_case_split", split)
         with pytest.raises(ResourceCapError) as err:
             eliminate_quantifiers(f)
-        assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 50, 64)
-        assert built == []
-        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 64)
-        assert is_quantifier_free(eliminate_quantifiers(f)) and built
+        assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 15, 16)
+        # refused while the second branch is built, after the first
+        assert len(splits) == 2
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 16)
+        assert is_quantifier_free(eliminate_quantifiers(f))
 
-    def test_plans_summed_leaves_refused_before_any_build(self, monkeypatch):
+    def test_plans_leaf_atoms_counted_as_built(self, monkeypatch):
         # eight ors of two branches, each pinning v by a div: the plan's v
         # distributes into 2^8 leaves of 10 atoms (8 divs, 2 hint atoms)
         x, v = LinearTerm.var("x"), LinearTerm.var("v")
@@ -834,27 +841,28 @@ class TestResourceCaps:
         move_out = evaluator._move_out
 
         def counted(var, body):
-            atoms, build = move_out(var, body)
-            return atoms, lambda: built.append(var) or build()
+            built.append(var)
+            yield from move_out(var, body)
         monkeypatch.setattr(evaluator, "_move_out", counted)
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 2559)
         with pytest.raises(ResourceCapError) as err:
             eval_bounded(f, {"x": 0}, hints)
         assert (err.value.kind, err.value.limit, err.value.needed) == \
             ("output atoms", 2559, 2560)
-        assert built == []
+        # refused at the last of the 256 leaves
+        assert len(built) == 256
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 2560)
         for xv in range(-3, 4):
             assert eval_bounded(f, {"x": xv}, hints) == \
                 reference_eval(f, {"x": xv}, hints), xv
-        assert len(built) == 7 * 256
+        assert len(built) == 256 + 7 * 256
 
     def test_env_var_overrides_cap(self, monkeypatch):
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "10")
+        monkeypatch.setenv("PAVC_MAX_ATOMS", "5")
         with pytest.raises(ResourceCapError):
             eliminate_quantifiers(f)
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "1000000")
+        monkeypatch.setenv("PAVC_MAX_ATOMS", "6")
         qf = eliminate_quantifiers(f)
         assert is_quantifier_free(qf)
         # semantic spot check: 5x < y < 3x needs a negative x
@@ -988,38 +996,33 @@ class TestResidueSteppedSplit:
 
 
 def eliminate_counted(f, cut=True):
-    """(eliminate_quantifiers(f), the case splits' output-atom estimates,
-    the instances they built); cut=False makes the bound cut the identity,
-    which builds every offset that the congruences allow."""
-    estimates, built = [], []
-    case_split, bound_cut = evaluator._case_split, evaluator._cut
+    """(eliminate_quantifiers(f), the disjuncts the case splits built);
+    cut=False makes the bound cut the identity, which builds every offset
+    that the congruences allow."""
+    built = []
+    case_split = evaluator._case_split
 
     def split(var, body):
-        estimate, build = case_split(var, body)
-        estimates.append(estimate)
-        return estimate, build
-
-    def counted(witness, steps, side, bounds):
-        for j in bound_cut(witness, steps, side, bounds) if cut else steps:
-            built.append(j)
-            yield j
+        for disjunct in case_split(var, body):
+            built.append(disjunct)
+            yield disjunct
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_case_split", split)
-        patch.setattr(evaluator, "_cut", counted)
-        return eliminate_quantifiers(f), estimates, len(built)
+        if not cut:
+            patch.setattr(evaluator, "_cut", lambda witness, steps, side, bounds: steps)
+        return eliminate_quantifiers(f), len(built)
 
 
 class TestBoundCut:
     """The case split skips the offsets at which a top-level bound with a
     ground gap to the witness is F; the uncut split builds them, and they
-    all fold to F, so the output and the estimate stay the same."""
+    all fold to F, so the output stays the same."""
 
     @staticmethod
     def same_as_uncut(f):
-        got, estimates, built = eliminate_counted(f)
-        want, want_estimates, want_built = eliminate_counted(f, cut=False)
+        got, built = eliminate_counted(f)
+        want, want_built = eliminate_counted(f, cut=False)
         assert to_text(got) == to_text(want), to_text(f)
-        assert estimates == want_estimates, to_text(f)
         return built, want_built
 
     def test_fuzz_sentences(self):
@@ -1073,6 +1076,18 @@ class TestBoundCut:
         test, oracle = compile_plan(qf, names), compile_plan(f, names, {"x": (-40, 40)})
         for point in product(range(-5, 6), repeat=len(names)):
             assert test(point) == oracle(point), point
+
+    def test_instance_count_reads_the_cut_ranges(self, monkeypatch):
+        # 5 of the 10 offsets are left after the cut, and the split builds
+        # 9 atoms: the uncut offsets would pass a cap of 9, the cut fit it
+        f = parse("(exists x (and (< a x) (or (< x (+ a 2)) (< x b)) (div 5 (+ x b))))",
+                  allow_div=True)
+        monkeypatch.setenv("PAVC_MAX_ATOMS", "9")
+        assert count_atoms(eliminate_quantifiers(f)) == 9
+        monkeypatch.setattr(evaluator, "_cut", lambda witness, steps, side, bounds: steps)
+        with pytest.raises(ResourceCapError) as err:
+            eliminate_quantifiers(f)
+        assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 9, 10)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
