@@ -28,7 +28,6 @@ from .evaluator import (
     DEFAULT_MAX_ATOMS,
     DEFAULT_MAX_COEFF_BITS,
     DEFAULT_MAX_POINTS,
-    MAX_ATOMS_ENV,
     EvalError,
     MissingHintError,
     ResourceCapError,

@@ -8,9 +8,6 @@ resource-cap refusals, an unavailable encoder or a closed stdout.
 
 main(argv) may be called repeatedly in one process: it builds the
 argument parser at its first call and every later call reuses it.
-
-The PAVC_MAX_ATOMS environment variable overrides the default cap on
-atoms produced by quantifier elimination.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ from dataclasses import asdict, replace
 from typing import Callable, Sequence
 
 from . import contfrac
-from .evaluator import (DEFAULT_MAX_ATOMS, EvalError, ResourceCapError,
-                        eliminate_quantifiers)
+from .evaluator import EvalError, ResourceCapError, eliminate_quantifiers
 from .formula import (
     FormulaError,
     PartitionedFormula,
@@ -291,23 +287,20 @@ def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
     pf = _read_partitioned(args.formula, allow_div=True)
     before = len(set(atoms_of(pf.formula)))
     qf = eliminate_quantifiers(pf.formula)
-    after = len(set(atoms_of(qf)))
-    fv = free_vars(qf)
-    out_pf = PartitionedFormula(
-        qf,
-        tuple(v for v in pf.object_vars if v in fv),
-        tuple(v for v in pf.param_vars if v in fv),
-    )
-    text = print_partitioned(out_pf)
+    outputs = {"atoms_before": before, "atoms_after": len(set(atoms_of(qf)))}
     if args.out:
+        fv = free_vars(qf)
+        text = print_partitioned(PartitionedFormula(
+            qf,
+            tuple(v for v in pf.object_vars if v in fv),
+            tuple(v for v in pf.param_vars if v in fv),
+        ))
         _write_text(args.out, text)
-    outputs = {
-        "formula_text": to_text(qf),
-        "atoms_before": before,
-        "atoms_after": after,
-    }
-    if args.out:
+        # the formula rendered once: the file's third line is the report's text
+        outputs["formula_text"] = text.split("\n", 2)[2][:-1]
         outputs["out_file"] = _file_input(args.out)
+    else:
+        outputs["formula_text"] = to_text(qf)
     return inputs, outputs, []
 
 
@@ -372,9 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pavc",
         description="Workbench for integer linear-arithmetic formulas: "
                     "generate high-VC families, decide and measure "
-                    "formulas, and verify shattering at desk scale.",
-        epilog="Set PAVC_MAX_ATOMS to override the quantifier-elimination "
-               f"atom cap (default {DEFAULT_MAX_ATOMS}, at least 1).")
+                    "formulas, and verify shattering at desk scale.")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a high-VC formula and its meta file")
@@ -473,7 +464,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"pavc {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

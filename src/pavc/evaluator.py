@@ -81,18 +81,16 @@ appear in the output; the result keeps the input's free variables, is
 quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
-split blow up: a maximum output atom count (overridable via the
-PAVC_MAX_ATOMS environment variable), counted as built, leaf by leaf of
-a distributed existential (the plans' leaves too), and checked first
-against the case split's instance count, the sum of its cut classes,
-before any instance is built; and a maximum bit length of the
-coefficients, constants and moduli of each step's input and result.
-Each cap is one module-level constant, read when it is enforced.
+split blow up: a maximum output atom count, counted as built, leaf by
+leaf of a distributed existential (the plans' leaves too), and checked
+first against the case split's instance count, the sum of its cut
+classes, before any instance is built; and a maximum bit length of the
+coefficients, constants and moduli of each step's input and result. Each
+cap is one module-level constant, read when it is enforced.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain, count
 from math import gcd, lcm, prod
 from operator import mul
@@ -108,8 +106,6 @@ DEFAULT_MAX_ATOMS = 10 ** 6
 # below the 4,300 digits (about 14,284 bits) that str() of an int allows
 DEFAULT_MAX_COEFF_BITS = 14_000
 DEFAULT_MAX_POINTS = 10 ** 8
-
-MAX_ATOMS_ENV = "PAVC_MAX_ATOMS"
 
 
 class EvalError(ValueError):
@@ -133,20 +129,6 @@ class ResourceCapError(RuntimeError):
 def _enforce(kind: str, limit: int, needed: int) -> None:
     if needed > limit:
         raise ResourceCapError(kind, limit, needed)
-
-
-def resolve_max_atoms() -> int:
-    """The output-atom cap: PAVC_MAX_ATOMS when set, else DEFAULT_MAX_ATOMS."""
-    raw = os.environ.get(MAX_ATOMS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ATOMS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}") from exc
-    if value < 1:
-        raise EvalError(f"bad {MAX_ATOMS_ENV} value {raw!r}: must be at least 1")
-    return value
 
 
 def check_points(needed: int) -> None:
@@ -1048,7 +1030,7 @@ def _case_split(var: str, body: Formula) -> Iterator[Formula]:
                            dropped, bounds))
             for witness in (None, *(uppers if use_uppers else lowers))]
     # counted, not len(): a range longer than 2^63 overflows len()
-    _enforce("output atoms", resolve_max_atoms(),
+    _enforce("output atoms", DEFAULT_MAX_ATOMS,
              sum(max(0, -((s.start - s.stop) // s.step)) for _, s in plan))
     template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
 
@@ -1126,12 +1108,12 @@ def _distributed(var: str, body: Formula, final: _Step) -> Formula:
     """exists var body, the or of its _leaves, none drawn after the first
     that is T.  Their atoms are counted as each is built, against the
     output-atom cap, so a refusal comes before the output is complete."""
-    atoms_cap, built = resolve_max_atoms(), 0
+    built = 0
 
     def counted(leaf: Formula) -> Formula:
         nonlocal built
         built += count_atoms(leaf)
-        _enforce("output atoms", atoms_cap, built)
+        _enforce("output atoms", DEFAULT_MAX_ATOMS, built)
         return leaf
     return _join(False, map(counted, _leaves(var, body, final)))
 
@@ -1140,12 +1122,10 @@ def eliminate_quantifiers(f: Formula) -> Formula:
     """Equivalent quantifier-free formula over the same free variables.
 
     Output may contain div atoms.  Raises ResourceCapError when an
-    elimination step builds more atoms than their cap (DEFAULT_MAX_ATOMS,
-    PAVC_MAX_ATOMS overrides) or exceeds the coefficient bit cap
-    (DEFAULT_MAX_COEFF_BITS), on its input or its result.
+    elimination step builds more atoms than their cap (DEFAULT_MAX_ATOMS)
+    or exceeds the coefficient bit cap (DEFAULT_MAX_COEFF_BITS), on its
+    input or its result.
     """
-    atoms_cap = resolve_max_atoms()
-
     def eliminate(var: str, body: Formula) -> Formula:
         out = _distributed(var, body, _case_split)
         _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
@@ -1153,7 +1133,7 @@ def eliminate_quantifiers(f: Formula) -> Formula:
         return out
 
     result = _rewrite(f, _dual(eliminate))
-    _enforce("output atoms", atoms_cap, count_atoms(result))
+    _enforce("output atoms", DEFAULT_MAX_ATOMS, count_atoms(result))
     return result
 
 

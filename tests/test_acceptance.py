@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from pavc import evaluator
 from pavc.cli import main
 from pavc.evaluator import (
     ResourceCapError,
@@ -177,7 +178,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     # builds more than the cap (d = 4 builds 256)
     with pytest.MonkeyPatch.context() as patch, \
             pytest.raises(ResourceCapError, match="output atoms"):
-        patch.setenv("PAVC_MAX_ATOMS", "1000")
+        patch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 1000)
         upper_bound_via_qe(encode_bridged(5)[0])
     for i in range(100):
         rng = random.Random(660_000 + i)

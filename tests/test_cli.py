@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pavc import cli, generator
+from pavc import cli, evaluator, generator
 from pavc.cli import main
 from pavc.formula import MAX_NESTING
 from pavc.generator import AP
@@ -110,9 +110,7 @@ class TestGenVerify:
         assert rep["outputs"]["vc"]["vc_dim"] == d
 
     @pytest.mark.parametrize("d", [5, 6])
-    def test_bridged_upperbound_under_the_default_caps(self, capsys, outdir,
-                                                        monkeypatch, d):
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
+    def test_bridged_upperbound_under_the_default_caps(self, capsys, outdir, d):
         f, m = str(outdir / f"b{d}.pa"), str(outdir / f"b{d}.json")
         run(capsys, "gen", "--d", str(d), "--encoder", "bridged", "--out", f, "--meta", m)
         rc, rep = run(capsys, "upperbound", "--formula", f)
@@ -484,7 +482,7 @@ class TestResourceCap:
         f = outdir / "big.pa"
         f.write_text("#objects: y\n#params:\n"
                      "(exists x (and (< (* 5 x) y) (< y (* 3 x))))\n")
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "4")
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 4)
         rc = main(["qe", "--formula", str(f)])
         captured = capsys.readouterr()
         assert rc == 3
@@ -511,7 +509,7 @@ class TestResourceCap:
         # under a cap of 1,000, d = 5 is the first bridged d whose
         # elimination builds more atoms than the cap (d = 4 builds 256):
         # it is refused as the count passes the cap
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "1000")
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 1000)
         f, m = str(outdir / "b5.pa"), str(outdir / "b5.json")
         assert main(["gen", "--d", "5", "--encoder", "bridged",
                      "--out", f, "--meta", m]) == 0
@@ -523,10 +521,8 @@ class TestResourceCap:
         assert "output atoms cap exceeded" in err
 
     @pytest.mark.parametrize("command", ["qe", "upperbound"])
-    def test_offset_count_past_2_63_exits_3(self, capsys, outdir, monkeypatch,
-                                            command):
+    def test_offset_count_past_2_63_exits_3(self, capsys, outdir, command):
         # about 2^70 offsets, past what len() of a range can count
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
         f = outdir / "lcm.pa"
         f.write_text("#objects: y\n#params:\n"
                      "(exists x (and (< (* 1180591620717411303425 x) y) "

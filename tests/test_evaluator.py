@@ -774,18 +774,29 @@ class TestResourceCaps:
     def test_atom_cap_refuses_loudly(self, monkeypatch):
         # the case split builds 6 atoms
         f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 5)
         with pytest.raises(ResourceCapError) as err:
             eliminate_quantifiers(f)
         assert err.value.kind == "output atoms"
         assert err.value.limit == 5
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 6)
-        assert is_quantifier_free(eliminate_quantifiers(f))
+        qf = eliminate_quantifiers(f)
+        assert is_quantifier_free(qf)
+        # semantic spot check: 5x < y < 3x needs a negative x
+        for y in range(-40, 41):
+            want = any(5 * x < y < 3 * x for x in range(-60, 61))
+            assert eval_point(qf, {"y": y}) == want
 
-    def test_offset_count_past_2_63_refused(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["1", "many"])
+    def test_environment_leaves_the_cap_alone(self, monkeypatch, raw):
+        # the atom cap is the module constant alone: no variable of the
+        # environment lowers it or makes elimination fail
+        monkeypatch.setenv("PAVC_MAX_ATOMS", raw)
+        f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
+        assert count_atoms(eliminate_quantifiers(f)) == 6
+
+    def test_offset_count_past_2_63_refused(self):
         # the residue classes of delta, about 2^140, leave about 2^70 offsets
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
         f = parse(OVERFLOWING_OFFSETS)
         with pytest.raises(ResourceCapError) as err:
             eliminate_quantifiers(f)
@@ -798,7 +809,7 @@ class TestResourceCaps:
             self, monkeypatch, join, constant, want):
         # alone, `over` needs 3 offsets x (4 atoms + 1) = 15 atoms
         over = "(exists y (and (< a y) (< b y) (< y c) (< y d)))"
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "5")
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 5)
         f = parse(f"({join} (exists x {constant}) {over})")
         assert eliminate_quantifiers(f) is want
         with pytest.raises(ResourceCapError):
@@ -809,7 +820,6 @@ class TestResourceCaps:
         # fits a cap of 15 alone, their sum of 16 does not
         branches = ["(and (div 3 (+ x y)) (< z x))", "(and (div 5 (+ x z)) (< y x))"]
         f = parse(f"(exists x (and (< x w) (or {' '.join(branches)})))", allow_div=True)
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 15)
         for b in branches:
             eliminate_quantifiers(parse(f"(exists x (and (< x w) {b}))", allow_div=True))
@@ -836,7 +846,6 @@ class TestResourceCaps:
             mk_or([Atom(DIV, v + x.shifted(i), ZERO, 2),
                    Atom(DIV, v.scaled(2) + x, ZERO, 3 + i)]) for i in range(8)]))
         hints = {"v": (0, 60)}
-        monkeypatch.delenv("PAVC_MAX_ATOMS", raising=False)
         built = []
         move_out = evaluator._move_out
 
@@ -856,25 +865,6 @@ class TestResourceCaps:
             assert eval_bounded(f, {"x": xv}, hints) == \
                 reference_eval(f, {"x": xv}, hints), xv
         assert len(built) == 256 + 7 * 256
-
-    def test_env_var_overrides_cap(self, monkeypatch):
-        f = parse("(exists x (and (< (* 5 x) y) (< y (* 3 x))))")
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "5")
-        with pytest.raises(ResourceCapError):
-            eliminate_quantifiers(f)
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "6")
-        qf = eliminate_quantifiers(f)
-        assert is_quantifier_free(qf)
-        # semantic spot check: 5x < y < 3x needs a negative x
-        for y in range(-40, 41):
-            want = any(5 * x < y < 3 * x for x in range(-60, 61))
-            assert eval_point(qf, {"y": y}) == want
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        for raw in ("many", "0", "-1"):
-            monkeypatch.setenv("PAVC_MAX_ATOMS", raw)
-            with pytest.raises(EvalError, match="bad PAVC_MAX_ATOMS value"):
-                eliminate_quantifiers(parse("(exists x (< x y))"))
 
     def test_coefficient_cap(self, monkeypatch):
         # repeated squaring of coefficients through nested eliminations
@@ -1082,7 +1072,7 @@ class TestBoundCut:
         # 9 atoms: the uncut offsets would pass a cap of 9, the cut fit it
         f = parse("(exists x (and (< a x) (or (< x (+ a 2)) (< x b)) (div 5 (+ x b))))",
                   allow_div=True)
-        monkeypatch.setenv("PAVC_MAX_ATOMS", "9")
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 9)
         assert count_atoms(eliminate_quantifiers(f)) == 9
         monkeypatch.setattr(evaluator, "_cut", lambda witness, steps, side, bounds: steps)
         with pytest.raises(ResourceCapError) as err:

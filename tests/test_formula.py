@@ -304,6 +304,11 @@ class TestShape:
         g = parse("(< (* 2 x) (+ (* 1 y) 0))")
         assert shape(g).phi_bits == 1 + (bitlen(2) + 1) + (bitlen(1) + 1)
 
+    def test_phi_constant_costs_one(self):
+        a = parse("(< x 1)")
+        assert shape(TRUE).phi_bits == 1
+        assert shape(Or((TRUE, a))).phi_bits == 1 + 1 + shape(a).phi_bits
+
     def test_is_short_thresholds(self):
         f = parse("(exists x (< x y))")
         rep = shape(f)

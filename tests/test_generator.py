@@ -195,6 +195,12 @@ class TestSpread:
             for v in range(-5, ap.last + 10):
                 assert ap.contains(v) == (v in vals)
 
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_block_index_outside_1_to_d_refused(self, i):
+        for fn in (index_block_values, spread_block):
+            with pytest.raises(GeneratorError, match=r"i must be in \[1, 4\]"):
+                fn(i, 4)
+
     def test_ap_validation(self):
         with pytest.raises(GeneratorError):
             AP(0, 0, 5)

@@ -405,6 +405,11 @@ class TestSauerShelah:
         assert sauer_shelah_bound(3, 3) == 8
         assert sauer_shelah_bound(5, 3) == 8  # d beyond n saturates at 2^n
 
+    @pytest.mark.parametrize("d, n", [(-1, 3), (2, -1)])
+    def test_negative_arguments_refused(self, d, n):
+        with pytest.raises(VcLabError, match="need d >= 0 and n >= 0"):
+            sauer_shelah_bound(d, n)
+
     def test_bound_holds_on_random_families(self):
         fams = [random_family(random.Random(40_000 + i), max_ground=8)
                 for i in range(300)]
@@ -511,6 +516,8 @@ class TestFamilyFromFormula:
             family_from_formula(pf, (0, 1), (0, 1))
         with pytest.raises(VcLabError, match=r"not parameters: \['q'\]"):
             family_from_formula(pf, (0, 1), {"y": (0, 1), "q": (0, 1)})
+        with pytest.raises(VcLabError, match="unknown mode 'exact'"):
+            family_from_formula(pf, (0, 1), {"y": (0, 1)}, mode="exact")
         two_obj = PartitionedFormula(parse("(< x y)"), ("x", "y"), ())
         with pytest.raises(VcLabError):
             family_from_formula(two_obj, (0, 1), {})
@@ -774,6 +781,8 @@ class TestOneFormDifferential:
          "a block body other than one equality and bounds", None),
         (Exists("p", parse("(exists p (= x (+ y p)))")),  # p rebound
          "a block body other than one equality and bounds", None),
+        ("(and (<= x y) (exists p (and (<= 0 p) (<= p 3))))",
+         "a block body other than one equality and bounds", None),
         ("(exists p (= (+ (* 2 x) (* 2 y)) p))",
          "a block equality's u-coefficient is not +-1", None),
         # 61 rows of u = p + 10^6*q cross the box, only two with a point
@@ -803,6 +812,17 @@ class TestOneFormDifferential:
         # three half-lines, 5 + 4 + 4 marks apart, are the 5 marks of u <= 4
         f = parse("(or (<= (+ x y) 4) (<= (+ x y) 3) (< (+ x y) 4))")
         pf = PartitionedFormula(f, ("x",), ("y",))
+        ground, windows = (0, 3), {"y": (0, 1)}
+        fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows)
+        assert taken == ["one form"]
+        assert fam == masked == reference_family(pf, ground, windows, {})
+
+    @pytest.mark.parametrize("f", [
+        "(or T (<= x y))", "(and F (<= x y))",
+        "(or (< (+ x y) 2) (not (and T (<= 4 (+ x y)))))"])
+    def test_constant_leaves(self, monkeypatch, f):
+        # a T or F leaf is the whole line or none of it, negated or not
+        pf = PartitionedFormula(parse(f), ("x",), ("y",))
         ground, windows = (0, 3), {"y": (0, 1)}
         fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows)
         assert taken == ["one form"]
