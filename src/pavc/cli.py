@@ -66,7 +66,6 @@ _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 EXIT_ERROR = 3
 
 
@@ -121,21 +120,18 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}")
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write `text` to `path`.  An existing regular file is unlinked first:
-    rewriting a file in place through truncation can cost a flush of tens
-    of milliseconds, a fresh file does not.  A symlink is written through."""
+def _write_text(path: str, text: str) -> dict:
+    """Write `text` to `path` in UTF-8 and give the report's {"path",
+    "sha256"} for it, digested from the bytes written.  An existing regular
+    file is unlinked first: rewriting a file in place through truncation
+    can cost a flush of tens of milliseconds, a fresh file does not.  A
+    symlink is written through."""
+    data = text.encode("utf-8")
     if os.path.isfile(path) and not os.path.islink(path):
         os.unlink(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _ones(bitmap: bytearray, chunk: int = 1 << 16) -> int:
@@ -147,7 +143,8 @@ def _ones(bitmap: bytearray, chunk: int = 1 << 16) -> int:
 
 
 def _file_input(path: str) -> dict:
-    return {"path": path, "sha256": _sha256(path)}
+    with open(path, "rb") as fh:
+        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -186,17 +183,17 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
             meta = replace(meta, modulus=select_modulus(
                 args.d, args.modulus, seed=args.seed),
                 modulus_mode=args.modulus)
-    _write_text(args.out, print_partitioned(pf))
-    _write_text(args.meta,
-                json.dumps(meta_to_json(meta), indent=2, sort_keys=True) + "\n")
+    formula_file = _write_text(args.out, print_partitioned(pf))
+    meta_file = _write_text(
+        args.meta, json.dumps(meta_to_json(meta), indent=2, sort_keys=True) + "\n")
 
     d = args.d
     code = code_set_bitmap(d)
     checks = [_check("collapse_image_matches",
                      collapse_image_bitmap(d) == code)]
     outputs = {
-        "formula_file": _file_input(args.out),
-        "meta_file": _file_input(args.meta),
+        "formula_file": formula_file,
+        "meta_file": meta_file,
         "code_set_size": _ones(code),
         "t_window": [str(v) for v in meta.t_window],
         "shape": _shape_dict(pf),
@@ -290,15 +287,11 @@ def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
     outputs = {"atoms_before": before, "atoms_after": len(set(atoms_of(qf)))}
     if args.out:
         fv = free_vars(qf)
-        text = print_partitioned(PartitionedFormula(
+        outputs["out_file"] = _write_text(args.out, print_partitioned(PartitionedFormula(
             qf,
             tuple(v for v in pf.object_vars if v in fv),
             tuple(v for v in pf.param_vars if v in fv),
-        ))
-        _write_text(args.out, text)
-        # the formula rendered once: the file's third line is the report's text
-        outputs["formula_text"] = text.split("\n", 2)[2][:-1]
-        outputs["out_file"] = _file_input(args.out)
+        )))
     else:
         outputs["formula_text"] = to_text(qf)
     return inputs, outputs, []

@@ -38,6 +38,12 @@ strided slice of that line, with no compile per point and without the
 compiled route's point cap below: its own cap is the line's marks
 against the box's points.
 
+A piece is a range, a progression with a positive step: _half(a, k, r)
+cuts r to its members v with a*v + k <= 0, and _meet(p, q) gives the
+members common to two progressions, by _crt; neither takes len(), which
+fails past 2^63 members.  one_form_line builds its pieces with them, and
+Cooper's case split cuts its offsets at ground bounds with _half (_cut).
+
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
 conjoins those two atoms and walks the body as QE does (_distributed):
@@ -237,6 +243,26 @@ def _crt(res: int, mod: int, r: int, m: int) -> tuple[int, int] | None:
     step = m // common
     return res + mod * ((r - res) // common * pow(mod // common, -1, step)
                         % step), mod * step
+
+
+def _half(a: int, k: int, r: range) -> range:
+    """The members v of r (step positive) with a*v + k <= 0, for a != 0,
+    as a slice of r.  No len(): a range past 2^63 members overflows it."""
+    if a > 0:  # v <= -k // a: the first n members
+        n = (-k // a - r.start) // r.step + 1
+        return r[:n if n > 0 else 0]
+    n = -((r.start + k // a) // r.step)  # v >= -(k // a): all but the first n
+    return r[n if n > 0 else 0:]
+
+
+def _meet(p: range, q: range) -> range:
+    """The common members of two progressions (steps positive), by _crt."""
+    cls = _crt(p.start, p.step, q.start, q.step)
+    if cls is None:
+        return range(0)
+    res, mod = cls
+    lo = p.start if p.start > q.start else q.start  # max and min cost a call
+    return range(lo + (res - lo) % mod, p.stop if p.stop < q.stop else q.stop, mod)
 
 
 def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
@@ -468,12 +494,12 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _block(g: Formula, neg: bool, hints: Mapping[str, tuple[int, int]]
-           ) -> tuple[tuple, int, tuple[tuple[int, int, int], ...]]:
+           ) -> tuple[tuple, int, tuple[tuple[int, range], ...]]:
     """(box, c, sides) of a positive exists block over one or two distinct
     variables v whose body is box + c + sum a*v = 0, box its coefficients
-    on the other variables, and constant bounds on single v: one (a, lo,
-    hi) per v, [lo, hi] its bounds met with its hint.  NotOneForm names
-    the shape it is not; MissingHintError when only a hint is missing."""
+    on the other variables, and constant bounds on single v: one (a, side)
+    per v, its hint range cut by _half at its bounds.  NotOneForm names the
+    shape it is not; MissingHintError when only a hint is missing."""
     if neg or isinstance(g, Forall):
         raise NotOneForm("a forall or a negated exists")
     names: list[str] = []
@@ -502,13 +528,11 @@ def _block(g: Formula, neg: bool, hints: Mapping[str, tuple[int, int]]
     box = tuple((v, a) for v, a in equality.coeffs if v not in names)
     sides = []
     for v in names:
-        lo, hi = hints[v]
+        side = range(hints[v][0], hints[v][1] + 1)
         for u, a, k in bounds:  # a*v + k <= 0
-            if u == v and a > 0:
-                hi = min(hi, -k // a)
-            elif u == v:
-                lo = max(lo, -(k // a))
-        sides.append((equality.coeff(v), lo, hi))
+            if u == v:
+                side = _half(a, k, side)
+        sides.append((equality.coeff(v), side))
     return box, equality.const, tuple(sides)
 
 
@@ -521,34 +545,33 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
 
     The form is primitive and positive on the object; every atom's
     coefficient vector must be a multiple k*form.  Such an f is a union of
-    pieces, each an interval of u met with a residue class: an order atom
-    gives a half-line (negated, the other one), an equality a point
-    (negated, two half-lines), a div a class by _div_solver.  A positive
-    exists block of one or two variables v_j whose body is one equality
-    k*u + c + sum a_j*v_j = 0, k = +-1 on its box part, plus constant
-    bounds on single v_j, each v_j also within its hint, is a bounded
-    linear set u = base + a*p + b*q, a < m, b < n (Ginsburg and Spanier
-    1966): one piece per a, the shorter side.  An or joins its parts'
-    pieces, an and meets them pairwise (intervals intersect, classes meet
-    by _crt), and each piece is marked with one strided slice
-    (mark_lattice).  The member function returned is compile_masks': the
-    objects of a parameter point sit at one strided slice of the line, and
-    on the reversed line that slice reads, largest object first, as the
-    mask's base-2 digits.
+    pieces, each an interval of u met with a residue class, a range over
+    the line of u: an order atom gives a half-line by _half (negated, the
+    other one), an equality a point (negated, two half-lines), a div a
+    class by _div_solver.  A positive exists block of one or two
+    variables v_j whose body is one equality k*u + c + sum a_j*v_j = 0,
+    k = +-1 on its box part, plus constant bounds on single v_j, each v_j
+    also within its hint, is a bounded linear set u = base + a*p + b*q,
+    a < m, b < n (Ginsburg and Spanier 1966): one piece per a, the
+    shorter side, met with the line.  An or joins its parts' pieces, an
+    and meets them pairwise by _meet, and each piece is marked with one
+    strided slice (mark_lattice).  The member function returned is
+    compile_masks': the objects of a parameter point sit at one strided
+    slice of the line, and on the reversed line that slice reads, largest
+    object first, as the mask's base-2 digits.
 
     Raises NotOneForm, before building the line, when an atom (of a
     block, its equality) has coefficient 0 on the object, reads a
     variable outside `variables` or reads through a second form; when a
     div is negated or the u-range is longer than the box; when the
-    pieces' marks, the sum of (hi - lo)/mod + 1 once pieces of one class
-    that overlap or touch are merged, or one block's rows or one and's
-    meets outnumber the box's points, which keeps the line's cost linear
-    in the box; and for a forall or a negated exists, a block of more
-    than two variables, a block body other than one equality and constant
-    bounds on single variables, or a block equality whose u-coefficient
-    is not +-1.  Raises MissingHintError when a variable of
-    a block it otherwise takes has no hint in `hints`, also in an and
-    part that the walk skips.
+    pieces' marks, the sum of their lengths once pieces of one class that
+    overlap or touch are merged, or one block's rows or one and's meets
+    outnumber the box's points, which keeps the line's cost linear in the
+    box; and for a forall or a negated exists, a block of more than two
+    variables, a block body other than one equality and constant bounds
+    on single variables, or a block equality whose u-coefficient is not
+    +-1.  Raises MissingHintError when a variable of a block it otherwise
+    takes has no hint in `hints`, also in an and part that the walk skips.
     """
     obj = variables[-1]
     hints = hints or {}
@@ -584,6 +607,7 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     points = prod(map(len, ranges))
     if stop - start > points:
         raise NotOneForm("the u-range is longer than the box")
+    line = range(start, stop)
     scales: dict[tuple, int] = {}
 
     def work(n: int) -> None:  # one block's rows or one and's meets
@@ -599,49 +623,30 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
             raise NotOneForm("atoms read through a second form")
         return k
 
-    def half(k: int, c: int) -> list[tuple[int, int, int]]:  # k*u + c <= 0
-        lo, hi = (start, min(stop - 1, -c // k)) if k > 0 \
-            else (max(start, -(c // k)), stop - 1)
-        return [(lo, hi, 1)] if lo <= hi else []
-
-    def meet(p: tuple[int, int, int], q: tuple[int, int, int]):
-        lo, hi = max(p[0], q[0]), min(p[1], q[1])
-        cls = _crt(p[0], p[2], q[0], q[2])
-        if cls is None:
-            return None
-        lo += (cls[0] - lo) % cls[1]
-        return (lo, hi, cls[1]) if lo <= hi else None
-
-    def rows(box: tuple, c: int, sides: tuple) -> list[tuple[int, int, int]]:
-        """The block's pieces: u = -k*(c + sum a*v), each v in [lo, hi]."""
+    def rows(box: tuple, c: int, sides: tuple) -> list[range]:
+        """The block's pieces: u = -k*(c + sum a*v), each v over its side."""
         k = scale(box)
         if k not in (1, -1):
             raise NotOneForm("a block equality's u-coefficient is not +-1")
         base, steps = -k * c, [(1, 1), (1, 1)]
-        for a, lo, hi in sides:
-            if lo > hi:
+        for a, side in sides:
+            if not side:
                 return []
-            step = -k * a  # u = base + step*v, v = lo + b or hi - b, b >= 0
-            base += step * (lo if step > 0 else hi)
-            if step:
-                steps.append((abs(step), hi - lo + 1))
-        # u = base + a*p + b*q, a < m, b < n, m <= n; row a clipped to [start, stop)
+            step = -k * a  # u = base + step*v, v = side[0] + b or side[-1] - b
+            base += step * (side[0] if step > 0 else side[-1])
+            if step:  # not len(side): a hint range may pass 2^63 members
+                steps.append((abs(step), side[-1] - side[0] + 1))
+        # u = base + a*p + b*q, a < m, b < n, m <= n; row a met with the line
         (p, m), (q, n) = sorted(steps, key=lambda s: s[1])[-2:]
         top = q * (n - 1)
         first = max(0, -((base + top - start) // p))
         last = min(m, (stop - 1 - base) // p + 1)
         work(last - first)
-        out = []
-        for lo in range(base + first * p, base + last * p, p):
-            hi = min(lo + top, stop - 1)
-            if lo < start:
-                lo -= (lo - start) // q * q
-            if lo <= hi:
-                out.append((lo, hi, q))
-        return out
+        return [row for lo in range(base + first * p, base + last * p, p)
+                if (row := _meet(range(lo, lo + top + 1, q), line))]
 
-    def walk(g: Formula, neg: bool) -> list[tuple[int, int, int]]:
-        """g's pieces (lo, hi, mod), lo the first member; `not g` if neg."""
+    def walk(g: Formula, neg: bool) -> list[range]:
+        """g's pieces, nonempty ranges within the line; `not g` if neg."""
         if isinstance(g, Atom):
             key = g.left.coeffs, g.right.coeffs
             k = scales.get(key)
@@ -652,15 +657,16 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
                 if neg:
                     raise NotOneForm("a negated div")
                 common, n, inv = _div_solver(k, g.modulus)
-                lo = start + (c // common * inv - start) % n
-                return [(lo, stop - 1, n)] if c % common == 0 and lo < stop else []
-            if g.kind == EQ:
-                if neg:
-                    return half(k, c + 1) + half(-k, 1 - c)
-                u = -c // k
-                return [(u, u, 1)] if c % k == 0 and start <= u < stop else []
-            c += g.kind == LT
-            return half(-k, 1 - c) if neg else half(k, c)
+                # the class's members on the line, from its first one
+                piece = None if c % common else line[(c // common * inv - start) % n::n]
+            elif g.kind != EQ:
+                c += g.kind == LT
+                piece = _half(-k, 1 - c, line) if neg else _half(k, c, line)
+            elif neg:  # two half-lines
+                return [p for p in (_half(k, c + 1, line), _half(-k, 1 - c, line)) if p]
+            else:  # k*u + c <= 0 and -k*u - c <= 0
+                piece = _half(-k, -c, _half(k, c, line))
+            return [piece] if piece else []
         if isinstance(g, (And, Or)):
             out = walk(g.parts[0], neg)
             join = isinstance(g, Or) != neg
@@ -670,31 +676,32 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
                 elif out:
                     pieces = walk(part, neg)
                     work(len(out) * len(pieces))
-                    out = [m for p in out for q in pieces if (m := meet(p, q))]
+                    out = [m for p in out for q in pieces if (m := _meet(p, q))]
             return out
         if isinstance(g, Not):
             return walk(g.body, not neg)
         if isinstance(g, Exists):  # a block the pre-pass read
             return rows(*blocks[id(g)])
-        return [(start, stop - 1, 1)] if g.value != neg else []  # a Bool
+        return [line] if g.value != neg else []  # a Bool
 
-    # pieces of one class (mod, lo % mod) that overlap or touch are merged,
-    # so that the marks cap counts each mark once
-    pieces: list[list[int]] = []
-    for lo, hi, mod in sorted(walk(f, False), key=lambda p: (p[2], p[0] % p[2], p[0])):
-        last = pieces[-1] if pieces else (0, 0, 0)
-        if last[2] == mod and (lo - last[0]) % mod == 0 and lo <= last[1] + mod:
-            last[1] = max(last[1], hi)
+    # pieces of one class (step, start % step) that overlap or touch are
+    # merged, so that the marks cap counts each mark once
+    pieces: list[range] = []
+    for p in sorted(walk(f, False), key=lambda p: (p.step, p.start % p.step, p.start)):
+        last = pieces[-1] if pieces else None
+        if last and last.step == p.step and (p.start - last.start) % p.step == 0 \
+                and p.start <= last[-1] + p.step:
+            pieces[-1] = range(last.start, max(last.stop, p.stop), p.step)
         else:
-            pieces.append([lo, hi, mod])
-    if sum((hi - lo) // mod + 1 for lo, hi, mod in pieces) > points:
+            pieces.append(p)
+    if sum(map(len, pieces)) > points:
         raise NotOneForm("more marks than box points")
-    line = bytearray(stop - start)
-    for lo, hi, mod in pieces:
-        mark_lattice(line, lo - start, 1, 1, mod, (hi - lo) // mod + 1)
+    marks = bytearray(stop - start)
+    for p in pieces:
+        mark_lattice(marks, p.start - start, 1, 1, p.step, len(p))
     *params, a = form_vec
-    digits = line[::-1].translate(_DIGITS)
-    top = start + len(line) - 1 - a * ranges[-1][-1]  # its index at parameters 0
+    digits = marks[::-1].translate(_DIGITS)
+    top = stop - 1 - a * ranges[-1][-1]  # its index at parameters 0
     span = a * (len(ranges[-1]) - 1) + 1
 
     def member(values: Iterable[int]) -> int:
@@ -978,15 +985,11 @@ def _cut(witness: LinearTerm | None, steps: range, side: str,
     if witness is None:
         return range(0) if any(b == side for b, _ in bounds) else steps
     sign = 1 if side == "lower" else -1
-    start, stop, step = steps.start, steps.stop, steps.step
     for b, s in bounds:
         if s.coeffs == witness.coeffs:
             gap = sign * (s.const - witness.const)
-            if b != side:
-                stop = min(stop, gap)
-            elif start <= gap:
-                start += ((gap - start) // step + 1) * step
-    return range(start, stop, step)
+            steps = _half(-1, gap + 1, steps) if b == side else _half(1, 1 - gap, steps)
+    return steps
 
 
 def _case_split(var: str, body: Formula) -> Iterator[Formula]:

@@ -567,9 +567,16 @@ class TestAnalysisCommands:
         out = outdir / "out.pa"
         rc, rep = run(capsys, "qe", "--formula", str(f), "--out", str(out))
         assert rc == 0
+        # the report names the file, digested from its bytes, and does not
+        # repeat the formula; without --out it gives the formula's text
+        assert "formula_text" not in rep["outputs"]
+        assert rep["outputs"]["out_file"]["sha256"] == \
+            hashlib.sha256(out.read_bytes()).hexdigest()
+        assert out.read_text().split("\n") == [
+            "#objects: x", "#params: y", "(and (div 2 x) (<= x y))", ""]
+        rc, rep = run(capsys, "qe", "--formula", str(f))
+        assert rc == 0 and "out_file" not in rep["outputs"]
         assert rep["outputs"]["formula_text"] == "(and (div 2 x) (<= x y))"
-        text = out.read_text()
-        assert "#objects: x" in text and "(div 2 x)" in text
 
     def test_qe_digests_its_input_before_overwriting_it(self, capsys, outdir):
         f = outdir / "in.pa"

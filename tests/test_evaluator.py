@@ -1080,6 +1080,49 @@ class TestBoundCut:
         assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 9, 10)
 
 
+# steps 1..6 from three starts, each empty, one member, two and five long,
+# and one range whose stop lies below its start
+PIECES = [range(s, s + n * step, step) for step in range(1, 7)
+          for s in (-7, 0, 4) for n in (0, 1, 2, 5)] + [range(5, -3, 2)]
+
+
+class TestPieceAlgebra:
+    """_half and _meet, the piece algebra of one_form_line and of Cooper's
+    offset cut, against brute-force membership."""
+
+    def test_half(self):
+        for r in PIECES:
+            for a in (-3, -2, -1, 1, 2, 3):
+                for k in range(-30, 31):
+                    got = evaluator._half(a, k, r)
+                    assert list(got) == [v for v in r if a * v + k <= 0], (a, k, r)
+
+    def test_meet(self):
+        for p in PIECES:
+            for q in PIECES:
+                assert list(evaluator._meet(p, q)) == [v for v in p if v in q], (p, q)
+
+    def test_past_2_63_members(self):
+        # about 2^70 members: len() overflows, slicing and indexing do not
+        big = range(-(1 << 70) + 1, 1 << 70, 3)
+        with pytest.raises(OverflowError):
+            len(big)
+        for a, k in ((1, -5), (2, 1 << 69), (-1, 7), (-3, -(1 << 69)), (1, 1 << 71)):
+            cut = evaluator._half(a, k, big)
+            if not cut:
+                assert a > 0 and a * big[0] + k > 0
+            elif a > 0:
+                assert cut[0] == big[0] and a * cut[-1] + k <= 0 < a * (cut[-1] + 3) + k
+            else:
+                assert cut[-1] == big[-1] and a * cut[0] + k <= 0 < a * (cut[0] - 3) + k
+        other = range(7, 1 << 71, 5)
+        common = evaluator._meet(big, other)
+        assert common.step == 15 and common[0] in big and common[0] in other
+        assert common[0] - 15 < max(big.start, other.start)
+        assert common[-1] in big and common[-1] in other and common[-1] + 15 >= big.stop
+        assert not evaluator._meet(range(0, 1 << 70, 2), range(1, 1 << 70, 4))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_qe_is_oracle(seed):

@@ -808,6 +808,16 @@ class TestOneFormDifferential:
         assert taken == [reason]
         assert fam == masked == reference_family(pf, ground, windows, hints)
 
+    def test_block_sides_past_2_63(self):
+        # hint ranges of about 2^70 members, past what len() takes: the
+        # rows cap refuses the block, and compile_masks the point cap
+        f = parse("(exists p (exists q (= (+ x y) (+ p (* 3 q)))))")
+        hints = {"p": (0, 1 << 70), "q": (-(1 << 70), 1 << 70)}
+        with pytest.raises(NotOneForm, match="more rows or meets than box points"):
+            one_form_line(f, ("y", "x"), (range(2), range(4)), hints)
+        with pytest.raises(ResourceCapError, match="enumeration points"):
+            compile_masks(f, ("y", "x"), (range(2), range(4)), hints)
+
     def test_overlapping_pieces_of_one_class_merge(self, monkeypatch):
         # three half-lines, 5 + 4 + 4 marks apart, are the 5 marks of u <= 4
         f = parse("(or (<= (+ x y) 4) (<= (+ x y) 3) (< (+ x y) 4))")
