@@ -173,16 +173,12 @@ def _shape_dict(pf: PartitionedFormula) -> dict:
 
 
 def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
-    encoders = {"naive": encode_naive, "bridged": encode_bridged}
-    if args.encoder == "cf-short":
-        mode = "prime" if args.modulus == "none" else args.modulus
-        pf, meta = encode_cf_short(args.d, modulus_mode=mode, seed=args.seed)
-    else:
-        pf, meta = encoders[args.encoder](args.d)
-        if args.modulus != "none":
-            meta = replace(meta, modulus=select_modulus(
-                args.d, args.modulus, seed=args.seed),
-                modulus_mode=args.modulus)
+    encoders = {"naive": encode_naive, "bridged": encode_bridged, "cf-short": encode_cf_short}
+    pf, meta = encoders[args.encoder](args.d)
+    if args.modulus != "none":
+        meta = replace(meta, modulus=select_modulus(
+            args.d, args.modulus, seed=args.seed),
+            modulus_mode=args.modulus)
     formula_file = _write_text(args.out, print_partitioned(pf))
     meta_file = _write_text(
         args.meta, json.dumps(meta_to_json(meta), indent=2, sort_keys=True) + "\n")

@@ -194,7 +194,7 @@ def _move_out(var: str, body: Formula) -> Iterator[Formula]:
     them."""
     outside, inside = [], []
     for p in _conjuncts(body):
-        mentions = p.left.coeff(var) != p.right.coeff(var) \
+        mentions = p.left.coeff(var) or p.right.coeff(var) \
             if isinstance(p, Atom) else var in free_vars(p)
         (inside if mentions else outside).append(p)
     yield _join(True, (*outside, Exists(var, mk_and(inside))))
@@ -570,30 +570,27 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     box; and for a forall or a negated exists, a block of more than two
     variables, a block body other than one equality and constant bounds
     on single variables, or a block equality whose u-coefficient is not
-    +-1.  Raises MissingHintError when a variable of a block it otherwise
-    takes has no hint in `hints`, also in an and part that the walk skips.
+    +-1.  Every part is read, also after an and's meet is empty.  Raises
+    MissingHintError when a variable of a block it otherwise takes, in any
+    part, has no hint in `hints`.
     """
     obj = variables[-1]
     hints = hints or {}
-    blocks: dict[int, tuple] = {}  # id of each block node -> _block's reading
-    form = None  # the box part of the first atom or block equality
 
-    # blocks are read in a pre-pass, since walk skips an and's parts once
-    # it is empty
-    def read(g: Formula, neg: bool) -> None:
-        nonlocal form
+    # the form: the box part of the first atom or block met depth first
+    def first(g: Formula, neg: bool) -> tuple | None:
+        if isinstance(g, Atom):
+            return (g.left - g.right).coeffs
         if isinstance(g, (Exists, Forall)):
-            block = blocks[id(g)] = _block(g, neg, hints)
-            form = block[0] if form is None else form
-        elif isinstance(g, Atom):
-            form = (g.left - g.right).coeffs if form is None else form
-        elif isinstance(g, Not):
-            read(g.body, not neg)
-        elif isinstance(g, (And, Or)):
+            return _block(g, neg, hints)[0]
+        if isinstance(g, Not):
+            return first(g.body, not neg)
+        if isinstance(g, (And, Or)):
             for p in g.parts:
-                read(p, neg)
-    read(f, False)
-    form = form or ()
+                if (form := first(p, neg)) is not None:
+                    return form
+        return None
+    form = first(f, False) or ()
     coeffs = dict(form)
     if coeffs.get(obj, 0) == 0:
         raise NotOneForm("an atom has object coefficient 0")
@@ -671,17 +668,17 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
             out = walk(g.parts[0], neg)
             join = isinstance(g, Or) != neg
             for part in g.parts[1:]:
+                pieces = walk(part, neg)
                 if join:
-                    out += walk(part, neg)
-                elif out:
-                    pieces = walk(part, neg)
+                    out += pieces
+                else:
                     work(len(out) * len(pieces))
                     out = [m for p in out for q in pieces if (m := _meet(p, q))]
             return out
         if isinstance(g, Not):
             return walk(g.body, not neg)
-        if isinstance(g, Exists):  # a block the pre-pass read
-            return rows(*blocks[id(g)])
+        if isinstance(g, (Exists, Forall)):
+            return rows(*_block(g, neg, hints))
         return [line] if g.value != neg else []  # a Bool
 
     # pieces of one class (step, start % step) that overlap or touch are
@@ -880,7 +877,7 @@ def _equality_shortcut(var: str, body: Formula
     side, simplified, or None when there is no such equality or a
     quantifier in body binds var (shadowing) or a variable of t (capture).
     The body is simplified already, so the build rebuilds only the paths
-    to atoms that mention var and keeps every other subtree as it is.
+    to atoms that name var and keeps every other subtree as it is.
     """
     conjuncts = list(_conjuncts(body))
     best: tuple[int, int, LinearTerm] | None = None  # (|c|, index, t)
@@ -897,7 +894,7 @@ def _equality_shortcut(var: str, body: Formula
 
     def rewrite(f: Formula) -> Formula:  # simplify(f with c*var := t)
         if isinstance(f, Atom):
-            if f.left.coeff(var) == f.right.coeff(var):
+            if not (f.left.coeff(var) or f.right.coeff(var)):
                 return f
             av, rest = _linear(f, var)
             return _atom_simplified(Atom(f.kind, rest.scaled(c) + t.scaled(av), ZERO,

@@ -282,6 +282,16 @@ class TestCompiledPlanDifferential:
                 assert eval_bounded(f, point, self.HINTS) == \
                     reference_eval(f, point, self.HINTS), (to_text(f), xv)
 
+    def test_cancelling_atoms_stay_inside(self):
+        # x + y < x + 3 names x with equal coefficients on both sides: the
+        # move-out keeps it under the binder, so the plan leaves no x free
+        f = parse("(exists x (and (< 0 x) (< x 5) (< (+ x y) (+ x 3))))")
+        hints = {"x": (-5, 5)}
+        assert free_vars(plan_of(f, hints)) <= free_vars(f)
+        for y in range(-6, 7):
+            assert eval_bounded(f, {"y": y}, hints) == \
+                reference_eval(f, {"y": y}, hints), y
+
     def test_existential_over_constant_bounds(self):
         # the atoms allow v in [0, 2]; the hint is wider, narrower,
         # disjoint from them or empty, and folds with them at compile time
@@ -729,6 +739,11 @@ class TestEliminationAnchors:
          "(and (< 0 (+ (* -1 y) 3)) (< 0 (+ (* 1 y) -1)))"),
         # no atom is left on x: the body comes back simplified, unsplit
         ("(exists x (< (+ x 1) (+ x y)))", "(< 0 (+ (* 1 y) -1))"),
+        # the equality shortcut rewrites the cancelling atom too
+        ("(exists x (and (= x (* 2 y)) (< (+ x y) (+ x 3))))",
+         "(< (+ (* 1 y) -3) 0)"),
+        ("(exists x (and (= (* 3 x) y) (<= (+ x y) (+ x 3))))",
+         "(and (div 3 y) (<= (+ (* 3 y) -9) 0))"),
     ])
     def test_variable_cancelling_on_both_sides(self, text, want):
         # x + y < x + 3 does not mention x: the case split must not
@@ -786,6 +801,18 @@ class TestResourceCaps:
         for y in range(-40, 41):
             want = any(5 * x < y < 3 * x for x in range(-60, 61))
             assert eval_point(qf, {"y": y}) == want
+
+    def test_whole_result_atoms_counted(self, monkeypatch):
+        # the two steps build 6 and 4 atoms, each under a cap of 9; the
+        # result holds their 10
+        f = parse("(and (exists x (and (< y x) (< x z) (div 3 x)))"
+                  " (exists w (and (< y w) (< w (+ z 5)) (div 2 w))))", allow_div=True)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 9)
+        with pytest.raises(ResourceCapError) as err:
+            eliminate_quantifiers(f)
+        assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 9, 10)
+        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 10)
+        assert count_atoms(eliminate_quantifiers(f)) == 10
 
     @pytest.mark.parametrize("raw", ["1", "many"])
     def test_environment_leaves_the_cap_alone(self, monkeypatch, raw):
@@ -1187,9 +1214,9 @@ def shortcut_by_full_simplify(var, body):
         return None
 
     def rewrite(a):
-        av, rest = evaluator._linear(a, var)
-        if av == 0:
+        if not (a.left.coeff(var) or a.right.coeff(var)):
             return a
+        av, rest = evaluator._linear(a, var)
         return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
                     None if a.modulus is None else a.modulus * c)
     return lambda: simplify(mk_and([Atom(DIV, t, ZERO, c)] + [

@@ -840,8 +840,8 @@ class TestOneFormDifferential:
 
     def test_block_without_a_hint(self):
         # the shape is one the line takes, so the missing hint is named,
-        # also in an and part that the walk skips; compile_masks raises the
-        # compiled route's error
+        # also in an and part after an empty meet, since every part is
+        # read; compile_masks raises the compiled route's error
         for text in ("(exists p (and (= x (+ y p)) (<= 0 p)))",
                      "(and (< x -100) (exists q (exists p (= x (+ y p q)))))"):
             f = parse(text)
@@ -890,9 +890,9 @@ class TestOneFormDifferential:
             compile_masks(parse("(< x q)"), ("y", "x"), (range(2), range(3)))
 
     def test_quantifier_is_refused(self):
-        # the first part is empty over the box, so the walk would not reach
-        # the existential; the line still refuses it, and the compiled plan
-        # needs z's hint
+        # the first part is empty over the box, and the walk still reads
+        # the existential after it and refuses it; the compiled plan needs
+        # z's hint
         f = parse("(and (< x -100) (exists z (< x (+ y z))))")
         with pytest.raises(NotOneForm, match="a block body other than"):
             one_form_line(f, ("y", "x"), (range(2), range(3)))
@@ -900,6 +900,18 @@ class TestOneFormDifferential:
             compile_masks(f, ("y", "x"), (range(2), range(3)))
         assert compile_masks(f, ("y", "x"), (range(2), range(3)),
                              {"z": (0, 1)})((1,)) == 0
+
+    def test_part_after_an_empty_meet_is_read(self, monkeypatch):
+        # x < -100 is empty over the box, and y < x after it reads a second
+        # form: the line refuses the body, and the compiled masks decide it
+        f = parse("(and (< x -100) (< y x))")
+        with pytest.raises(NotOneForm, match="atoms read through a second form"):
+            one_form_line(f, ("y", "x"), (range(2), range(3)))
+        pf = PartitionedFormula(f, ("x",), ("y",))
+        ground, windows = (0, 2), {"y": (0, 1)}
+        fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows)
+        assert taken == ["atoms read through a second form"]
+        assert fam == masked == reference_family(pf, ground, windows, {})
 
 
 class TestConstructBoundedRoutes:
