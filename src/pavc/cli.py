@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Every subcommand prints one JSON run report to stdout: the command, its
-inputs (with sha256 digests for files), outputs, a list of named checks,
+inputs and outputs (a file with the sha256 of the bytes read or written;
+an input file is read once, so it may be a pipe), a list of named checks,
 and wall time.  Exit status is 0 when all requested checks pass, 1 when
 a check fails, 2 for usage errors, and 3 for operational errors such as
 resource-cap refusals, an unavailable encoder or a closed stdout.
@@ -142,11 +143,6 @@ def _ones(bitmap: bytearray, chunk: int = 1 << 16) -> int:
                for i in range(0, len(view), chunk))
 
 
-def _file_input(path: str) -> dict:
-    with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-
-
 def _check(name: str, ok: bool, detail: str = "") -> dict:
     out = {"name": name, "pass": bool(ok)}
     if detail:
@@ -154,13 +150,21 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return out
 
 
-def _read_partitioned(path: str, allow_div: bool) -> PartitionedFormula:
+def _read(path: str) -> tuple[str, dict]:
+    """The UTF-8 text of `path`, newlines translated as in text mode, and its
+    report entry {"path", "sha256"}, from one read: a pipe has no second."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _read_partitioned(path: str, allow_div: bool) -> tuple[PartitionedFormula, dict]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text, formula_file = _read(path)
     except UnicodeDecodeError as exc:
         raise FormulaError(f"unreadable formula file {path}: {exc}")
-    return parse_partitioned(text, allow_div=allow_div)
+    return parse_partitioned(text, allow_div=allow_div), formula_file
 
 
 def _shape_dict(pf: PartitionedFormula) -> dict:
@@ -199,15 +203,14 @@ def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, list[dict]]:
-    pf = _read_partitioned(args.formula, allow_div=False)
+    pf, formula_file = _read_partitioned(args.formula, allow_div=False)
     try:
-        with open(args.meta, "r", encoding="utf-8") as fh:
-            meta = meta_from_json(json.load(fh))
+        text, meta_file = _read(args.meta)
+        meta = meta_from_json(json.loads(text))
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormulaError(f"unreadable meta file {args.meta}: {exc!r}")
     outputs, checks = verify_encoding(pf, meta, args.mode)
-    inputs = {"formula": _file_input(args.formula),
-              "meta": _file_input(args.meta)}
+    inputs = {"formula": formula_file, "meta": meta_file}
     if "vc" in outputs:  # the family was built
         outputs["shape"] = _shape_dict(pf)
     return inputs, outputs, [_check(*c) for c in checks]
@@ -225,19 +228,19 @@ def _family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("bounded", "qe"), default="bounded")
 
 
-def _build_family(args) -> SetFamily:
+def _build_family(args) -> tuple[SetFamily, dict]:
     for flag, bindings in (("--param", args.param), ("--hint", args.hint)):
         names = [name for name, _ in bindings]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise VcLabError(f"{flag} given more than once for {repeated}")
-    return family_from_formula(
-        _read_partitioned(args.formula, allow_div=True), args.ground,
-        dict(args.param), mode=args.mode, hints=dict(args.hint))
+    pf, formula_file = _read_partitioned(args.formula, allow_div=True)
+    return family_from_formula(pf, args.ground, dict(args.param), mode=args.mode,
+                               hints=dict(args.hint)), formula_file
 
 
 def _cmd_vc(args) -> tuple[dict, dict, list[dict]]:
-    fam = _build_family(args)
+    fam, formula_file = _build_family(args)
     rep = vc_dimension(fam, cap=args.cap)
     checks = []
     if args.expect_vc is not None:
@@ -246,12 +249,11 @@ def _cmd_vc(args) -> tuple[dict, dict, list[dict]]:
             not rep.capped and rep.vc_dim == args.expect_vc,
             f"measured {rep.vc_display()}, expected {args.expect_vc}"))
     outputs = report_json(rep, fam, args.ground, dict(args.param))
-    inputs = {"formula": _file_input(args.formula)}
-    return inputs, outputs, checks
+    return {"formula": formula_file}, outputs, checks
 
 
 def _cmd_shatter(args) -> tuple[dict, dict, list[dict]]:
-    fam = _build_family(args)
+    fam, formula_file = _build_family(args)
     checks = []
     outputs: dict = {"family_size": len(fam.members)}
     if args.points is not None:
@@ -271,13 +273,11 @@ def _cmd_shatter(args) -> tuple[dict, dict, list[dict]]:
         outputs["n"] = args.n
         outputs["pi"] = pi
         outputs["power_set_size"] = 1 << args.n
-    inputs = {"formula": _file_input(args.formula)}
-    return inputs, outputs, checks
+    return {"formula": formula_file}, outputs, checks
 
 
 def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
-    inputs = {"formula": _file_input(args.formula)}  # before --out may overwrite it
-    pf = _read_partitioned(args.formula, allow_div=True)
+    pf, formula_file = _read_partitioned(args.formula, allow_div=True)
     before = len(set(atoms_of(pf.formula)))
     qf = eliminate_quantifiers(pf.formula)
     outputs = {"atoms_before": before, "atoms_after": len(set(atoms_of(qf)))}
@@ -290,11 +290,11 @@ def _cmd_qe(args) -> tuple[dict, dict, list[dict]]:
         )))
     else:
         outputs["formula_text"] = to_text(qf)
-    return inputs, outputs, []
+    return {"formula": formula_file}, outputs, []
 
 
 def _cmd_analyze(args) -> tuple[dict, dict, list[dict]]:
-    pf = _read_partitioned(args.formula, allow_div=True)
+    pf, formula_file = _read_partitioned(args.formula, allow_div=True)
     sh = shape(pf.formula)
     short = sh.is_short(args.max_vars, args.max_ineqs)
     outputs = {
@@ -308,18 +308,16 @@ def _cmd_analyze(args) -> tuple[dict, dict, list[dict]]:
         checks.append(_check(
             "shape_is_short", short,
             f"{sh.total_vars} vars, {sh.num_inequalities} inequalities"))
-    inputs = {"formula": _file_input(args.formula)}
-    return inputs, outputs, checks
+    return {"formula": formula_file}, outputs, checks
 
 
 def _cmd_upperbound(args) -> tuple[dict, dict, list[dict]]:
-    pf = _read_partitioned(args.formula, allow_div=True)
+    pf, formula_file = _read_partitioned(args.formula, allow_div=True)
     cert, inv, stats = upper_bound_via_qe(pf)
     outputs = certificate_report(cert, inv, stats)
     checks = [_check("certificate_valid", outputs["certificate_valid"],
                      f"ell={cert.ell}, bound={cert.bound}")]
-    inputs = {"formula": _file_input(args.formula)}
-    return inputs, outputs, checks
+    return {"formula": formula_file}, outputs, checks
 
 
 def _cmd_convergents(args) -> tuple[dict, dict, list[dict]]:

@@ -866,16 +866,15 @@ def _nnf(f: Formula, var: str, neg: bool = False) -> Formula:
                     f"unexpected node {type(f).__name__}")
 
 
-def _equality_shortcut(var: str, body: Formula
-                       ) -> Callable[[], Formula] | None:
+def _equality_shortcut(var: str, body: Formula) -> Formula | None:
     """exists var (c*var = t and R)  ==  (div c t) and R[c*var := t].
 
     Applies when some top-level conjunct is an equality containing var;
     every other atom is scaled by c (positive, so inequality directions
     survive) and the pinned value substituted, under quantifiers over
-    other variables too.  Returns a function that builds the right-hand
-    side, simplified, or None when there is no such equality or a
-    quantifier in body binds var (shadowing) or a variable of t (capture).
+    other variables too.  Returns the right-hand side, simplified, or None
+    when there is no such equality or a quantifier in body binds var
+    (shadowing) or a variable of t (capture).
     The body is simplified already, so the build rebuilds only the paths
     to atoms that name var and keeps every other subtree as it is.
     """
@@ -908,7 +907,7 @@ def _equality_shortcut(var: str, body: Formula
         inner = rewrite(f.body)  # a quantifier over another variable
         return type(f)(f.var, inner) if f.var in free_vars(inner) else inner
 
-    return lambda: _join(True, chain(
+    return _join(True, chain(
         (_atom_simplified(Atom(DIV, t, ZERO, c)),),
         (rewrite(p) for i, p in enumerate(conjuncts) if i != chosen)))
 
@@ -1094,7 +1093,7 @@ def _leaves(var: str, body: Formula, final: _Step) -> Iterator[Formula]:
     """
     shortcut = _equality_shortcut(var, body)
     if shortcut is not None:
-        yield shortcut()
+        yield shortcut
     elif var not in free_vars(body):
         yield body
     elif (branches := _branches(var, body)) is None:

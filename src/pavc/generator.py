@@ -369,8 +369,8 @@ def encode_bridged(d: int) -> tuple[PartitionedFormula, GeneratorMeta]:
     return pf, _meta(d, "bridged", hints)
 
 
-def encode_cf_short(d: int, modulus_mode: str = "prime",
-                    seed: int = 0) -> tuple[PartitionedFormula, GeneratorMeta]:
+def encode_cf_short(d: int, modulus_mode: str = "prime"
+                    ) -> tuple[PartitionedFormula, GeneratorMeta]:
     """Declared compressed encoder (exists-forall, at most 10 variables and
     18 inequalities).  Not built: the membership gadget that reads the
     spread progressions off a continued fraction's convergents is

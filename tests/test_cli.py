@@ -334,6 +334,60 @@ class TestUnreadableInput:
         assert rc == 3
         assert "unreadable meta file" in err
 
+    @pytest.mark.parametrize("content", [b'{\r\n  "d": x}', b'{\r  "d": x}'],
+                             ids=["crlf", "cr"])
+    def test_malformed_meta_names_its_line(self, capsys, outdir, content):
+        """A CRLF and a lone CR each end one line, as in text mode."""
+        f, m = outdir / "u3.pa", outdir / "u3.json"
+        run(capsys, "gen", "--d", "2", "--out", str(f), "--meta", str(m))
+        m.write_bytes(content)
+        rc, err = refused(capsys, "verify", "--formula", str(f), "--meta", str(m))
+        assert rc == 3
+        assert "Expecting value: line 2 column 8 (char 9)" in err
+
+
+class TestOneReadPerInput:
+    """Each input file is read once, and its digest is of the bytes parsed."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--meta", "META"], ["vc", "--ground", "0..3", "--param", "y=0..3"],
+        ["shatter", "--ground", "0..3", "--param", "y=0..3", "--n", "1"],
+        ["qe"], ["analyze"], ["upperbound"],
+    ], ids=lambda args: args[0])
+    def test_each_input_opened_once(self, capsys, outdir, monkeypatch, args):
+        f, m = outdir / "once.pa", outdir / "once.json"
+        if "META" in args:
+            run(capsys, "gen", "--d", "2", "--out", str(f), "--meta", str(m))
+        else:
+            f.write_text("#objects: x\n#params: y\n(<= x y)\n")
+        opened = []
+
+        def counting_open(path, *rest, **kwargs):
+            opened.append(path)
+            return open(path, *rest, **kwargs)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        inputs = [str(f), str(m)] if "META" in args else [str(f)]
+        args = [str(m) if a == "META" else a for a in args]
+        rc, _ = run(capsys, args[0], "--formula", str(f), *args[1:])
+        assert rc == 0
+        assert sorted(opened) == sorted(inputs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("command", ["qe", "analyze"])
+    def test_pipe_as_formula(self, capsys, command):
+        data = b"#objects: x\n#params: y\n(exists z (and (<= x z) (<= z y)))\n"
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            rc = main([command, "--formula", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        out = capsys.readouterr()
+        assert rc == 0, out.err
+        digest = json.loads(out.out)["inputs"]["formula"]["sha256"]
+        assert digest == hashlib.sha256(data).hexdigest()
+
 
 class TestFamilyWindows:
     @pytest.mark.parametrize("windows, message", [

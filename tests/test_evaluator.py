@@ -1219,7 +1219,7 @@ def shortcut_by_full_simplify(var, body):
         av, rest = evaluator._linear(a, var)
         return Atom(a.kind, rest.scaled(c) + t.scaled(av), ZERO,
                     None if a.modulus is None else a.modulus * c)
-    return lambda: simplify(mk_and([Atom(DIV, t, ZERO, c)] + [
+    return simplify(mk_and([Atom(DIV, t, ZERO, c)] + [
         map_atoms(p, var, rewrite) for i, p in enumerate(conjuncts) if i != chosen]))
 
 
@@ -1249,8 +1249,8 @@ class TestPathOnlyShortcut:
         assert to_text(got) == to_text(want)
         assert len(taken) == len(want_taken)
         for var, body in taken:
-            built = evaluator._equality_shortcut(var, body)()
-            reference = shortcut_by_full_simplify(var, body)()
+            built = evaluator._equality_shortcut(var, body)
+            reference = shortcut_by_full_simplify(var, body)
             assert built == reference and to_text(built) == to_text(reference)
         return len(taken)
 
@@ -1282,15 +1282,15 @@ class TestPathOnlyShortcut:
     ])
     def test_inner_quantifiers(self, text, want):
         body = simplify(parse(text))
-        got = evaluator._equality_shortcut("x", body)()
-        assert got == shortcut_by_full_simplify("x", body)()
+        got = evaluator._equality_shortcut("x", body)
+        assert got == shortcut_by_full_simplify("x", body)
         assert to_text(got) == want
 
     def test_subtrees_without_the_variable_are_kept(self):
         body = simplify(parse("(and (= (* 2 x) y) (or (< z 1) (< w 2)) "
                               "(exists v (and (< v z) (< z 4))) (< x w))"))
-        got = evaluator._equality_shortcut("x", body)()
-        assert got == shortcut_by_full_simplify("x", body)()
+        got = evaluator._equality_shortcut("x", body)
+        assert got == shortcut_by_full_simplify("x", body)
         kept = [p for p in body.parts if "x" not in free_vars(p)]
         assert len(kept) == 2
         assert all(any(p is q for q in got.parts) for p in kept)
