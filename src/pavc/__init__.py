@@ -77,7 +77,6 @@ from .formula import (
     to_text,
 )
 from .generator import (
-    AP,
     GadgetUnavailableError,
     GeneratorError,
     GeneratorMeta,

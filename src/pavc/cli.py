@@ -177,6 +177,8 @@ def _shape_dict(pf: PartitionedFormula) -> dict:
 
 
 def _cmd_gen(args) -> tuple[dict, dict, list[dict]]:
+    if os.path.realpath(args.out) == os.path.realpath(args.meta):
+        raise GeneratorError("--out and --meta name the same file")
     encoders = {"naive": encode_naive, "bridged": encode_bridged, "cf-short": encode_cf_short}
     pf, meta = encoders[args.encoder](args.d)
     if args.modulus != "none":

@@ -42,7 +42,8 @@ A piece is a range, a progression with a positive step: _half(a, k, r)
 cuts r to its members v with a*v + k <= 0, and _meet(p, q) gives the
 members common to two progressions, by _crt; neither takes len(), which
 fails past 2^63 members.  one_form_line builds its pieces with them, and
-Cooper's case split cuts its offsets at ground bounds with _half (_cut).
+Cooper's case split meets its offsets with each congruence's class by
+_meet (_offsets) and cuts them at ground bounds with _half (_cut).
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
@@ -954,15 +955,12 @@ def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm
     distributes over an or whose branches hold divs.  _cut then drops the
     offsets that a top-level bound rules out, and the output-atom cap
     counts what is left."""
-    res, mod = 0, 1
+    steps = range(1, period + 1)
     for m, t in congruences:
         u = t if witness is None else witness + t
         _, n, inv = _div_solver(sign, gcd(m, *(c for _, c in u.coeffs)))
-        merged = _crt(res, mod, u.const * inv % n, n)
-        if merged is None:
-            return range(0)
-        res, mod = merged
-    return range(1 + (res - 1) % mod, period + 1, mod)
+        steps = _meet(steps, range(u.const * inv % n, period + 1, n))
+    return steps
 
 
 def _cut(witness: LinearTerm | None, steps: range, side: str,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import prod
 from typing import Mapping
 
@@ -119,59 +119,30 @@ def index_block_values(i: int, d: int) -> tuple[int, ...]:
         bytearray(), 0, 1, 1 << (i - 1), 1 << i, 1 << (d - i))))
 
 
-@dataclass(frozen=True)
-class AP:
-    """Arithmetic progression start, start+step, ..., count terms."""
-
-    start: int
-    step: int
-    count: int
-
-    def __post_init__(self):
-        if self.step < 1 or self.count < 1:
-            raise GeneratorError("AP needs step >= 1 and count >= 1")
-
-    @property
-    def last(self) -> int:
-        return self.start + self.step * (self.count - 1)
-
-    def values(self) -> range:
-        return range(self.start, self.last + 1, self.step)
-
-    def contains(self, v: int) -> bool:
-        return (v >= self.start and (v - self.start) % self.step == 0
-                and (v - self.start) // self.step < self.count)
-
-
-def spread_block(i: int, d: int) -> AP:
+def spread_block(i: int, d: int) -> range:
     """The i-th index block with its two strides pulled apart by a factor
     2^d; as a set it is just 2^i * {0 .. 2^(d-1) - 1}."""
     _check_d(d)
     if not 1 <= i <= d:
         raise GeneratorError(f"i must be in [1, {d}], got {i}")
-    return AP(start=0, step=1 << i, count=1 << (d - 1))
+    return range(0, 1 << (i + d - 1), 1 << i)
 
 
-def spread_aps(d: int) -> tuple[AP, ...]:
+def spread_aps(d: int) -> tuple[range, ...]:
     """The spread code set: d disjoint progressions i + d*spread_block(i).
     Progression i occupies residue class i mod d."""
     _check_d(d)
-    return tuple(
-        AP(start=i, step=d * (1 << i), count=1 << (d - 1))
-        for i in range(1, d + 1)
-    )
+    return tuple(range(i, i + (d << (i + d - 1)), d << i)
+                 for i in range(1, d + 1))
 
 
 def spread_values(d: int) -> tuple[int, ...]:
-    out = []
-    for ap in spread_aps(d):
-        out.extend(ap.values())
-    return tuple(sorted(out))
+    return tuple(sorted(chain.from_iterable(spread_aps(d))))
 
 
 def largest_terms(d: int) -> tuple[int, ...]:
     """The top element of each spread progression."""
-    return tuple(ap.last for ap in spread_aps(d))
+    return tuple(ap[-1] for ap in spread_aps(d))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +183,12 @@ def collapse_image_bitmap(d: int) -> bytearray:
     buf = bytearray(period + 1)
     for ap in spread_aps(d):
         # the terms before s first steps up, a ceiling division
-        run = min(ap.count, -(((ap.start - 1) % period - period) // ap.step))
-        if ap.count % run or run < ap.count and run * ap.step != period:
+        run = min(len(ap), -(((ap.start - 1) % period - period) // ap.step))
+        if len(ap) % run or run < len(ap) and run * ap.step != period:
             raise GeneratorError(f"unequal collapse runs in {ap}")
         base = _collapse(d, ap.start)
         mark_lattice(buf, base, _collapse(d, ap.start + period) - base,
-                     ap.count // run, ap.step, run)
+                     len(ap) // run, ap.step, run)
     return buf
 
 
@@ -266,7 +237,7 @@ def _spread_membership(d: int, var: str) -> Formula:
         disjuncts.append(Exists("z", mk_and([
             Atom(EQ, v, LinearTerm.num(ap.start) + z.scaled(ap.step)),
             Atom(LE, LinearTerm.num(0), z),
-            Atom(LT, z, LinearTerm.num(ap.count)),
+            Atom(LT, z, LinearTerm.num(len(ap))),
         ])))
     return mk_or(disjuncts)
 
@@ -287,7 +258,7 @@ class GeneratorMeta:
     param_window: tuple[int, int]
     t_window: tuple[int, int]
     hints: tuple[tuple[str, tuple[int, int]], ...]
-    aps: tuple[AP, ...]
+    aps: tuple[range, ...]
     modulus: int | None = None
     modulus_mode: str | None = None
 
@@ -527,16 +498,16 @@ def meta_to_json(meta: GeneratorMeta) -> dict:
         "t_window": [str(v) for v in meta.t_window],
         "hints": {v: [str(lo), str(hi)] for v, (lo, hi) in meta.hints},
         "aps": [{"start": str(ap.start), "step": str(ap.step),
-                 "count": str(ap.count)} for ap in meta.aps],
+                 "count": str(len(ap))} for ap in meta.aps],
         "modulus": None if meta.modulus is None else str(meta.modulus),
         "modulus_mode": meta.modulus_mode,
     }
 
 
 def meta_from_json(data: Mapping) -> GeneratorMeta:
-    """GeneratorError when d is out of range, a pair is not [lo, hi] or a
-    number is neither a JSON integer nor a decimal string, the forms that
-    meta_to_json writes."""
+    """GeneratorError when d is out of range, a pair is not [lo, hi], a
+    progression has a step or count below 1, or a number is neither a JSON
+    integer nor a decimal string, the forms that meta_to_json writes."""
     def num(x) -> int:
         if isinstance(x, int) and not isinstance(x, bool) \
                 or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
@@ -548,6 +519,12 @@ def meta_from_json(data: Mapping) -> GeneratorMeta:
             raise GeneratorError(f"expected a [lo, hi] pair, got {xs!r}")
         return (num(xs[0]), num(xs[1]))
 
+    def progression(ap) -> range:
+        start, step, n = num(ap["start"]), num(ap["step"]), num(ap["count"])
+        if step < 1 or n < 1:
+            raise GeneratorError("a progression needs step >= 1 and count >= 1")
+        return range(start, start + step * n, step)
+
     return GeneratorMeta(
         d=_check_d(num(data["d"])),
         encoder=data["encoder"],
@@ -558,8 +535,7 @@ def meta_from_json(data: Mapping) -> GeneratorMeta:
         t_window=pair(data["t_window"]),
         hints=tuple(sorted(
             (v, pair(w)) for v, w in data["hints"].items())),
-        aps=tuple(AP(num(ap["start"]), num(ap["step"]), num(ap["count"]))
-                  for ap in data["aps"]),
+        aps=tuple(progression(ap) for ap in data["aps"]),
         modulus=None if data["modulus"] is None else num(data["modulus"]),
         modulus_mode=data["modulus_mode"],
     )

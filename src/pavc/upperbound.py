@@ -132,7 +132,7 @@ def upper_bound_via_qe(pf: PartitionedFormula
     statistics.  The bound applies to the family carved out by the object
     variables as the parameter variables range over all integers.
     """
-    before = len(list(dict.fromkeys(atoms_of(pf.formula))))
+    before = len(set(atoms_of(pf.formula)))
     qf = eliminate_quantifiers(pf.formula)
     inv = inventory(qf)
     stats = {

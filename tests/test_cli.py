@@ -14,7 +14,6 @@ import pytest
 from pavc import cli, evaluator, generator
 from pavc.cli import main
 from pavc.formula import MAX_NESTING
-from pavc.generator import AP
 
 
 def run(capsys, *args):
@@ -176,8 +175,7 @@ class TestGenVerify:
 
     @pytest.mark.parametrize("perturb", [
         lambda aps: aps[:-1],  # a progression dropped
-        lambda aps: aps[:-1] + (AP(aps[-1].start, aps[-1].step,
-                                   aps[-1].count - 1),),  # one shortened
+        lambda aps: aps[:-1] + (aps[-1][:-1],),  # one shortened
     ], ids=["dropped", "shortened"])
     def test_gen_check_fails_on_a_perturbed_spread(self, capsys, outdir,
                                                    monkeypatch, perturb):
@@ -240,6 +238,32 @@ class TestGenVerify:
         assert detail["witnesses_check_out"] == \
             "spread progressions differ from those of d"
 
+    def test_one_term_progression_passes_with_any_step(self, capsys, outdir):
+        # d = 1's one spread progression has one term, so an edited step
+        # leaves its terms, d's spread set, and every witness in it
+        f = str(outdir / "o1.pa")
+        m = outdir / "o1.json"
+        run(capsys, "gen", "--d", "1", "--out", f, "--meta", str(m))
+        data = json.loads(m.read_text())
+        assert data["aps"] == [{"start": "1", "step": "2", "count": "1"}]
+        data["aps"][0]["step"] = "7"
+        m.write_text(json.dumps(data, indent=2, sort_keys=True))
+        rc, rep = run(capsys, "verify", "--formula", f, "--meta", str(m))
+        assert rc == 0
+        assert len(rep["checks"]) == 6 and all(checks_by_name(rep).values())
+
+    @pytest.mark.parametrize("meta", ["same.x", "./same.x", "link.x"],
+                             ids=["same-name", "dot-slash", "symlink"])
+    def test_gen_refuses_one_file_for_out_and_meta(self, capsys, outdir,
+                                                   monkeypatch, meta):
+        monkeypatch.chdir(outdir)
+        os.symlink("same.x", "link.x")  # dangling until something writes same.x
+        rc, err = refused(capsys, "gen", "--d", "2", "--out", "same.x",
+                          "--meta", meta)
+        assert rc == 3
+        assert err == "pavc gen: error: --out and --meta name the same file\n"
+        assert os.listdir(outdir) == ["link.x"]
+
     def test_corrupted_window_fails_fast(self, capsys, outdir):
         f = str(outdir / "w2.pa")
         m = outdir / "w2.json"
@@ -294,9 +318,16 @@ class TestGenVerify:
         {"aps": [{"start": "1", "step": "4", "count": "2"},
                  {"start": "2", "step": 2.9, "count": "2"}]},
         {"modulus": 7.5},
+        {"aps": [{"start": "1", "step": "0", "count": "2"},
+                 {"start": "2", "step": "8", "count": "2"}]},
+        {"aps": [{"start": "1", "step": "4", "count": "0"},
+                 {"start": "2", "step": "8", "count": "2"}]},
+        {"aps": [{"start": "1", "step": "-4", "count": "2"},
+                 {"start": "2", "step": "8", "count": "2"}]},
     ], ids=["one-entry-window", "one-entry-hint", "hint-list", "three-entry-window",
             "negative-d", "d-over-the-cap", "float-d", "bool-d", "padded-d",
-            "underscore-hint", "float-step", "float-modulus"])
+            "underscore-hint", "float-step", "float-modulus", "zero-step",
+            "zero-count", "negative-step"])
     def test_malformed_meta_is_unreadable(self, capsys, outdir, edit):
         f = str(outdir / "e2.pa")
         m = outdir / "e2.json"

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1148,6 +1149,43 @@ class TestPieceAlgebra:
         assert common[0] - 15 < max(big.start, other.start)
         assert common[-1] in big and common[-1] in other and common[-1] + 15 >= big.stop
         assert not evaluator._meet(range(0, 1 << 70, 2), range(1, 1 << 70, 4))
+
+    @staticmethod
+    def offsets_by_brute_force(witness, congruences, sign, js):
+        def allowed(j):
+            for m, t in congruences:
+                u = t if witness is None else witness + t
+                if (u.const + sign * j) % gcd(m, *(c for _, c in u.coeffs)):
+                    return False
+            return True
+        return [j for j in js if allowed(j)]
+
+    def test_offsets(self):
+        # j in 1..period such that g | const(u) + sign*j for every m | t,
+        # u = witness + t and g = gcd(m, coefficients of u)
+        rng = random.Random(34)
+        y, z = LinearTerm.var("y"), LinearTerm.var("z")
+
+        def term():
+            return (LinearTerm.num(rng.randint(-20, 20)) + y.scaled(rng.randint(-4, 4))
+                    + z.scaled(rng.choice([0, 0, 3, -6])))
+        for _ in range(400):
+            witness = rng.choice([None, term()])
+            congruences = [(rng.randint(1, 12), term())
+                           for _ in range(rng.randint(0, 3))]
+            sign, period = rng.choice([1, -1]), rng.randint(1, 60)
+            got = evaluator._offsets(witness, congruences, sign, period)
+            assert list(got) == self.offsets_by_brute_force(
+                witness, congruences, sign, range(1, period + 1)), \
+                (witness, congruences, sign, period)
+        # an unsolvable pair: 2 | j and 2 | j + 1
+        assert not evaluator._offsets(None, [(2, ZERO), (2, LinearTerm.num(1))], 1, 60)
+        # a period past 2^63: len() overflows, the class is still exact
+        congruences = [(6, LinearTerm.num(1) + y.scaled(2)), (10, LinearTerm.num(3))]
+        big = evaluator._offsets(None, congruences, -1, 1 << 70)
+        assert big.step == 10 and big[-1] + big.step > 1 << 70 >= big[-1]
+        assert list(big[:3]) == self.offsets_by_brute_force(
+            None, congruences, -1, range(1, 31))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

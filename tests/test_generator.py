@@ -11,7 +11,6 @@ from pavc.cli import main
 from pavc.evaluator import eval_bounded, eval_ground
 from pavc.formula import FormulaError, free_vars, shape, substitute
 from pavc.generator import (
-    AP,
     DEFAULT_D_CAP,
     GadgetUnavailableError,
     GeneratorError,
@@ -57,7 +56,7 @@ def reference_index_block_values(i, d):
 def reference_collapse_image(d):
     out = set()
     for ap in spread_aps(d):
-        for tp in ap.values():
+        for tp in ap:
             r = (tp - 1) % d + 1
             u = (tp - r) // d
             s, rp = divmod(u, 1 << d)
@@ -163,10 +162,16 @@ class TestCodeSet:
 class TestSpread:
     def test_anchors_d2(self):
         aps = spread_aps(2)
-        assert [(ap.start, ap.step, ap.count) for ap in aps] \
+        assert [(ap.start, ap.step, len(ap)) for ap in aps] \
             == [(1, 4, 2), (2, 8, 2)]
         assert spread_values(2) == (1, 2, 5, 10)
         assert largest_terms(2) == (5, 10)
+        for d in range(1, DEFAULT_D_CAP + 1):
+            for i, ap in enumerate(spread_aps(d), start=1):
+                assert (ap.start, ap.step, len(ap)) == (i, d << i, 1 << (d - 1))
+                block = spread_block(i, d)
+                assert (block.start, block.step, len(block)) \
+                    == (0, 1 << i, 1 << (d - 1))
 
     def test_largest_terms_d3(self):
         assert largest_terms(3) == (19, 38, 75)
@@ -180,32 +185,18 @@ class TestSpread:
     def test_residue_classes(self):
         for d in range(1, 9):
             for i, ap in enumerate(spread_aps(d), start=1):
-                assert all(v % d == i % d for v in ap.values())
+                assert all(v % d == i % d for v in ap)
 
     def test_spread_block_size_matches_index_block(self):
         for d in range(1, 9):
             for i in range(1, d + 1):
-                assert spread_block(i, d).count == len(index_block_values(i, d))
-
-    def test_ap_contains_fuzz(self):
-        rng = random.Random(2718)
-        for _ in range(100):
-            ap = AP(rng.randint(0, 50), rng.randint(1, 9), rng.randint(1, 30))
-            vals = set(ap.values())
-            for v in range(-5, ap.last + 10):
-                assert ap.contains(v) == (v in vals)
+                assert len(spread_block(i, d)) == len(index_block_values(i, d))
 
     @pytest.mark.parametrize("i", [0, 5])
     def test_block_index_outside_1_to_d_refused(self, i):
         for fn in (index_block_values, spread_block):
             with pytest.raises(GeneratorError, match=r"i must be in \[1, 4\]"):
                 fn(i, 4)
-
-    def test_ap_validation(self):
-        with pytest.raises(GeneratorError):
-            AP(0, 0, 5)
-        with pytest.raises(GeneratorError):
-            AP(0, 2, 0)
 
 
 class TestCollapse:
@@ -240,7 +231,7 @@ class TestCollapse:
             for t in build_code_set(d):
                 tp, r, rp, s = collapse_witness(d, t)
                 assert 1 <= r <= d
-                assert aps[r - 1].start == r and aps[r - 1].contains(tp)
+                assert aps[r - 1].start == r and tp in aps[r - 1]
                 assert 0 <= rp < (1 << d)
                 assert tp == r + d * ((1 << d) * s + rp)
                 assert t == r + d * (s + rp)
@@ -270,7 +261,7 @@ class TestCollapse:
         # partial run, whose image is not a lattice
         import pavc.generator as gen
         aps = list(spread_aps(4))
-        aps[1] = AP(aps[1].start, aps[1].step, aps[1].count - 1)
+        aps[1] = aps[1][:-1]
         monkeypatch.setattr(gen, "spread_aps", lambda d: tuple(aps))
         with pytest.raises(GeneratorError, match="unequal collapse runs"):
             collapse_image(4)
