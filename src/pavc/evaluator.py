@@ -80,10 +80,14 @@ per boundary term by CRT, from whichever side (lower or upper bounds) is
 smaller.  Each class is then cut to the interval that the top-level
 bounds with a ground gap to its term allow (a bound with the term's
 coefficients folds to a constant, F outside that interval), and the
-tail goes when a top-level bound lies on the boundary terms' side.  The
-body becomes a template: subtrees without the variable are simplified
-once and shared, each disjunct rebuilds only the paths to the variable's
-atoms, and the split stops at the first disjunct that is T.  div atoms
+tail goes when a top-level bound lies on the boundary terms' side.  A
+flat conjunction of atoms that all read through one form f besides the
+variable, as at both encoders' last steps, meets each instance into one
+piece of f (an interval met with a class, either end maybe open) by
+integer arithmetic; an empty piece builds nothing.  Any other body
+becomes a template: subtrees without the variable are simplified once
+and shared, and each disjunct rebuilds only the paths to the variable's
+atoms.  The split stops at the first disjunct that is T.  div atoms
 appear in the output; the result keeps the input's free variables, is
 quantifier-free and is simplified.
 
@@ -986,12 +990,82 @@ def _cut(witness: LinearTerm | None, steps: range, side: str,
     return steps
 
 
+def _multiple(t: LinearTerm, f: LinearTerm) -> int | None:
+    """k such that t's coefficients are k times f's, else None."""
+    if not t.coeffs:
+        return 0
+    k = t.coeffs[0][1] // f.coeffs[0][1]
+    return k if t.coeffs == tuple((v, k * c) for v, c in f.coeffs) else None
+
+
+def _one_form(terms: list[LinearTerm]) -> tuple[LinearTerm, list[int]] | None:
+    """(f, ks): one primitive form f, its first coefficient positive, and
+    each term's k, its coefficients k times f's; f has no coefficients
+    when every term is ground.  None when the terms read through no one
+    form."""
+    lead = next((t.coeffs for t in terms if t.coeffs), ())
+    g = gcd(*(c for _, c in lead)) * (-1 if lead and lead[0][1] < 0 else 1)
+    f = LinearTerm(tuple((v, c // g) for v, c in lead))
+    ks = []
+    for t in terms:
+        k = _multiple(t, f)
+        if k is None:
+            return None
+        ks.append(k)
+    return f, ks
+
+
+def _piece(f: LinearTerm, constraints: list[tuple], kw: int, cw: int) -> Formula:
+    """The conjunction of `constraints` as one piece of f, exact over Z.
+
+    Each constraint (m, s, k, c) reads m | k*f + c + s*w, or k*f + c +
+    s*w <= 0 when m is None, for the witness w = kw*f + cw.  The bounds
+    cut by floor division and the divs meet in one class by _crt, as in
+    _exists_test; an end that no bound cuts stays None.  F when the piece
+    is empty, a point as one equality, else at most two bounds and one
+    div."""
+    lo = hi = None
+    res, mod = 0, 1
+    for m, s, k, c in constraints:
+        k += s * kw
+        c += s * cw
+        if m:
+            g, n, inv = _div_solver(k, m)
+            cls = None if c % g else _crt(res, mod, c // g * inv % n, n)
+            if cls is None:
+                return FALSE
+            res, mod = cls
+        elif k > 0:
+            cut = -c // k
+            hi = cut if hi is None or cut < hi else hi
+        elif k < 0:
+            cut = -(c // k)
+            lo = cut if lo is None or cut > lo else lo
+        elif c > 0:
+            return FALSE
+    lo = None if lo is None else lo + (res - lo) % mod
+    hi = None if hi is None else hi - (hi - res) % mod
+    if lo is not None and hi is not None and lo >= hi:
+        return FALSE if lo > hi else Atom(EQ, f, LinearTerm.num(lo))
+    parts = [] if lo is None else [Atom(LE, LinearTerm.num(lo), f)]
+    if hi is not None:
+        parts.append(Atom(LE, f, LinearTerm.num(hi)))
+    if mod > 1:
+        parts.append(Atom(DIV, f.shifted(-res), ZERO, mod))
+    return mk_and(parts)
+
+
 def _case_split(var: str, body: Formula) -> Iterator[Formula]:
     """The disjuncts of Cooper's case split for exists var body, built
     lazily, one instance per offset that _offsets plans and _cut keeps:
     the instances _cut skips are F at a top-level bound, so the output is
     the same.  Before any is built, the coefficient-bit cap checks the
-    solved forms and the output-atom cap the count of instances."""
+    solved forms and the output-atom cap the count of instances.
+
+    A flat conjunction of atoms whose terms besides var's part read
+    through one form f (_one_form) meets each instance into one piece of
+    f (_piece), and an empty one builds nothing; any other body rebuilds
+    each instance from its template."""
     nnf_body = _nnf(body, var)
     readings = {a: _linear(a, var) for a in atoms_of(nnf_body)
                 if a.left.coeff(var) != a.right.coeff(var)}
@@ -1018,7 +1092,8 @@ def _case_split(var: str, body: Formula) -> Iterator[Formula]:
     dropped = "upper" if use_uppers else "lower"
     # delta | w and the top-level divs and bounds hold in every disjunct
     # that can be T
-    top = set(_conjuncts(nnf_body))
+    conjuncts = list(_conjuncts(nnf_body))
+    top = set(conjuncts)
     necessary = [(delta, ZERO)] + [form[1:] for a, form in zip(readings, solved)
                                    if form[0] == "div" and a in top]
     bounds = [form for a, form in zip(readings, solved)
@@ -1029,6 +1104,35 @@ def _case_split(var: str, body: Formula) -> Iterator[Formula]:
     # counted, not len(): a range longer than 2^63 overflows len()
     _enforce("output atoms", DEFAULT_MAX_ATOMS,
              sum(max(0, -((s.start - s.stop) // s.step)) for _, s in plan))
+    reading = None
+    if all(isinstance(a, Atom) for a in conjuncts):
+        outside = [(a, a.left - a.right) for a in conjuncts if a not in readings]
+        reading = _one_form([form[-1] for form in solved] + [t for _, t in outside])
+    if reading:
+        f, ks = reading
+        # delta*var := w = witness + sign*j: delta | w, m | w + t, s < w
+        # for a lower s, w < s for an upper one, and the conjuncts without
+        # var, each (m, s, k, c) for m | k*f + c + s*w, or <= 0 if m is None
+        constraints = [(delta, 1, 0, 0)]
+        for form, k in zip(solved, ks):
+            c = form[-1].const
+            constraints.append((form[1], 1, k, c) if form[0] == "div" else
+                               (None, -1, k, c + 1) if form[0] == "lower" else
+                               (None, 1, -k, 1 - c))
+        for (a, t), k in zip(outside, ks[len(solved):]):
+            c = t.const + (a.kind == LT)
+            constraints += [(a.modulus, 0, k, c)] + [(None, 0, -k, -c)] * (a.kind == EQ)
+        # the tail drops the bounds: F on its side, T on the other
+        tail = [c for c in constraints if c[0] or not c[1]]
+        for witness, steps in plan:
+            if witness is None and any(form[0] == dropped for form in solved):
+                continue
+            kw, cw = (0, 0) if witness is None else (_multiple(witness, f), witness.const)
+            for j in steps:
+                piece = _piece(f, tail if witness is None else constraints, kw, cw + sign * j)
+                if piece is not FALSE:
+                    yield piece
+        return
     template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
 
     def instantiate(witness: LinearTerm | None, offset: int) -> Formula:
@@ -1118,7 +1222,8 @@ def _distributed(var: str, body: Formula, final: _Step) -> Formula:
 def eliminate_quantifiers(f: Formula) -> Formula:
     """Equivalent quantifier-free formula over the same free variables.
 
-    Output may contain div atoms.  Raises ResourceCapError when an
+    Output may contain div atoms; both encoders' outputs are unions of
+    pieces of x + d*y (_case_split).  Raises ResourceCapError when an
     elimination step builds more atoms than their cap (DEFAULT_MAX_ATOMS)
     or exceeds the coefficient bit cap (DEFAULT_MAX_COEFF_BITS), on its
     input or its result.

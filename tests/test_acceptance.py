@@ -175,11 +175,11 @@ def test_06_certificates_dominate_measured_dimension(capsys):
             if rep.capped or cert.bound < rep.vc_dim:
                 violations.append(records[-1])
     # under a cap of 1,000 atoms, the smallest bridged d whose elimination
-    # builds more than the cap (d = 4 builds 256)
+    # builds more than the cap (d = 7 builds 466 atoms, d = 8 1,045)
     with pytest.MonkeyPatch.context() as patch, \
             pytest.raises(ResourceCapError, match="output atoms"):
         patch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 1000)
-        upper_bound_via_qe(encode_bridged(5)[0])
+        upper_bound_via_qe(encode_bridged(8)[0])
     for i in range(100):
         rng = random.Random(660_000 + i)
         pf = random_partitioned(rng)
@@ -193,7 +193,7 @@ def test_06_certificates_dominate_measured_dimension(capsys):
     ok = not violations
     _line(capsys, 6, ok,
           f"{len(records)} certificates all dominate measured dimension "
-          f"(the atom cap refuses loudly: bridged d=5 at 1000 atoms); violations: "
+          f"(the atom cap refuses loudly: bridged d=8 at 1000 atoms); violations: "
           f"{violations or 'none'}")
     assert ok, violations
 

@@ -590,20 +590,19 @@ class TestResourceCap:
 
     @pytest.mark.parametrize("command", ["qe", "upperbound"])
     def test_first_bridged_d_past_the_atom_cap_exits_3_fast(
-            self, capsys, outdir, monkeypatch, command):
-        # under a cap of 1,000, d = 5 is the first bridged d whose
-        # elimination builds more atoms than the cap (d = 4 builds 256):
-        # it is refused as the count passes the cap
-        monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 1000)
-        f, m = str(outdir / "b5.pa"), str(outdir / "b5.json")
-        assert main(["gen", "--d", "5", "--encoder", "bridged",
-                     "--out", f, "--meta", m]) == 0
-        capsys.readouterr()
+            self, capsys, outdir, command):
+        # no bridged d up to the generator's cap builds past the atom cap
+        # (d = 16 builds 524,333).  This body plans one instance per
+        # residue mod 1,000,003 of its one witness, y: the plan's count is
+        # refused before any instance is built
+        f = outdir / "planned.pa"
+        f.write_text("#objects: x\n#params: y\n"
+                     "(exists z (and (< y z) (< z x) (div 1000003 (+ z y))))\n")
         start = time.perf_counter()
-        rc, err = refused(capsys, command, "--formula", f)
+        rc, err = refused(capsys, command, "--formula", str(f))
         assert time.perf_counter() - start < 1
         assert rc == 3
-        assert "output atoms cap exceeded" in err
+        assert "output atoms cap exceeded: needs 1000003, cap 1000000" in err
 
     @pytest.mark.parametrize("command", ["qe", "upperbound"])
     def test_offset_count_past_2_63_exits_3(self, capsys, outdir, command):

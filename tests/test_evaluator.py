@@ -680,7 +680,13 @@ class TestSimplify:
         # The results are not compared: == on them recurses deeper still.
         f = deep_alternation(250)
         assert free_vars(simplify(f)) == {"y"}
-        qf = eliminate_quantifiers(f)
+        # the body's NNF is one flat conjunction, through one form, y: its
+        # bounds y <= 0 and 1 < y leave no piece.  The template route
+        # rebuilds the 250 levels and gives 250 atoms, F at every y (by
+        # brute force over x for y in [-300, 300]; its cuts lie in 0..249)
+        assert eliminate_quantifiers(f) is FALSE
+        with pytest.MonkeyPatch.context() as patch:
+            qf = by_template(f, patch)
         assert is_quantifier_free(qf) and free_vars(qf) == {"y"}
 
     def test_soundness_and_idempotence_fuzz(self):
@@ -734,10 +740,11 @@ class TestEliminationAnchors:
         assert eliminate_quantifiers(f) == simplify(f)
 
     @pytest.mark.parametrize("text, want", [
+        # one form, y: each instance is met into one piece of y
         ("(exists x (and (< (+ x y) (+ x 3)) (< 0 x)))",
-         "(< 0 (+ (* -1 y) 3))"),
+         "(<= y 2)"),
         ("(exists x (and (= (+ x y) (+ x 2)) (div 3 x)))",
-         "(and (< 0 (+ (* -1 y) 3)) (< 0 (+ (* 1 y) -1)))"),
+         "(= y 2)"),
         # no atom is left on x: the body comes back simplified, unsplit
         ("(exists x (< (+ x 1) (+ x y)))", "(< 0 (+ (* 1 y) -1))"),
         # the equality shortcut rewrites the cancelling atom too
@@ -919,14 +926,23 @@ _C, _D, _E = ((1 << 8000) + k for k in (1, 3, 5))
 WIDE_SHORTCUT = f"(exists x (and (= (* {_C} x) (* {_E} z)) (< (* {_D} x) y)))"
 
 
+def by_template(f, patch):
+    """eliminate_quantifiers(f) with every case split on the template
+    route: no body reads through one form, so each instance is rebuilt
+    from its template and none is met into a piece."""
+    patch.setattr(evaluator, "_one_form", lambda terms: None)
+    return eliminate_quantifiers(f)
+
+
 def eliminate_every_offset(f):
     """eliminate_quantifiers with the case split it had before residue
-    stepping: every offset 1..period of every boundary term is built."""
+    stepping and before one-form pieces: every offset 1..period of every
+    boundary term is built, each from the template."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_offsets",
                       lambda witness, congruences, sign, period:
                       range(1, period + 1))
-        return eliminate_quantifiers(f)
+        return by_template(f, patch)
 
 
 def _sha(f):
@@ -1002,9 +1018,11 @@ class TestResidueSteppedSplit:
         # every offset of each branch
         assert _sha(old) == \
             "a149572336a4295ed3a8f1fdad7ffe9f7a9f1d8ef41848dd263bf02bfb6c0e4f"
+        # the pieces meet each instance on x + 3y: 18 atoms, not 216 as
+        # when each was rebuilt from the template
         assert _sha(got) == \
-            "0035255cde56e93ae6d9bf6e896adab6f16a52ec9f2d96de3b173e299bc64ebf"
-        assert (count_atoms(got), count_atoms(old)) == (216, 1308)
+            "6d5252d28c964625ac07742b691de85f36603ffd5d66773124113f4b3f9e38a8"
+        assert (count_atoms(got), count_atoms(old)) == (18, 1308)
         test_got, test_old = compile_plan(got, "xy"), compile_plan(old, "xy")
         codes = code_set_bitmap(3)
         (x0, x1), (y0, y1) = meta.ground_window, meta.param_window
@@ -1014,41 +1032,49 @@ class TestResidueSteppedSplit:
 
 
 def eliminate_counted(f, cut=True):
-    """(eliminate_quantifiers(f), the disjuncts the case splits built);
-    cut=False makes the bound cut the identity, which builds every offset
-    that the congruences allow."""
-    built = []
-    case_split = evaluator._case_split
+    """(eliminate_quantifiers(f), the instances the case splits planned,
+    the disjuncts they built); cut=False makes the bound cut the identity,
+    which plans every offset that the congruences allow."""
+    planned, built = [], []
+    case_split, bound_cut = evaluator._case_split, evaluator._cut
 
     def split(var, body):
         for disjunct in case_split(var, body):
             built.append(disjunct)
             yield disjunct
+
+    def counted_cut(witness, steps, side, bounds):
+        steps = bound_cut(witness, steps, side, bounds) if cut else steps
+        planned.append(len(steps))
+        return steps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_case_split", split)
-        if not cut:
-            patch.setattr(evaluator, "_cut", lambda witness, steps, side, bounds: steps)
-        return eliminate_quantifiers(f), len(built)
+        patch.setattr(evaluator, "_cut", counted_cut)
+        return eliminate_quantifiers(f), sum(planned), len(built)
 
 
 class TestBoundCut:
     """The case split skips the offsets at which a top-level bound with a
-    ground gap to the witness is F; the uncut split builds them, and they
-    all fold to F, so the output stays the same."""
+    ground gap to the witness is F; the uncut split plans them, and they
+    all fold to F or meet in an empty piece, so the output stays the
+    same."""
 
     @staticmethod
     def same_as_uncut(f):
-        got, built = eliminate_counted(f)
-        want, want_built = eliminate_counted(f, cut=False)
+        """(instances planned, planned uncut, disjuncts built)."""
+        got, planned, built = eliminate_counted(f)
+        want, want_planned, _ = eliminate_counted(f, cut=False)
         assert to_text(got) == to_text(want), to_text(f)
-        return built, want_built
+        assert built <= planned
+        return planned, want_planned, built
 
     def test_fuzz_sentences(self):
         saved = 0
         for i in range(600):
-            built, uncut = self.same_as_uncut(random_sentence(random.Random(7_700_000 + i)))
-            assert built <= uncut
-            saved += uncut - built
+            planned, uncut, _ = self.same_as_uncut(
+                random_sentence(random.Random(7_700_000 + i)))
+            assert planned <= uncut
+            saved += uncut - planned
         assert saved > 0
 
     @pytest.mark.parametrize("encode, ds", [(encode_naive, range(1, 9)),
@@ -1057,14 +1083,18 @@ class TestBoundCut:
         for d in ds:
             self.same_as_uncut(encode(d)[0].formula)
 
-    @pytest.mark.parametrize("encode, d, built, uncut", [
+    @pytest.mark.parametrize("encode, d, planned, uncut", [
         (encode_naive, 8, 263, 1028), (encode_bridged, 4, 77, 295)])
-    def test_instances_built(self, encode, d, built, uncut):
-        # the cut leaves no instance that folds to F: 765 and 218 of the
-        # uncut ones do
-        assert self.same_as_uncut(encode(d)[0].formula) == (built, uncut)
+    def test_instances_built(self, encode, d, planned, uncut):
+        # the cut plans no instance that a bound makes F: 765 and 218 of
+        # the uncut ones are.  Every naive case split and bridged s's read
+        # through x + d*y, and only their nonempty pieces are built: all
+        # 263 naive ones, and 41 of bridged's 77 with r's instances, which
+        # its body, an or, rebuilds from the template
+        built = {encode_naive: 263, encode_bridged: 41}[encode]
+        assert self.same_as_uncut(encode(d)[0].formula) == (planned, uncut, built)
 
-    @pytest.mark.parametrize("text, built, uncut", [
+    @pytest.mark.parametrize("text, planned, uncut", [
         # upper witness a+7 (fewer uppers), sign -1: a < x needs j < 7 of
         # 1..9, and x < a+7, on the witnesses' side, rules out the tail
         ("(exists x (and (< a x) (< b x) (< c x) (< x (+ a 7)) (div 9 (+ x b))))",
@@ -1086,9 +1116,10 @@ class TestBoundCut:
         ("(exists x (and (< a x) (or (< x (+ a 2)) (< x b)) (div 5 (+ x b))))",
          5, 10),
     ])
-    def test_hand_made_bodies(self, text, built, uncut):
+    def test_hand_made_bodies(self, text, planned, uncut):
+        # none reads through one form: each planned instance is built
         f = parse(text, allow_div=True)
-        assert self.same_as_uncut(f) == (built, uncut)
+        assert self.same_as_uncut(f) == (planned, uncut, planned)
         qf = eliminate_quantifiers(f)
         names = sorted(free_vars(f))
         test, oracle = compile_plan(qf, names), compile_plan(f, names, {"x": (-40, 40)})
@@ -1188,6 +1219,164 @@ class TestPieceAlgebra:
             None, congruences, -1, range(1, 31))
 
 
+ONE_FORMS = ({"w": 1, "z": 2}, {"w": 2, "z": -3}, {"w": -1, "z": 3}, {"z": -2})
+
+
+def one_form_exists(rng):
+    """exists v of a flat conjunction of atoms that read a*v + k*f + c for
+    one form f over w and z (f's first coefficient negative in two of
+    them): bounds (<=, <) on one side of v, on both or on neither, divs
+    of 2, 3, 4 or 6, and atoms without v (<=, <, = or div).  |w|, |z| <= 3
+    keeps every threshold on v within 37 and every period of v within 12,
+    so that v over SOUND_BOX decides the body."""
+    f = LinearTerm.of(rng.choice(ONE_FORMS))
+    signs = rng.choice([(1,), (-1,), (1, -1), ()])
+
+    def term(a):
+        return LinearTerm.var("v", a) + f.scaled(rng.randint(-2, 2)).shifted(rng.randint(-6, 6))
+    parts = []
+    for i in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.4 and signs:
+            a = rng.choice(signs) * rng.randint(1, 3)
+            parts.append(Atom(rng.choice([LE, LT]), term(a), ZERO))
+        elif roll < 0.7 or i == 0:
+            parts.append(Atom(DIV, term(rng.choice([-3, -2, -1, 1, 2, 3])), ZERO,
+                              rng.choice([2, 3, 4, 6])))
+        else:
+            kind = rng.choice([LE, LT, EQ, DIV])
+            parts.append(Atom(kind, term(0), ZERO, rng.choice([2, 3, 4, 6]) if kind == DIV else None))
+    return Exists("v", mk_and(parts)), f
+
+
+def piece_of(g, form):
+    """(lo, hi, res, mod) of a disjunct that is one piece of f, `form`
+    made primitive with its first coefficient positive: T, one equality
+    f = c, or an and of at most one bound lo <= f, one bound f <= hi and
+    one div mod | f - res, each bound a member of the class and lo < hi;
+    an end that no bound cuts is None.  AssertionError for anything
+    else."""
+    k = gcd(*(c for _, c in form.coeffs)) * (1 if form.coeffs[0][1] > 0 else -1)
+    f = LinearTerm(tuple((v, c // k) for v, c in form.coeffs))
+    if g is TRUE:
+        return None, None, 0, 1
+    if isinstance(g, Atom) and g.kind == EQ:
+        assert g.left == f and g.right.is_ground, to_text(g)
+        return g.right.const, g.right.const, 0, 1
+    lo = hi = None
+    res, mod = 0, 1
+    for a in g.parts if isinstance(g, And) else (g,):
+        assert isinstance(a, Atom), to_text(g)
+        if a.kind == DIV and mod == 1 and a.left.coeffs == f.coeffs:
+            res, mod = -a.left.const, a.modulus
+            assert 0 <= res < mod and mod > 1, to_text(g)
+        elif a.kind == LE and a.right == f and a.left.is_ground and lo is None:
+            lo = a.left.const
+        elif a.kind == LE and a.left == f and a.right.is_ground and hi is None:
+            hi = a.right.const
+        else:
+            raise AssertionError(f"not one piece of {f}: {to_text(g)}")
+    assert all(end is None or (end - res) % mod == 0 for end in (lo, hi)), to_text(g)
+    assert lo is None or hi is None or lo < hi, to_text(g)
+    return lo, hi, res, mod
+
+
+def in_piece(value, piece):
+    lo, hi, res, mod = piece
+    return (lo is None or lo <= value) and (hi is None or value <= hi) \
+        and (value - res) % mod == 0
+
+
+class TestOneFormPieces:
+    """A case split whose body is a flat conjunction through one form f
+    meets each instance into one piece of f by integer arithmetic:
+    _piece against brute force over f, and QE of such bodies against
+    brute force over SOUND_BOX and against the template route."""
+
+    def test_piece_against_brute_force(self):
+        rng = random.Random(35)
+        u = LinearTerm.var("u")
+        seen = dict.fromkeys(("F by the bounds", "F by the classes", "point",
+                              "open below", "open above", "two-sided", "T"), 0)
+        for _ in range(3000):
+            # (m, s, k, c): m | k*u + c + s*w, or k*u + c + s*w <= 0 if m is None
+            constraints = [
+                (rng.choice([2, 3, 4, 6, 9]), rng.choice([-1, 0, 1]),
+                 rng.randint(-3, 3), rng.randint(-12, 12)) if rng.random() < 0.5 else
+                (None, rng.choice([-1, 0, 1]), rng.randint(-3, 3), rng.randint(-30, 30))
+                for _ in range(rng.randint(0, 4))]
+            kw, cw = rng.randint(-2, 2), rng.randint(-9, 9)
+
+            def holds(value, divs=True):  # divs=False reads the bounds only
+                for m, s, k, c in constraints:
+                    t = k * value + c + s * (kw * value + cw)
+                    if (t % m if m else t > 0) and (divs or m is None):
+                        return False
+                return True
+            got = evaluator._piece(u, constraints, kw, cw)
+            values = range(-200, 201)
+            want = [v for v in values if holds(v)]
+            if got is FALSE:
+                assert not want, constraints
+                bounded = any(holds(v, divs=False) for v in values)
+                seen["F by the classes" if bounded else "F by the bounds"] += 1
+                continue
+            piece = piece_of(got, u)
+            assert [v for v in values if in_piece(v, piece)] == want, (constraints, kw, cw)
+            lo, hi = piece[:2]
+            seen["T" if got is TRUE else "point" if lo == hi is not None else
+                 "open below" if lo is None else "open above" if hi is None else
+                 "two-sided"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_qe_against_brute_force_and_template(self):
+        tails = 0
+        bound_cut = evaluator._cut
+
+        def counted_cut(witness, steps, side, bounds):
+            nonlocal tails
+            steps = bound_cut(witness, steps, side, bounds)
+            tails += witness is None and bool(steps)
+            return steps
+        for i in range(300):
+            f, form = one_form_exists(random.Random(3_500_000 + i))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluator, "_cut", counted_cut)
+                qf = eliminate_quantifiers(f)
+            for part in qf.parts if isinstance(qf, Or) else (qf,):
+                if part is not FALSE:
+                    piece_of(part, form)
+            names = sorted(free_vars(f))
+            test = compile_plan(qf, names)
+            oracle = compile_plan(f, names, {"v": SOUND_BOX})
+            for point in product(range(-3, 4), repeat=len(names)):
+                assert test(point) == oracle(point), (to_text(f), point)
+            test_old = compile_plan(eliminate_every_offset(f), names)
+            for point in product(range(-9, 10), repeat=len(names)):
+                assert test(point) == test_old(point), (to_text(f), point)
+        assert tails > 0
+
+    @pytest.mark.parametrize("encode", [encode_naive, encode_bridged])
+    def test_encoder_disjuncts_are_pieces(self, encode):
+        # a fall-back to the template route would leave other shapes
+        for d in range(1, 9):
+            qf = eliminate_quantifiers(encode(d)[0].formula)
+            for part in qf.parts if isinstance(qf, Or) else (qf,):
+                piece_of(part, LinearTerm.of({"x": 1, "y": d}))
+
+    @pytest.mark.parametrize("encode", [encode_naive, encode_bridged])
+    def test_encoder_outputs_are_the_code_set(self, encode):
+        for d in range(1, 11):
+            qf = eliminate_quantifiers(encode(d)[0].formula)
+            codes = code_set_bitmap(d)
+            xs, ys = range(-2, d + 3), range(-2, (1 << d) + 2)
+            masks = compile_masks(qf, ("y", "x"), (ys, xs))
+            for y in ys:
+                want = sum(1 << k for k, x in enumerate(xs)
+                           if 0 <= x + d * y < len(codes) and codes[x + d * y])
+                assert masks((y,)) == want, (d, y)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_qe_is_oracle(seed):
@@ -1206,17 +1395,22 @@ def test_property_qe_is_oracle(seed):
             assert test(point) == oracle(point), (to_text(f), point)
 
 
-def test_qe_output_pinned():
-    # sha256 of the printed elimination output, recorded with the case
-    # split that built every offset; residue stepping leaves it unchanged,
-    # and any change to QE output on these inputs shows here
+def test_qe_output_pinned(monkeypatch):
+    # sha256 of the printed elimination output: any change to QE output on
+    # these inputs shows here.  The template route still gives the digest
+    # recorded with the case split that built every offset (residue
+    # stepping and the bound cut left it unchanged); one-form pieces move it
     inputs = [random_sentence(random.Random(4_400_000 + i)) for i in range(200)]
     inputs += [encode_naive(4)[0].formula, encode_naive(6)[0].formula]
-    digest = hashlib.sha256()
-    for f in inputs:
-        digest.update(to_text(eliminate_quantifiers(f)).encode() + b"\n")
-    assert digest.hexdigest() == \
-        "20128a65eb9e2d9dcace7e7860c2fcde45f02fa83d7f7c9c889f90a6846bbd82"
+    digests = []
+    for eliminate in (eliminate_quantifiers, lambda f: by_template(f, monkeypatch)):
+        digest = hashlib.sha256()
+        for f in inputs:
+            digest.update(to_text(eliminate(f)).encode() + b"\n")
+        digests.append(digest.hexdigest())
+    assert digests == [
+        "584965375b4cf555c37eb152b4d402a2681456cf82ec1f2772843ed7ca70747b",
+        "20128a65eb9e2d9dcace7e7860c2fcde45f02fa83d7f7c9c889f90a6846bbd82"]
 
 
 def test_negation_duality_fuzz():

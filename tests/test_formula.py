@@ -401,7 +401,7 @@ def fresh_corpus():
     out = [random_sentence(random.Random(9_100_000 + i)) for i in range(200)]
     out += [random_qf(random.Random(9_200_000 + i), "xyz", allow_div=True)
             for i in range(200)]
-    for d in range(1, 7):
+    for d in range(1, 10):
         for encode in (encode_naive, encode_bridged):
             f = encode(d)[0].formula
             out += [f, eliminate_quantifiers(f)]
@@ -511,8 +511,8 @@ class TestMaxCoeffBits:
                               for a in atoms_of(f))
 
     def test_eliminated_encoders(self):
-        # node_corpus holds d <= 6
-        for d in (7, 8):
+        # node_corpus holds d <= 9
+        for d in (10, 11):
             for encode in (encode_naive, encode_bridged):
                 self.assert_per_value(
                     atoms_of(eliminate_quantifiers(encode(d)[0].formula)))
