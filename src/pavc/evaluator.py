@@ -84,7 +84,11 @@ tail goes when a top-level bound lies on the boundary terms' side.  A
 flat conjunction of atoms that all read through one form f besides the
 variable, as at both encoders' last steps, meets each instance into one
 piece of f (an interval met with a class, either end maybe open) by
-integer arithmetic; an empty piece builds nothing.  Any other body
+integer arithmetic, each div solved once per boundary term; an empty
+piece yields nothing.  The pieces stay data until the step ends: each
+form's are then unioned once (those of one class that overlap or touch
+merged, by the merge of one_form_line's line, and each that another
+contains dropped), and only the kept ones are built.  Any other body
 becomes a template: subtrees without the variable are simplified once
 and shared, and each disjunct rebuilds only the paths to the variable's
 atoms.  The split stops at the first disjunct that is T.  div atoms
@@ -92,16 +96,18 @@ appear in the output; the result keeps the input's free variables, is
 quantifier-free and is simplified.
 
 Resource caps abort elimination loudly rather than letting the case
-split blow up: a maximum output atom count, counted as built, leaf by
-leaf of a distributed existential (the plans' leaves too), and checked
-first against the case split's instance count, the sum of its cut
-classes, before any instance is built; and a maximum bit length of the
-coefficients, constants and moduli of each step's input and result. Each
-cap is one module-level constant, read when it is enforced.
+split blow up: a maximum output atom count, counted as each leaf of a
+distributed existential arrives (the plans' leaves too; a piece by
+arithmetic, before the union), and checked first against the case
+split's instance count, the sum of its cut classes, before any instance
+is built; and a maximum bit length of the coefficients, constants and
+moduli of each step's input and result (a kept piece's by arithmetic).
+Each cap is one module-level constant, read when it is enforced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, count
 from math import gcd, lcm, prod
 from operator import mul
@@ -268,6 +274,27 @@ def _meet(p: range, q: range) -> range:
     res, mod = cls
     lo = p.start if p.start > q.start else q.start  # max and min cost a call
     return range(lo + (res - lo) % mod, p.stop if p.stop < q.stop else q.stop, mod)
+
+
+_BELOW = float("-inf")  # an open lower end, where ends are compared
+
+
+def _merged(pieces: Iterable[tuple]) -> list[tuple]:
+    """Pieces (lo, hi, res, mod), each the members of the class res mod
+    mod (0 <= res < mod) in [lo, hi], its ends members or None where
+    open, sorted by class and then by lo, those of one class that overlap
+    or touch merged into one."""
+    out: list[tuple] = []
+    for p in sorted(pieces, key=lambda p: (p[3], p[2], _BELOW if p[0] is None else p[0])):
+        if out:
+            lo, hi, res, mod = out[-1]
+            if p[3] == mod and p[2] == res and (hi is None or p[0] is None
+                                                or p[0] <= hi + mod):
+                if hi is not None and (p[1] is None or p[1] > hi):
+                    out[-1] = (lo, p[1], res, mod)
+                continue
+        out.append(p)
+    return out
 
 
 def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
@@ -686,21 +713,15 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
             return rows(*_block(g, neg, hints))
         return [line] if g.value != neg else []  # a Bool
 
-    # pieces of one class (step, start % step) that overlap or touch are
-    # merged, so that the marks cap counts each mark once
-    pieces: list[range] = []
-    for p in sorted(walk(f, False), key=lambda p: (p.step, p.start % p.step, p.start)):
-        last = pieces[-1] if pieces else None
-        if last and last.step == p.step and (p.start - last.start) % p.step == 0 \
-                and p.start <= last[-1] + p.step:
-            pieces[-1] = range(last.start, max(last.stop, p.stop), p.step)
-        else:
-            pieces.append(p)
-    if sum(map(len, pieces)) > points:
+    # pieces of one class that overlap or touch are merged, so that the
+    # marks cap counts each mark once
+    pieces = [(lo - start, (hi - lo) // mod + 1, mod) for lo, hi, _, mod in
+              _merged((p.start, p[-1], p.start % p.step, p.step) for p in walk(f, False))]
+    if sum(n for _, n, _ in pieces) > points:
         raise NotOneForm("more marks than box points")
     marks = bytearray(stop - start)
-    for p in pieces:
-        mark_lattice(marks, p.start - start, 1, 1, p.step, len(p))
+    for base, n, mod in pieces:
+        mark_lattice(marks, base, 1, 1, mod, n)
     *params, a = form_vec
     digits = marks[::-1].translate(_DIGITS)
     top = stop - 1 - a * ranges[-1][-1]  # its index at parameters 0
@@ -1015,25 +1036,32 @@ def _one_form(terms: list[LinearTerm]) -> tuple[LinearTerm, list[int]] | None:
     return f, ks
 
 
-def _piece(f: LinearTerm, constraints: list[tuple], kw: int, cw: int) -> Formula:
-    """The conjunction of `constraints` as one piece of f, exact over Z.
+def _at_witness(constraints: list[tuple], kw: int, cw: int) -> list[tuple]:
+    """`constraints`, each (m, s, k, c) reading m | k*f + c + s*w, or
+    k*f + c + s*w <= 0 when m is None, at the witnesses w = kw*f + cw + o:
+    each as (div, k', c', s) reading k'*f + c' + s*o, with a div solved
+    once by _div_solver into div = (g, n, inv) (None for a bound), since
+    only the offset o moves a constant."""
+    return [(m and _div_solver(k + s * kw, m), k + s * kw, c + s * cw, s)
+            for m, s, k, c in constraints]
 
-    Each constraint (m, s, k, c) reads m | k*f + c + s*w, or k*f + c +
-    s*w <= 0 when m is None, for the witness w = kw*f + cw.  The bounds
-    cut by floor division and the divs meet in one class by _crt, as in
-    _exists_test; an end that no bound cuts stays None.  F when the piece
-    is empty, a point as one equality, else at most two bounds and one
-    div."""
+
+def _piece(constraints: list[tuple], o: int) -> tuple | None:
+    """The conjunction of `constraints` (_at_witness) at the offset o as
+    one piece (lo, hi, res, mod) of their form f, exact over Z: the
+    members of the class res mod mod in [lo, hi], an end None where no
+    bound cuts it; a point is (c, c, 0, 1) and T is (None, None, 0, 1).
+    None when the piece is empty.  The bounds cut by floor division and
+    the divs meet in one class by _crt, as in _exists_test."""
     lo = hi = None
     res, mod = 0, 1
-    for m, s, k, c in constraints:
-        k += s * kw
-        c += s * cw
-        if m:
-            g, n, inv = _div_solver(k, m)
+    for div, k, c, s in constraints:
+        c += s * o
+        if div:
+            g, n, inv = div
             cls = None if c % g else _crt(res, mod, c // g * inv % n, n)
             if cls is None:
-                return FALSE
+                return None
             res, mod = cls
         elif k > 0:
             cut = -c // k
@@ -1042,11 +1070,20 @@ def _piece(f: LinearTerm, constraints: list[tuple], kw: int, cw: int) -> Formula
             cut = -(c // k)
             lo = cut if lo is None or cut > lo else lo
         elif c > 0:
-            return FALSE
+            return None
     lo = None if lo is None else lo + (res - lo) % mod
     hi = None if hi is None else hi - (hi - res) % mod
     if lo is not None and hi is not None and lo >= hi:
-        return FALSE if lo > hi else Atom(EQ, f, LinearTerm.num(lo))
+        return None if lo > hi else (lo, lo, 0, 1)
+    return lo, hi, res, mod
+
+
+def _built(f: LinearTerm, piece: tuple) -> Formula:
+    """The piece (lo, hi, res, mod) of f as a formula: a point as one
+    equality, else at most two bounds and one div (T if none)."""
+    lo, hi, res, mod = piece
+    if lo == hi is not None:
+        return Atom(EQ, f, LinearTerm.num(lo))
     parts = [] if lo is None else [Atom(LE, LinearTerm.num(lo), f)]
     if hi is not None:
         parts.append(Atom(LE, f, LinearTerm.num(hi)))
@@ -1055,7 +1092,54 @@ def _piece(f: LinearTerm, constraints: list[tuple], kw: int, cw: int) -> Formula
     return mk_and(parts)
 
 
-def _case_split(var: str, body: Formula) -> Iterator[Formula]:
+def _size(piece: tuple) -> int:
+    """count_atoms(_built(f, piece)), by arithmetic."""
+    lo, hi, _, mod = piece
+    return 1 if lo == hi is not None else (lo is not None) + (hi is not None) + (mod > 1)
+
+
+def _bits(top: int, piece: tuple) -> int:
+    """The largest max_coeff_bits of the atoms of _built(f, piece), by
+    arithmetic (res < mod); `top` is the largest |coefficient| of f."""
+    lo, hi, _, mod = piece
+    return bitlen(max(top, mod, 0 if lo is None else abs(lo), 0 if hi is None else abs(hi)))
+
+
+def _union(pieces: Iterable[tuple]) -> list[tuple]:
+    """The pieces (lo, hi, res, mod) of one form, _merged, less each that
+    another contains.  A piece of two or more members lies in another
+    only if the other's modulus divides its own (a point's: any modulus)
+    and its class holds the piece's; that class's merged pieces are
+    disjoint and sorted, so one bisect of their lo's finds the only one
+    that can hold it."""
+    merged = _merged(pieces)
+    classes: dict[tuple[int, int], tuple[list, list]] = {}
+    for p in merged:
+        los, his = classes.setdefault((p[3], p[2]), ([], []))
+        los.append(_BELOW if p[0] is None else p[0])
+        his.append(p[1])
+    moduli = sorted({mod for mod, _ in classes})
+    kept = []
+    for p in merged:
+        lo, hi, res, mod = p
+        point = lo == hi is not None
+        for m in moduli:
+            if m == mod or mod % m and not point:
+                continue
+            cls = classes.get((m, (res if lo is None else lo) % m))
+            if cls:
+                i = bisect_right(cls[0], _BELOW if lo is None else lo) - 1
+                if i >= 0 and (cls[1][i] is None or hi is not None and hi <= cls[1][i]):
+                    break
+        else:
+            kept.append(p)
+    return kept
+
+
+_Leaf = Formula | tuple  # a step's leaf: a formula, or (f, piece) of a form f
+
+
+def _case_split(var: str, body: Formula) -> Iterator[_Leaf]:
     """The disjuncts of Cooper's case split for exists var body, built
     lazily, one instance per offset that _offsets plans and _cut keeps:
     the instances _cut skips are F at a top-level bound, so the output is
@@ -1064,8 +1148,9 @@ def _case_split(var: str, body: Formula) -> Iterator[Formula]:
 
     A flat conjunction of atoms whose terms besides var's part read
     through one form f (_one_form) meets each instance into one piece of
-    f (_piece), and an empty one builds nothing; any other body rebuilds
-    each instance from its template."""
+    f (_piece), yielded as (f, piece) and left as data for _distributed
+    to union; an empty one yields nothing.  Any other body rebuilds each
+    instance from its template."""
     nnf_body = _nnf(body, var)
     readings = {a: _linear(a, var) for a in atoms_of(nnf_body)
                 if a.left.coeff(var) != a.right.coeff(var)}
@@ -1128,10 +1213,11 @@ def _case_split(var: str, body: Formula) -> Iterator[Formula]:
             if witness is None and any(form[0] == dropped for form in solved):
                 continue
             kw, cw = (0, 0) if witness is None else (_multiple(witness, f), witness.const)
+            fixed = _at_witness(tail if witness is None else constraints, kw, cw)
             for j in steps:
-                piece = _piece(f, tail if witness is None else constraints, kw, cw + sign * j)
-                if piece is not FALSE:
-                    yield piece
+                piece = _piece(fixed, sign * j)
+                if piece:
+                    yield f, piece
         return
     template = _template(nnf_body, {a: i for i, a in enumerate(readings)})
 
@@ -1180,10 +1266,10 @@ def _branches(var: str, body: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-_Step = Callable[[str, Formula], Iterator[Formula]]
+_Step = Callable[[str, Formula], Iterator[_Leaf]]
 
 
-def _leaves(var: str, body: Formula, final: _Step) -> Iterator[Formula]:
+def _leaves(var: str, body: Formula, final: _Step) -> Iterator[_Leaf]:
     """The disjuncts of exists var body, built lazily: its equality
     shortcut, the body itself when it lacks var, else the engine's last
     step, `final` (QE's case split or the plans' move-out), after
@@ -1205,36 +1291,67 @@ def _leaves(var: str, body: Formula, final: _Step) -> Iterator[Formula]:
             yield from _leaves(var, branch, final)
 
 
-def _distributed(var: str, body: Formula, final: _Step) -> Formula:
+def _distributed(var: str, body: Formula, final: _Step, bits: bool = False) -> Formula:
     """exists var body, the or of its _leaves, none drawn after the first
-    that is T.  Their atoms are counted as each is built, against the
-    output-atom cap, so a refusal comes before the output is complete."""
-    built = 0
+    that is T.  Their atoms are counted as each arrives, against the
+    output-atom cap, so a refusal comes before the output is complete.
 
-    def counted(leaf: Formula) -> Formula:
-        nonlocal built
-        built += count_atoms(leaf)
+    A piece (f, piece) of the case split is counted by arithmetic (_size)
+    and kept as data; a T piece makes the step T.  Once the leaves are
+    drawn, each form's pieces are unioned (_union) and only the kept ones
+    are built, in _union's order, after the other leaves.  With `bits`
+    (QE's step), the result's coefficient bits are checked against their
+    cap: a formula leaf's in the walk that counts its atoms, a kept
+    piece's by arithmetic (_bits)."""
+    built = most = 0
+    pieces: dict[LinearTerm, list[tuple]] = {}
+
+    def counted(leaf: _Leaf) -> Formula:
+        nonlocal built, most
+        if isinstance(leaf, tuple):
+            f, piece = leaf
+            size = _size(piece)
+            if not size:
+                return TRUE
+            built += size
+            _enforce("output atoms", DEFAULT_MAX_ATOMS, built)
+            pieces.setdefault(f, []).append(piece)
+            return FALSE  # for the join, which passes it over
+        if bits:
+            for a in atoms_of(leaf):
+                built += 1
+                b = a.max_coeff_bits()
+                most = b if b > most else most
+        else:
+            built += count_atoms(leaf)
         _enforce("output atoms", DEFAULT_MAX_ATOMS, built)
         return leaf
-    return _join(False, map(counted, _leaves(var, body, final)))
+    out = _join(False, map(counted, _leaves(var, body, final)))
+    if pieces and out is not TRUE:
+        kept = []
+        for f, of_f in pieces.items():
+            top = max(abs(c) for _, c in f.coeffs)
+            for piece in _union(of_f):
+                b = _bits(top, piece)
+                most = b if b > most else most
+                kept.append(_built(f, piece))
+        out = mk_or(kept) if out is FALSE else _join(False, (out, *kept))
+    if bits and not isinstance(out, Bool):
+        _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS, most)
+    return out
 
 
 def eliminate_quantifiers(f: Formula) -> Formula:
     """Equivalent quantifier-free formula over the same free variables.
 
     Output may contain div atoms; both encoders' outputs are unions of
-    pieces of x + d*y (_case_split).  Raises ResourceCapError when an
-    elimination step builds more atoms than their cap (DEFAULT_MAX_ATOMS)
-    or exceeds the coefficient bit cap (DEFAULT_MAX_COEFF_BITS), on its
-    input or its result.
+    pieces of x + d*y (_case_split), none inside another (_union).
+    Raises ResourceCapError when an elimination step builds more atoms
+    than their cap (DEFAULT_MAX_ATOMS) or exceeds the coefficient bit cap
+    (DEFAULT_MAX_COEFF_BITS), on its input or its result.
     """
-    def eliminate(var: str, body: Formula) -> Formula:
-        out = _distributed(var, body, _case_split)
-        _enforce("coefficient bits", DEFAULT_MAX_COEFF_BITS,
-                 max((a.max_coeff_bits() for a in atoms_of(out)), default=0))
-        return out
-
-    result = _rewrite(f, _dual(eliminate))
+    result = _rewrite(f, _dual(lambda var, body: _distributed(
+        var, body, _case_split, bits=True)))
     _enforce("output atoms", DEFAULT_MAX_ATOMS, count_atoms(result))
     return result
 

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -945,6 +945,20 @@ def eliminate_every_offset(f):
         return by_template(f, patch)
 
 
+def eliminate_ununioned(f):
+    """eliminate_quantifiers with each piece of a case split built as it
+    arrives, the or of pieces that the step built before they were kept
+    as data and unioned: _distributed sees formulas only."""
+    case_split = evaluator._case_split
+
+    def split(var, body):
+        for leaf in case_split(var, body):
+            yield evaluator._built(*leaf) if isinstance(leaf, tuple) else leaf
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_case_split", split)
+        return eliminate_quantifiers(f)
+
+
 def _sha(f):
     return hashlib.sha256(to_text(f).encode()).hexdigest()
 
@@ -1014,21 +1028,27 @@ class TestResidueSteppedSplit:
     def test_bridged_output_pinned(self):
         pf, meta = encode_bridged(3)
         got, old = eliminate_quantifiers(pf.formula), eliminate_every_offset(pf.formula)
+        ununioned = eliminate_ununioned(pf.formula)
         # both split per branch of the spread's or; the full split builds
         # every offset of each branch
         assert _sha(old) == \
             "a149572336a4295ed3a8f1fdad7ffe9f7a9f1d8ef41848dd263bf02bfb6c0e4f"
         # the pieces meet each instance on x + 3y: 18 atoms, not 216 as
         # when each was rebuilt from the template
-        assert _sha(got) == \
+        assert _sha(ununioned) == \
             "6d5252d28c964625ac07742b691de85f36603ffd5d66773124113f4b3f9e38a8"
-        assert (count_atoms(got), count_atoms(old)) == (18, 1308)
-        test_got, test_old = compile_plan(got, "xy"), compile_plan(old, "xy")
+        # their union merges touching points into runs and drops the
+        # points that a run of step 3 holds: 13 atoms
+        assert _sha(got) == \
+            "febf68e163c43b8db9c32345bba5118c09b337b74037a13df6e34700d1665ae3"
+        assert (count_atoms(got), count_atoms(ununioned), count_atoms(old)) == \
+            (13, 18, 1308)
+        tests = [compile_plan(g, "xy") for g in (got, ununioned, old)]
         codes = code_set_bitmap(3)
         (x0, x1), (y0, y1) = meta.ground_window, meta.param_window
         for point in product(range(x0, x1 + 1), range(y0, y1 + 1)):
-            assert test_got(point) == test_old(point), point
-            assert test_got(point) == bool(codes[point[0] + 3 * point[1]]), point
+            want = bool(codes[point[0] + 3 * point[1]])
+            assert [test(point) for test in tests] == [want] * 3, point
 
 
 def eliminate_counted(f, cut=True):
@@ -1287,6 +1307,55 @@ def in_piece(value, piece):
         and (value - res) % mod == 0
 
 
+def random_pieces(rng):
+    """Pieces (lo, hi, res, mod) of one form as _piece gives them: ends
+    members of the class or None, a point as (c, c, 0, 1), among them
+    runs that touch the one before in its class, moduli that divide one
+    another and duplicates."""
+    pieces = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.25:
+            c = rng.randint(-30, 30)
+            pieces.append((c, c, 0, 1))
+        elif roll < 0.4 and pieces and pieces[-1][1] is not None:
+            lo, hi, res, mod = pieces[-1]  # the next run of its class, touching
+            pieces.append((hi + mod, hi + mod * rng.randint(2, 4), res, mod))
+        elif roll < 0.5 and pieces:
+            pieces.append(rng.choice(pieces))
+        else:
+            mod = rng.choice([1, 2, 3, 4, 6, 12])
+            res = rng.randrange(mod)
+            lo = None if rng.random() < 0.2 else rng.randint(-30, 30)
+            hi = None if rng.random() < 0.2 else rng.randint(-30, 30)
+            lo = None if lo is None else lo + (res - lo) % mod
+            hi = None if hi is None else hi - (hi - res) % mod
+            if lo is None or hi is None or lo < hi:
+                pieces.append((lo, hi, res, mod))
+            elif lo == hi:
+                pieces.append((lo, lo, 0, 1))
+    return pieces
+
+
+def members(piece, window):
+    """The members of a piece in `window`, a range of step 1."""
+    lo, hi, res, mod = piece
+    start = window.start if lo is None else max(lo, window.start)
+    stop = window.stop if hi is None else min(hi + 1, window.stop)
+    return range(start + (res - start) % mod, stop, mod)
+
+
+def lies_inside_another(pieces, window):
+    """The pieces whose members in `window` all lie in one other piece."""
+    cover: dict[int, set] = {}
+    for i, p in enumerate(pieces):
+        for v in members(p, window):
+            cover.setdefault(v, set()).add(i)
+    return [p for i, p in enumerate(pieces)
+            if members(p, window) and
+            set.intersection(*(cover[v] for v in members(p, window))) != {i}]
+
+
 class TestOneFormPieces:
     """A case split whose body is a flat conjunction through one form f
     meets each instance into one piece of f by integer arithmetic:
@@ -1294,8 +1363,12 @@ class TestOneFormPieces:
     brute force over SOUND_BOX and against the template route."""
 
     def test_piece_against_brute_force(self):
+        # the data piece against brute force over f, the formula it builds
+        # against the piece (piece_of), and its atoms and bits, counted by
+        # arithmetic, against the atoms of that formula
         rng = random.Random(35)
         u = LinearTerm.var("u")
+        forms = [u, LinearTerm.of({"x": 1, "y": 10}), LinearTerm.of({"x": 3, "y": -1000})]
         seen = dict.fromkeys(("F by the bounds", "F by the classes", "point",
                               "open below", "open above", "two-sided", "T"), 0)
         for _ in range(3000):
@@ -1305,28 +1378,35 @@ class TestOneFormPieces:
                  rng.randint(-3, 3), rng.randint(-12, 12)) if rng.random() < 0.5 else
                 (None, rng.choice([-1, 0, 1]), rng.randint(-3, 3), rng.randint(-30, 30))
                 for _ in range(rng.randint(0, 4))]
-            kw, cw = rng.randint(-2, 2), rng.randint(-9, 9)
+            kw, cw, o = rng.randint(-2, 2), rng.randint(-9, 9), rng.randint(-3, 3)
 
             def holds(value, divs=True):  # divs=False reads the bounds only
                 for m, s, k, c in constraints:
-                    t = k * value + c + s * (kw * value + cw)
+                    t = k * value + c + s * (kw * value + cw + o)
                     if (t % m if m else t > 0) and (divs or m is None):
                         return False
                 return True
-            got = evaluator._piece(u, constraints, kw, cw)
+            got = evaluator._piece(evaluator._at_witness(constraints, kw, cw), o)
             values = range(-200, 201)
             want = [v for v in values if holds(v)]
-            if got is FALSE:
+            if got is None:
                 assert not want, constraints
                 bounded = any(holds(v, divs=False) for v in values)
                 seen["F by the classes" if bounded else "F by the bounds"] += 1
                 continue
-            piece = piece_of(got, u)
-            assert [v for v in values if in_piece(v, piece)] == want, (constraints, kw, cw)
-            lo, hi = piece[:2]
-            seen["T" if got is TRUE else "point" if lo == hi is not None else
+            assert piece_of(evaluator._built(u, got), u) == got, (constraints, kw, cw, o)
+            assert [v for v in values if in_piece(v, got)] == want, (constraints, kw, cw, o)
+            lo, hi = got[:2]
+            seen["T" if lo is hi is None and got[3] == 1 else
+                 "point" if lo == hi is not None else
                  "open below" if lo is None else "open above" if hi is None else
                  "two-sided"] += 1
+            for f in forms if evaluator._size(got) else ():  # a T piece builds nothing
+                node = evaluator._built(f, got)
+                top = max(abs(c) for _, c in f.coeffs)
+                assert evaluator._size(got) == count_atoms(node), got
+                assert evaluator._bits(top, got) == \
+                    max(a.max_coeff_bits() for a in atoms_of(node)), (f, got)
         assert min(seen.values()) > 0, seen
 
     def test_qe_against_brute_force_and_template(self):
@@ -1358,23 +1438,85 @@ class TestOneFormPieces:
 
     @pytest.mark.parametrize("encode", [encode_naive, encode_bridged])
     def test_encoder_disjuncts_are_pieces(self, encode):
-        # a fall-back to the template route would leave other shapes
+        # a fall-back to the template route would leave other shapes; the
+        # union leaves no piece inside another, over a window past every
+        # end by twice the period
         for d in range(1, 9):
             qf = eliminate_quantifiers(encode(d)[0].formula)
-            for part in qf.parts if isinstance(qf, Or) else (qf,):
-                piece_of(part, LinearTerm.of({"x": 1, "y": d}))
+            pieces = [piece_of(part, LinearTerm.of({"x": 1, "y": d}))
+                      for part in (qf.parts if isinstance(qf, Or) else (qf,))]
+            ends = [e for p in pieces for e in p[:2] if e is not None]
+            period = lcm(*(p[3] for p in pieces))
+            window = range(min(ends) - 2 * period, max(ends) + 2 * period + 1)
+            assert not lies_inside_another(pieces, window), d
 
     @pytest.mark.parametrize("encode", [encode_naive, encode_bridged])
     def test_encoder_outputs_are_the_code_set(self, encode):
+        # the unioned output and the or of its pieces as they arrived
         for d in range(1, 11):
-            qf = eliminate_quantifiers(encode(d)[0].formula)
+            f = encode(d)[0].formula
+            qf, ununioned = eliminate_quantifiers(f), eliminate_ununioned(f)
+            assert count_atoms(qf) <= count_atoms(ununioned)
             codes = code_set_bitmap(d)
             xs, ys = range(-2, d + 3), range(-2, (1 << d) + 2)
-            masks = compile_masks(qf, ("y", "x"), (ys, xs))
+            masks = [compile_masks(g, ("y", "x"), (ys, xs)) for g in (qf, ununioned)]
             for y in ys:
                 want = sum(1 << k for k, x in enumerate(xs)
                            if 0 <= x + d * y < len(codes) and codes[x + d * y])
-                assert masks((y,)) == want, (d, y)
+                assert [m((y,)) for m in masks] == [want, want], (d, y)
+
+
+class TestUnion:
+    """QE's step unions each form's pieces once: _merged merges the
+    pieces of one class that overlap or touch, _union then drops each
+    piece that another contains.  Against brute force over a window that
+    reaches past every end by more than every modulus, and QE's unioned
+    output against the or of the same pieces built as they arrive."""
+
+    WINDOW = range(-100, 101)
+
+    def test_union_against_brute_force(self):
+        seen = {"dropped": 0, "merged": 0, "open": 0}
+        for i in range(2000):
+            pieces = random_pieces(random.Random(3_600_000 + i))
+            want = {v for p in pieces for v in members(p, self.WINDOW)}
+            merged, kept = evaluator._merged(pieces), evaluator._union(pieces)
+            for out in (merged, kept):
+                assert {v for p in out for v in members(p, self.WINDOW)} == want, pieces
+                for p, q in zip(out, out[1:]):  # one class: neither overlap nor touch
+                    if p[2:] == q[2:]:
+                        assert p[1] is not None and q[0] is not None \
+                            and q[0] > p[1] + p[3], (pieces, p, q)
+            assert set(kept) <= set(merged)
+            assert not lies_inside_another(kept, self.WINDOW), pieces
+            assert lies_inside_another(merged, self.WINDOW) == \
+                [p for p in merged if p not in kept], pieces
+            seen["dropped"] += len(kept) < len(merged)
+            seen["merged"] += len(merged) < len(set(pieces))
+            seen["open"] += any(None in p[:2] for p in kept)
+        assert min(seen.values()) > 0, seen
+
+    def test_qe_against_the_ununioned_or(self):
+        # these bodies' pieces seldom overlap, so the union mostly reorders
+        # them; the encoders' outputs, below, are where it shrinks
+        box = range(SOUND_BOX[0], SOUND_BOX[1] + 1)
+        changed = 0
+        for i in range(300):
+            f, form = one_form_exists(random.Random(3_500_000 + i))
+            got, old = eliminate_quantifiers(f), eliminate_ununioned(f)
+            assert count_atoms(got) <= count_atoms(old)
+            changed += to_text(got) != to_text(old)
+            names = sorted(free_vars(f))
+            if isinstance(got, Bool) or isinstance(old, Bool):
+                assert got == old, to_text(f)
+                continue
+            # the compiled masks, which read no piece and merge none
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluator, "one_form_line", refuse_one_form)
+                masks = [compile_masks(g, names, (box,) * len(names)) for g in (got, old)]
+            for point in product(box, repeat=len(names) - 1):
+                assert masks[0](point) == masks[1](point), (to_text(f), point)
+        assert changed > 0
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -1399,18 +1541,24 @@ def test_qe_output_pinned(monkeypatch):
     # sha256 of the printed elimination output: any change to QE output on
     # these inputs shows here.  The template route still gives the digest
     # recorded with the case split that built every offset (residue
-    # stepping and the bound cut left it unchanged); one-form pieces move it
+    # stepping and the bound cut left it unchanged); one-form pieces moved
+    # it, and the pieces built as they arrive still give that digest; the
+    # union of each step's pieces moves it again, from 180 atoms to 138
     inputs = [random_sentence(random.Random(4_400_000 + i)) for i in range(200)]
     inputs += [encode_naive(4)[0].formula, encode_naive(6)[0].formula]
-    digests = []
-    for eliminate in (eliminate_quantifiers, lambda f: by_template(f, monkeypatch)):
-        digest = hashlib.sha256()
-        for f in inputs:
-            digest.update(to_text(eliminate(f)).encode() + b"\n")
+    digests, atoms = [], []
+    for eliminate in (eliminate_quantifiers, eliminate_ununioned,
+                      lambda f: by_template(f, monkeypatch)):
+        digest, outputs = hashlib.sha256(), list(map(eliminate, inputs))
+        for qf in outputs:
+            digest.update(to_text(qf).encode() + b"\n")
         digests.append(digest.hexdigest())
+        atoms.append(sum(map(count_atoms, outputs)))
     assert digests == [
+        "1b49ea4ea879140ddc1ff24e900cbf574199754b43e16f29f03c114f99e507c0",
         "584965375b4cf555c37eb152b4d402a2681456cf82ec1f2772843ed7ca70747b",
         "20128a65eb9e2d9dcace7e7860c2fcde45f02fa83d7f7c9c889f90a6846bbd82"]
+    assert atoms[:2] == [138, 180]
 
 
 def test_negation_duality_fuzz():
