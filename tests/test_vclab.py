@@ -882,6 +882,26 @@ class TestOneFormDifferential:
         assert fam == masked
         assert [m for _, m in fam.members] == [block_mask(d, y) for y in range(1 << d)]
 
+    @pytest.mark.parametrize("text, ranges, hints", [
+        ("(<= x y)", (range(0, 3), range(0)), None),  # an empty window
+        ("(<= x y)", (range(0), range(0, 3)), None),  # an empty parameter range
+        # a block of the naive encoder's shape over an empty window
+        ("(exists p (exists q (and (= (+ x (* 2 y)) (+ 1 (* 3 p) (* 5 q))) (< p 3))))",
+         (range(0, 4), range(0)), {"p": (0, 9), "q": (0, 1)}),
+    ])
+    def test_empty_box_is_refused(self, monkeypatch, text, ranges, hints):
+        # the line refuses before it reads a range's end, and compile_masks
+        # gives the compiled route's masks: all 0 over an empty window
+        f = parse(text)
+        with pytest.raises(NotOneForm, match="an empty box"):
+            one_form_line(f, ("y", "x"), ranges, hints)
+        got = compile_masks(f, ("y", "x"), ranges, hints)
+        monkeypatch.setattr(evaluator, "one_form_line", refuse_one_form)
+        want = compile_masks(f, ("y", "x"), ranges, hints)
+        assert [got((y,)) for y in range(-1, 4)] == [want((y,)) for y in range(-1, 4)]
+        if not ranges[-1]:
+            assert [got((y,)) for y in range(-1, 4)] == [0] * 5
+
     def test_variable_outside_the_box_is_refused(self):
         # the line refuses, and compile_masks' own check reports it
         with pytest.raises(NotOneForm, match="outside the box"):
