@@ -576,8 +576,10 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     linear form u = sum of form[i]*variables[i], each variable over its
     range; the last, the object, is the window.
 
-    The form is primitive and positive on the object; every atom's
-    coefficient vector must be a multiple k*form.  Such an f is a union of
+    The form is the box part, the coefficients on `variables`, of the
+    first atom of f that has one (of a block, its equality), made
+    primitive and positive on the object; every atom's coefficient vector
+    must be a multiple k*form.  Such an f is a union of
     pieces, each an interval of u met with a residue class, a range over
     the line of u: an order atom gives a half-line by _half (negated, the
     other one), an equality a point (negated, two half-lines), a div a
@@ -607,28 +609,15 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
     and's meet is empty.  Raises MissingHintError when a variable of a
     block it otherwise takes, in any part, has no hint in `hints`.
     """
-    obj = variables[-1]
+    obj, inside = variables[-1], set(variables)
     hints = hints or {}
-
-    # the form: the box part of the first atom or block met depth first
-    def first(g: Formula, neg: bool) -> tuple | None:
-        if isinstance(g, Atom):
-            return (g.left - g.right).coeffs
-        if isinstance(g, (Exists, Forall)):
-            return _block(g, neg, hints)[0]
-        if isinstance(g, Not):
-            return first(g.body, not neg)
-        if isinstance(g, (And, Or)):
-            for p in g.parts:
-                if (form := first(p, neg)) is not None:
-                    return form
-        return None
-    form = first(f, False) or ()
+    parts = (tuple((v, c) for v, c in (a.left - a.right).coeffs if v in inside)
+             for a in atoms_of(f)  # a block's bounds skip the subtraction
+             if not inside.isdisjoint(dict(a.left.coeffs + a.right.coeffs)))
+    form = next(filter(None, parts), ())
     coeffs = dict(form)
     if coeffs.get(obj, 0) == 0:
         raise NotOneForm("an atom has object coefficient 0")
-    if coeffs.keys() - set(variables):
-        raise NotOneForm("an atom reads a variable outside the box")
     k = gcd(*coeffs.values()) * (1 if coeffs[obj] > 0 else -1)
     form = tuple((v, c // k) for v, c in form)
     form_vec = tuple(coeffs.get(v, 0) // k for v in variables)
@@ -650,6 +639,8 @@ def one_form_line(f: Formula, variables: Sequence[str], ranges: Sequence[range],
         k = dict(vector).get(obj, 0)
         if k == 0:
             raise NotOneForm("an atom has object coefficient 0")
+        if any(v not in inside for v, _ in vector):
+            raise NotOneForm("an atom reads a variable outside the box")
         k //= form_vec[-1]
         if vector != tuple((v, k * c) for v, c in form):
             raise NotOneForm("atoms read through a second form")
@@ -1206,6 +1197,7 @@ def _case_split(var: str, body: Formula) -> Iterator[_Leaf]:
         # the tail drops the bounds: F on its side, T on the other
         tail = [c for c in constraints if c[0] or not c[1]]
         for witness, steps in plan:
+            # redundant after _offsets' cut, but the uncut test seams plan this tail
             if witness is None and any(form[0] == dropped for form in solved):
                 continue
             kw, cw = (0, 0) if witness is None else (_multiple(witness, f), witness.const)

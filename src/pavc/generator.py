@@ -272,9 +272,7 @@ class GeneratorMeta:
                      for t in build_code_set(self.d))
 
 
-def _meta(d: int, encoder: str, hints: Mapping[str, tuple[int, int]],
-          modulus: int | None = None,
-          modulus_mode: str | None = None) -> GeneratorMeta:
+def _meta(d: int, encoder: str, hints: Mapping[str, tuple[int, int]]) -> GeneratorMeta:
     return GeneratorMeta(
         d=d,
         encoder=encoder,
@@ -285,8 +283,6 @@ def _meta(d: int, encoder: str, hints: Mapping[str, tuple[int, int]],
         t_window=(1, d * (1 << d)),
         hints=tuple(sorted(hints.items())),
         aps=spread_aps(d),
-        modulus=modulus,
-        modulus_mode=modulus_mode,
     )
 
 

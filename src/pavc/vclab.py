@@ -65,16 +65,6 @@ class SetFamily:
         return {self.member_set(m) for m in self.distinct_masks()}
 
 
-def _points_to_mask(fam: SetFamily, points: Iterable[int]) -> int:
-    index = {v: i for i, v in enumerate(fam.ground)}
-    mask = 0
-    for p in points:
-        if p not in index:
-            raise VcLabError(f"point {p} is outside the ground set")
-        mask |= 1 << index[p]
-    return mask
-
-
 def is_shattered(points: Iterable[int], fam: SetFamily,
                  cap: int = DEFAULT_VC_CAP
                  ) -> tuple[bool, dict[frozenset[int], str] | None]:
@@ -86,7 +76,12 @@ def is_shattered(points: Iterable[int], fam: SetFamily,
     pts = sorted(set(points))
     if len(pts) > cap:
         raise VcLabError(f"shattering check capped at {cap} points")
-    target_mask = _points_to_mask(fam, pts)
+    index = {v: i for i, v in enumerate(fam.ground)}
+    target_mask = 0
+    for p in pts:
+        if p not in index:
+            raise VcLabError(f"point {p} is outside the ground set")
+        target_mask |= 1 << index[p]
     needed = 1 << len(pts)
     seen: dict[int, str] = {}
     for label, mask in fam.members:
@@ -97,7 +92,6 @@ def is_shattered(points: Iterable[int], fam: SetFamily,
                 break
     if len(seen) < needed:
         return (False, None)
-    index = {v: i for i, v in enumerate(fam.ground)}
     witness = {
         frozenset(p for p in pts if tr >> index[p] & 1): label
         for tr, label in seen.items()

@@ -933,6 +933,46 @@ class TestOneFormDifferential:
         assert taken == ["atoms read through a second form"]
         assert fam == masked == reference_family(pf, ground, windows, {})
 
+    @pytest.mark.parametrize("f, ranges, hints, blocks", [
+        # naive d = 3's bounded body: three blocks, one per disjunct
+        (encode_naive(3)[0].formula, (range(0, 8), range(1, 4)),
+         encode_naive(3)[1].hint_map(), 3),
+        (parse("(and (exists p (and (= x (+ y p)) (<= 0 p) (<= p 5)))"
+               " (exists q (and (<= 1 q) (= x (+ y (* 2 q))))))"),
+         (range(0, 3), range(0, 6)), {"p": (0, 9), "q": (0, 9)}, 2),
+    ], ids=["naive-3", "two-blocks"])
+    def test_each_block_is_read_once(self, monkeypatch, f, ranges, hints, blocks):
+        # the form comes from the first atom, so no block is read for it
+        read, block = [], evaluator._block
+
+        def spy(g, neg, hints):
+            read.append(g)
+            return block(g, neg, hints)
+        monkeypatch.setattr(evaluator, "_block", spy)
+        one_form_line(f, ("y", "x"), ranges, hints)
+        assert len(read) == len(set(map(id, read))) == blocks
+
+    def test_block_bounds_before_its_equality(self, monkeypatch):
+        # the bounds on p and q read no box variable, so the form is the
+        # box part of the equality after them
+        f = parse("(exists p (exists q (and (<= 1 p) (< q 2)"
+                  " (= (+ x (* 2 y)) (+ 1 (* 3 p) (* 5 q))))))")
+        pf = PartitionedFormula(f, ("x",), ("y",))
+        hints = {"p": (0, 9), "q": (0, 1)}
+        ground, windows = (0, 12), {"y": (0, 4)}
+        fam, taken, masked = one_form_paths(monkeypatch, pf, ground, windows, hints)
+        assert taken == ["one form"]
+        assert fam == masked == reference_family(pf, ground, windows, hints)
+        assert len(fam.distinct_masks()) > 1
+
+    def test_variable_outside_the_box_in_a_later_atom(self):
+        # every atom is checked, not only the one the form comes from
+        f = parse("(and (<= x y) (< x q))")
+        with pytest.raises(NotOneForm, match="an atom reads a variable outside the box"):
+            one_form_line(f, ("y", "x"), (range(2), range(3)))
+        with pytest.raises(EvalError, match=r"point missing variables: \['q'\]"):
+            compile_masks(f, ("y", "x"), (range(2), range(3)))
+
 
 class TestConstructBoundedRoutes:
     """The benchmark's bounded verify inputs: naive families take the byte
